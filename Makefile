@@ -4,7 +4,11 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-json bench-compare probe-demo fuzz-smoke cover-netem cover-runcache cover-obs cover-campaign impair-demo docs-check chaos-smoke campaign-smoke
+# Packages held to the statement-coverage gate below, one cover-<pkg>
+# target each.
+COVER_TARGETS := cover-netem cover-runcache cover-obs cover-campaign
+
+.PHONY: verify build test vet race bench bench-json bench-compare probe-demo fuzz-smoke $(COVER_TARGETS) impair-demo docs-check chaos-smoke campaign-smoke
 
 # BENCH_N matches this PR's position in the stacked sequence; bump it when a
 # later change re-baselines the trajectory file. BENCH_PREV is the baseline
@@ -12,7 +16,10 @@ GO ?= go
 BENCH_N ?= 10
 BENCH_PREV ?= 9
 
-verify: build vet test race cover-netem cover-runcache cover-obs cover-campaign
+# The benchmark under bench/ is a module of its own, so the root ./...
+# leaves it out; verify vets and tests it explicitly.
+verify: build vet test race $(COVER_TARGETS)
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...
@@ -46,43 +53,19 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParseScenario -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseCampaign -fuzztime $(PARSEFUZZTIME)
 
-# The impairment subsystem is the loss model under every CC validation
-# claim; hold its statement coverage at >= 80%.
-cover-netem:
-	@$(GO) test -coverprofile=netem.cover.out ./internal/netem > /dev/null
-	@$(GO) tool cover -func=netem.cover.out | awk '/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < 80) { printf "netem coverage %.1f%% < 80%%\n", $$3; exit 1 } \
-		else printf "netem coverage %.1f%% (gate 80%%)\n", $$3 }'
-	@rm -f netem.cover.out
-
-# The run cache substitutes stored bytes for executions; a silent bug there
-# corrupts every downstream table. Hold its statement coverage at >= 80%.
-cover-runcache:
-	@$(GO) test -coverprofile=runcache.cover.out ./internal/runcache > /dev/null
-	@$(GO) tool cover -func=runcache.cover.out | awk '/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < 80) { printf "runcache coverage %.1f%% < 80%%\n", $$3; exit 1 } \
-		else printf "runcache coverage %.1f%% (gate 80%%)\n", $$3 }'
-	@rm -f runcache.cover.out
-
-# The telemetry aggregator folds every campaign's metrics into the sketches
-# the live endpoint and gsreport -telemetry serve; a folding bug biases every
-# published quantile. Hold its statement coverage at >= 80%.
-cover-obs:
-	@$(GO) test -coverprofile=obs.cover.out ./internal/obs > /dev/null
-	@$(GO) tool cover -func=obs.cover.out | awk '/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < 80) { printf "obs coverage %.1f%% < 80%%\n", $$3; exit 1 } \
-		else printf "obs coverage %.1f%% (gate 80%%)\n", $$3 }'
-	@rm -f obs.cover.out
-
-# The campaign coordinator turns a spec into the merged telemetry every
-# report consumes; a sharding or merge bug silently biases whole campaigns.
-# Hold its statement coverage at >= 80%.
-cover-campaign:
-	@$(GO) test -short -coverprofile=campaign.cover.out ./internal/campaign > /dev/null
-	@$(GO) tool cover -func=campaign.cover.out | awk '/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < 80) { printf "campaign coverage %.1f%% < 80%%\n", $$3; exit 1 } \
-		else printf "campaign coverage %.1f%% (gate 80%%)\n", $$3 }'
-	@rm -f campaign.cover.out
+# Statement coverage >= 80% on the packages where a silent bug corrupts
+# everything downstream: netem is the loss model under every CC validation
+# claim; runcache substitutes stored bytes for executions; obs folds every
+# campaign's metrics into the sketches the live endpoint and gsreport
+# -telemetry serve; campaign turns a spec into the merged telemetry every
+# report consumes (-short skips its multi-process integration tests).
+cover-campaign: COVER_FLAGS = -short
+$(COVER_TARGETS): cover-%:
+	@$(GO) test $(COVER_FLAGS) -coverprofile=$*.cover.out ./internal/$* > /dev/null
+	@$(GO) tool cover -func=$*.cover.out | awk -v pkg=$* '/^total:/ { gsub(/%/, "", $$3); \
+		if ($$3 + 0 < 80) { printf "%s coverage %.1f%% < 80%%\n", pkg, $$3; exit 1 } \
+		else printf "%s coverage %.1f%% (gate 80%%)\n", pkg, $$3 }'
+	@rm -f $*.cover.out
 
 # One regeneration per benchmark target (reduced-size campaigns), then the
 # fixed trajectory suite written as BENCH_$(BENCH_N).json (see README).

@@ -42,14 +42,20 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/figures"
 	"repro/internal/gamestream"
+	"repro/internal/metrics"
+	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/pcap"
+	"repro/internal/probe"
 	"repro/internal/report"
+	"repro/internal/runcache"
+	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 func main() {
@@ -58,7 +64,7 @@ func main() {
 		cca      = flag.String("cca", "cubic", "competing flow: cubic|bbr|none")
 		capacity = flag.Float64("capacity", 25, "bottleneck capacity in Mb/s")
 		queue    = flag.Float64("queue", 2, "queue size in multiples of BDP")
-		aqm      = flag.String("aqm", core.DropTail, "queue discipline")
+		aqm      = flag.String("aqm", experiment.AQMDropTail, "queue discipline")
 		seed     = flag.Uint64("seed", 1, "run seed")
 		scale    = flag.Float64("scale", 1, "timeline compression")
 		pcapPath = flag.String("pcap", "", "also write the bottleneck trace as a pcap file")
@@ -103,33 +109,33 @@ func main() {
 	)
 	flag.Parse()
 
-	var impair core.Impairment
-	if err := core.ParseLoss(*loss, &impair); err != nil {
+	var impair netem.Impairment
+	if err := experiment.ParseLoss(*loss, &impair); err != nil {
 		fatal(err)
 	}
 	impair.Jitter = *jitter
 	impair.Reorder = *reorder
 	if *dup != "" {
-		p, err := core.ParseProb(*dup)
+		p, err := experiment.ParseProb(*dup)
 		if err != nil {
 			fatal(fmt.Errorf("-dup: %w", err))
 		}
 		impair.Duplicate = p
 	}
-	sched, err := core.ParseSchedule(*schedule)
+	sched, err := experiment.ParseSchedule(*schedule)
 	if err != nil {
 		fatal(err)
 	}
 
-	mix, err := core.ParseMix(*flowMix)
+	mix, err := experiment.ParseMix(*flowMix)
 	if err != nil {
 		fatal(err)
 	}
-	pop := core.FlowPopulation{Flows: *flows, Streams: *streams, Mix: mix, MeanOn: *flowOn, MeanOff: *flowOff}
+	pop := experiment.FlowPopulation{Flows: *flows, Streams: *streams, Mix: mix, MeanOn: *flowOn, MeanOff: *flowOff}
 
-	var probeCfg *core.ProbeConfig
+	var probeCfg *probe.Config
 	if *probeOn {
-		probeCfg = &core.ProbeConfig{Interval: *probeInterval, Events: *events}
+		probeCfg = &probe.Config{Interval: *probeInterval, Events: *events}
 		if *probeInterval == 0 {
 			probeCfg.PerAck = true
 		}
@@ -159,9 +165,9 @@ func main() {
 		defer f.Close()
 	}
 
-	var cache *core.RunCache
+	var cache *runcache.Cache
 	if *cacheDir != "" {
-		cache, err = core.OpenCache(*cacheDir)
+		cache, err = runcache.Open(*cacheDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -197,8 +203,8 @@ func main() {
 // iteration prints the same CSV time series as the flag path (the scenario
 // and flag constructions of the same condition are byte-identical); multi-
 // iteration scenarios print one summary line per run.
-func runScenario(path string, progress bool, runLog *obs.JSONL, cache *core.RunCache) {
-	sp, err := core.LoadScenario(path)
+func runScenario(path string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
+	sp, err := scenario.ParseFile(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -208,10 +214,10 @@ func runScenario(path string, progress bool, runLog *obs.JSONL, cache *core.RunC
 	}
 	fmt.Fprintf(os.Stderr, "gssim: scenario %q: %d iteration(s), seed %d\n", sp.Name, iters, sp.Seed)
 	for it := 0; it < iters; it++ {
-		res := core.RunScenario(sp, it, cache)
+		res, hit := experiment.RunCached(cache, sp.RunConfig(it))
+		rec := res.Record(it)
+		rec.Cached = hit
 		if runLog != nil {
-			rec := res.Record(it)
-			rec.Cached = res.Cached
 			if err := runLog.Log(rec); err != nil {
 				fmt.Fprintln(os.Stderr, "gssim:", err)
 			}
@@ -219,13 +225,13 @@ func runScenario(path string, progress bool, runLog *obs.JSONL, cache *core.RunC
 		if iters == 1 {
 			printTrace(res)
 		} else {
-			rr := res.ResponseRecovery()
+			rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 			fmt.Printf("iter %2d seed %d: original %5.1f Mb/s, contended %5.1f Mb/s, fairness %+5.2f, rtt %5.1f ms\n",
-				it, res.Cfg.Seed, rr.OriginalMbs, rr.AdjustedMbs, res.FairnessRatio(), res.MeanRTT())
+				it, res.Cfg.Seed, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness, rec.RTTMs)
 		}
 		if progress {
 			src := "run"
-			if res.Cached {
+			if hit {
 				src = "cache hit"
 			}
 			fmt.Fprintf(os.Stderr, "gssim: scenario iter %d/%d (%s)\n", it+1, iters, src)
@@ -235,7 +241,7 @@ func runScenario(path string, progress bool, runLog *obs.JSONL, cache *core.RunC
 
 // printTrace writes a run's 0.5 s time series as CSV, the single-run
 // output contract shared by the flag and scenario paths.
-func printTrace(res core.Result) {
+func printTrace(res *experiment.RunResult) {
 	n := len(res.GameMbps)
 	tcol := make([]float64, n)
 	rttCol := make([]float64, n)
@@ -263,30 +269,22 @@ func printTrace(res core.Result) {
 
 // runChaos executes a seed-derived chaos campaign, prints the per-invariant
 // verdict table, and exits non-zero when any invariant was violated.
-func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, progress bool, runLog *obs.JSONL, cache *core.RunCache) {
-	opts := core.ChaosOptions{
+func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
+	var sinks experiment.Sinks
+	if runLog != nil {
+		sinks.RunLog = runLog
+	}
+	if progress {
+		sinks.Progress = obs.NewPrinter(os.Stderr)
+	}
+	start := time.Now()
+	rep, err := scenario.RunChaos(scenario.ChaosConfig{
 		Seed:    seed,
 		Runs:    runs,
 		Scale:   scale,
 		Workers: workers,
 		Cache:   cache,
-	}
-	if workers == 0 {
-		opts.Workers = runtime.NumCPU()
-	}
-	if runLog != nil {
-		opts.Log = runLog
-	}
-	if progress {
-		opts.Progress = func(done, total, violations int) {
-			fmt.Fprintf(os.Stderr, "\rgssim: chaos %d/%d runs, %d violations", done, total, violations)
-			if done == total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	start := time.Now()
-	rep, err := core.RunChaos(opts)
+	}, sinks)
 	if err != nil {
 		fatal(err)
 	}
@@ -294,7 +292,7 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 	fmt.Fprintf(os.Stderr, "gssim: chaos campaign: %d runs in %v, %d cache hits, %d violations\n",
 		rep.Runs, time.Since(start).Round(time.Millisecond), rep.CacheHits, rep.Violations)
 	if invOut != "" {
-		if err := core.SaveCampaignReport(invOut, rep); err != nil {
+		if err := scenario.SaveReport(invOut, rep); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "gssim: campaign report written to %s\n", invOut)
@@ -306,38 +304,37 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 
 // runSweep executes the paper's campaign with live observability and clean
 // SIGINT cancellation, printing one summary line per condition at the end.
-func runSweep(iters int, scale float64, workers int, aqm string, progress bool, runLog *obs.JSONL, probeCfg *core.ProbeConfig, probeDir string, impair core.Impairment, sched []core.ScheduleStep, pop core.FlowPopulation, cache *core.RunCache, telem *telemetry, discard bool) {
+func runSweep(iters int, scale float64, workers int, aqm string, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeDir string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache, telem *telemetry, discard bool) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := core.SweepOptions{
-		Iterations:  iters,
-		TimeScale:   scale,
-		Workers:     workers,
-		AQM:         aqm,
-		Schedule:    sched,
-		Population:  pop,
-		Cache:       cache,
-		DiscardRuns: discard,
-	}
+	cfg := experiment.PaperSweep()
+	cfg.Iterations = iters
+	cfg.Timeline = paperTimeline(scale)
+	cfg.Workers = workers
+	cfg.AQM = aqm
+	cfg.Schedule = sched
+	cfg.Population = pop
+	cfg.Cache = cache
+	cfg.DiscardRuns = discard
 	if impair.Enabled() {
-		opts.Impairments = []core.Impairment{impair}
+		cfg.Impairments = []netem.Impairment{impair}
 	}
 	if probeCfg != nil {
-		opts.Probe = probeCfg
-		opts.ProbeDir = probeDir
+		cfg.Probe = probeCfg
+		cfg.ProbeDir = probeDir
 	}
 	if runLog != nil {
-		opts.RunLog = runLog
+		cfg.RunLog = runLog
 	}
 	var printer obs.Progress
 	if progress {
 		printer = obs.NewPrinter(os.Stderr)
 	}
-	opts.Progress = obs.MultiProgress(printer, telem.progress())
+	cfg.Progress = obs.MultiProgress(printer, telem.progress())
 
 	start := time.Now()
-	sw := core.SweepContext(ctx, opts)
+	sw := experiment.RunSweep(ctx, cfg)
 
 	total := 0
 	if discard && telem.ag != nil {
@@ -369,28 +366,30 @@ func runSweep(iters int, scale float64, workers int, aqm string, progress bool, 
 // runSingle executes one condition and prints its time series as CSV. The
 // -cca flag accepts a comma-separated list (e.g. "cubic,bbr") to put
 // several bulk flows on the bottleneck at once.
-func runSingle(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64, pcapPath string, progress bool, runLog *obs.JSONL, probeCfg *core.ProbeConfig, probeOut string, impair core.Impairment, sched []core.ScheduleStep, pop core.FlowPopulation, cache *core.RunCache) {
-	ccaVal := cca
-	if ccaVal == "none" {
-		ccaVal = core.None
+func runSingle(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64, pcapPath string, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeOut string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache) {
+	if cca == "none" {
+		cca = ""
 	}
-	cfg := core.Config{
-		System:     gamestream.System(system),
-		CCA:        ccaVal,
-		Capacity:   core.Mbps(capacity),
-		Queue:      queue,
-		AQM:        aqm,
+	cfg := experiment.RunConfig{
+		Condition: experiment.Condition{
+			System:    gamestream.System(system),
+			CCA:       cca,
+			Capacity:  units.Mbps(capacity),
+			QueueMult: queue,
+			AQM:       aqm,
+			Impair:    impair,
+		},
+		Timeline:   paperTimeline(scale),
 		Seed:       seed,
-		TimeScale:  scale,
 		Probe:      probeCfg,
-		Impair:     impair,
 		Schedule:   sched,
 		Population: pop,
-		Cache:      cache,
 	}
-	if ccas := strings.Split(ccaVal, ","); len(ccas) > 1 {
+	if ccas := strings.Split(cca, ","); len(ccas) > 1 {
 		cfg.CCA = ccas[0] // condition label; the competitor list drives the run
-		cfg.Competitors = ccas
+		for _, c := range ccas {
+			cfg.Competitors = append(cfg.Competitors, experiment.Competitor{Kind: experiment.CompIperf, CCA: c})
+		}
 	}
 	if pcapPath != "" {
 		f, err := os.Create(pcapPath)
@@ -413,7 +412,7 @@ func runSingle(system, cca string, capacity, queue float64, aqm string, seed uin
 			fmt.Fprintf(os.Stderr, "gssim: wrote %d packets to %s\n", pw.Packets(), pcapPath)
 		}()
 	}
-	res := core.Run(cfg)
+	res, hit := experiment.RunCached(cache, cfg)
 	var pmeta *obs.ProbeMeta
 	if res.Probe != nil {
 		dir, base := filepath.Split(probeOut)
@@ -429,15 +428,15 @@ func runSingle(system, cca string, capacity, queue float64, aqm string, seed uin
 		}
 		pmeta = &m
 	}
+	rec := res.Record(0)
+	rec.Probe = pmeta
+	rec.Cached = hit
 	if runLog != nil {
-		rec := res.Record(0)
-		rec.Probe = pmeta
-		rec.Cached = res.Cached
 		if err := runLog.Log(rec); err != nil {
 			fmt.Fprintln(os.Stderr, "gssim:", err)
 		}
 	}
-	if res.Cached {
+	if hit {
 		fmt.Fprintln(os.Stderr, "gssim: run served from cache")
 	}
 
@@ -456,11 +455,11 @@ func runSingle(system, cca string, capacity, queue float64, aqm string, seed uin
 			"impair %s: %d packets, %d loss drops, %d flap drops, %d dup, %d reordered, %d flaps (%.1fs down)\n",
 			impair, is.Packets, is.LossDrops, is.FlapDrops, is.Duplicates, is.Reordered, is.Flaps, is.Down.Seconds())
 	}
-	rr := res.ResponseRecovery()
+	rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 	fmt.Fprintf(os.Stderr,
 		"run %s: original %.1f Mb/s, contended %.1f Mb/s, fairness %+.2f, response %.0fs, recovery %.0fs, rtt %.1f ms, fps %.1f\n",
-		res.Cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, res.FairnessRatio(),
-		rr.Response.Seconds(), rr.Recovery.Seconds(), res.MeanRTT(), res.MeanFPS())
+		res.Cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness,
+		rr.Response.Seconds(), rr.Recovery.Seconds(), rec.RTTMs, rec.FPS)
 	if progress {
 		es := res.Engine
 		fmt.Fprintf(os.Stderr,
@@ -468,6 +467,15 @@ func runSingle(system, cca string, capacity, queue float64, aqm string, seed uin
 			es.EventsDispatched, es.PeakPending, es.SimTime.Seconds(), es.WallTime.Seconds(),
 			es.Speedup(), es.EventsPerSecond())
 	}
+}
+
+// paperTimeline is the paper's 9-minute timeline compressed by scale (0 or
+// 1 = full fidelity).
+func paperTimeline(scale float64) metrics.Timeline {
+	if scale > 0 && scale != 1 {
+		return metrics.PaperTimeline.Scale(scale)
+	}
+	return metrics.PaperTimeline
 }
 
 func writeMemProfile(path string) {

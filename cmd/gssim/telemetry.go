@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 )
@@ -21,7 +20,7 @@ type telemetry struct {
 
 // openTelemetry builds the telemetry stack from the -telemetry-* flags; all
 // empty means a nil Aggregator and a no-op close.
-func openTelemetry(addr, out, logPath string, cache *core.RunCache) (*telemetry, error) {
+func openTelemetry(addr, out, logPath string, cache *runcache.Cache) (*telemetry, error) {
 	t := &telemetry{out: out}
 	if addr == "" && out == "" && logPath == "" {
 		return t, nil

@@ -9,7 +9,10 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/gamestream"
+	"repro/internal/metrics"
+	"repro/internal/units"
 )
 
 func main() {
@@ -18,22 +21,21 @@ func main() {
 
 	fmt.Println("Stadia vs TCP Cubic, 25 Mb/s, 7x BDP buffer — queue discipline comparison")
 	fmt.Printf("%-10s  %10s  %12s  %12s  %8s\n", "qdisc", "RTT (ms)", "game (Mb/s)", "tcp (Mb/s)", "f/s")
-	for _, aqm := range []string{core.DropTail, core.CoDel, core.FQCoDel} {
-		res := core.Run(core.Config{
-			System:    core.Stadia,
-			CCA:       core.Cubic,
-			Capacity:  core.Mbps(25),
-			Queue:     7,
-			AQM:       aqm,
-			Seed:      3,
-			TimeScale: *scale,
+	for _, aqm := range []string{experiment.AQMDropTail, experiment.AQMCoDel, experiment.AQMFQCoDel} {
+		res := experiment.Run(experiment.RunConfig{
+			Condition: experiment.Condition{
+				System:    gamestream.Stadia,
+				CCA:       "cubic",
+				Capacity:  units.Mbps(25),
+				QueueMult: 7,
+				AQM:       aqm,
+			},
+			Timeline: metrics.PaperTimeline.Scale(*scale),
+			Seed:     3,
 		})
-		from, to := res.Cfg.Timeline.FairnessWindow()
+		rec := res.Record(0)
 		fmt.Printf("%-10s  %10.1f  %12.1f  %12.1f  %8.1f\n",
-			aqm, res.MeanRTT(),
-			res.GameSeries().MeanBetween(from, to),
-			res.TCPSeries().MeanBetween(from, to),
-			res.MeanFPS())
+			aqm, rec.RTTMs, rec.GameMbps, rec.TCPMbps, rec.FPS)
 	}
 	fmt.Println("\nDrop-tail shows the paper's ~110 ms bufferbloat RTT; CoDel keeps the")
 	fmt.Println("queue near its 5 ms target; FQ-CoDel also gives the stream its fair share.")

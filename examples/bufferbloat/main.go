@@ -8,7 +8,10 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/gamestream"
+	"repro/internal/metrics"
+	"repro/internal/units"
 )
 
 func main() {
@@ -21,18 +24,20 @@ func main() {
 
 	for _, q := range []float64{0.5, 1, 2, 4, 7, 12} {
 		row := fmt.Sprintf("%-8s", fmt.Sprintf("%.1fx", q))
-		for _, cca := range []string{core.Cubic, core.BBR} {
-			res := core.Run(core.Config{
-				System:    core.GeForce,
-				CCA:       cca,
-				Capacity:  core.Mbps(25),
-				Queue:     q,
-				Seed:      7,
-				TimeScale: *scale, // default 3.6-minute trace: enough for steady state
+		for _, cca := range []string{"cubic", "bbr"} {
+			res := experiment.Run(experiment.RunConfig{
+				Condition: experiment.Condition{
+					System:    gamestream.GeForce,
+					CCA:       cca,
+					Capacity:  units.Mbps(25),
+					QueueMult: q,
+				},
+				// Default 3.6-minute trace: enough for steady state.
+				Timeline: metrics.PaperTimeline.Scale(*scale),
+				Seed:     7,
 			})
-			from, to := res.Cfg.Timeline.FairnessWindow()
-			row += fmt.Sprintf("  %-10.1f %-11.1f", res.MeanRTT(),
-				res.GameSeries().MeanBetween(from, to))
+			rec := res.Record(0)
+			row += fmt.Sprintf("  %-10.1f %-11.1f", rec.RTTMs, rec.GameMbps)
 		}
 		fmt.Println(row)
 	}

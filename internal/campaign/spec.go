@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
+	"repro/internal/ini"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/units"
@@ -24,16 +24,14 @@ const (
 	ModeMC   = "mc"   // Monte-Carlo draws from the [mc] distributions
 )
 
-// Parser safety bounds. Campaign specs are small human-written files;
-// anything past these limits is hostile or corrupt input and is rejected
-// rather than amplified into memory or CPU (the fuzz harness leans on this).
+// Parser safety bounds beyond the lexer's size limits (see internal/ini):
+// anything past them is hostile or corrupt input and is rejected rather
+// than amplified into memory or CPU (the fuzz harness leans on this).
 const (
-	maxSpecBytes = 1 << 20 // 1 MiB
-	maxLineBytes = 4096
-	maxAxis      = 64      // entries per grid axis
-	maxDistSegs  = 256     // segments per distribution
-	maxCells     = 2 << 20 // total runs per campaign
-	maxShards    = 4096
+	maxAxis     = 64      // entries per grid axis
+	maxDistSegs = 256     // segments per distribution
+	maxCells    = 2 << 20 // total runs per campaign
+	maxShards   = 4096
 )
 
 // Spec is a parsed campaign file: everything that determines the campaign's
@@ -89,7 +87,7 @@ func ParseSpecFile(path string) (*Spec, error) {
 			base = base[i+1:]
 		}
 		sp.Name = strings.TrimSuffix(base, ".campaign")
-		if err := checkName(sp.Name); err != nil {
+		if err := ini.CheckName(sp.Name); err != nil {
 			return nil, fmt.Errorf("%s: campaign name from filename: %v", path, err)
 		}
 	}
@@ -112,81 +110,32 @@ func ParseSpecFile(path string) (*Spec, error) {
 // all.
 func ParseSpec(r io.Reader) (*Spec, error) {
 	sp := &Spec{Mode: ModeGrid, Iterations: 15, Scale: 1}
-	var (
-		section string
-		seenSec = map[string]bool{}
-		seenKey = map[string]bool{}
-		lineNo  int
-		total   int
-	)
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 256), maxLineBytes)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		total += len(line) + 1
-		if total > maxSpecBytes {
-			return nil, fmt.Errorf("line %d: spec exceeds %d bytes", lineNo, maxSpecBytes)
-		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("line %d: unterminated section header %q", lineNo, line)
-			}
-			name := strings.ToLower(strings.TrimSpace(line[1 : len(line)-1]))
+	seenSec := map[string]bool{}
+	err := ini.Lex(r, ini.Grammar{
+		Section: func(header string) (string, string, error) {
+			name := strings.ToLower(header)
 			switch name {
 			case "campaign", "grid", "mc":
 			default:
-				return nil, fmt.Errorf("line %d: unknown section [%s]", lineNo, name)
+				return "", "", fmt.Errorf("unknown section [%s]", name)
 			}
 			if seenSec[name] {
-				return nil, fmt.Errorf("line %d: duplicate section [%s]", lineNo, name)
+				return "", "", fmt.Errorf("duplicate section [%s]", name)
 			}
 			seenSec[name] = true
-			section = name
-			continue
-		}
-
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("line %d: want \"key = value\", got %q", lineNo, line)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if section == "" {
-			return nil, fmt.Errorf("line %d: %q outside any section", lineNo, key)
-		}
-		id := section + "\x00" + key
-		if seenKey[id] {
-			return nil, fmt.Errorf("line %d: duplicate key %q in [%s]", lineNo, key, section)
-		}
-		seenKey[id] = true
-
-		var err error
-		switch section {
-		case "campaign":
-			err = sp.setCampaignKey(key, val)
-		case "grid":
-			err = sp.setGridKey(key, val)
-		case "mc":
-			err = sp.setMCKey(key, val)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("line %d: [%s] %s: %v", lineNo, section, key, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("line %d: line exceeds %d bytes", lineNo+1, maxLineBytes)
-		}
+			return name, "", nil
+		},
+		Key: func(section, key, val string) error {
+			switch section {
+			case "campaign":
+				return sp.setCampaignKey(key, val)
+			case "grid":
+				return sp.setGridKey(key, val)
+			}
+			return sp.setMCKey(key, val)
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -205,7 +154,7 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 func (sp *Spec) setCampaignKey(key, val string) error {
 	switch key {
 	case "name":
-		if err := checkName(val); err != nil {
+		if err := ini.CheckName(val); err != nil {
 			return err
 		}
 		sp.Name = val
@@ -362,39 +311,13 @@ func (sp *Spec) parseCCAs(val string) error {
 		cca := s
 		if s == "solo" {
 			cca = "" // no competing flow
-		} else if !validCCA(s) {
+		} else if !tcp.Known(s) {
 			return fmt.Errorf("unknown cca %q", s)
 		}
 		if len(sp.CCAs) >= maxAxis {
 			return fmt.Errorf("more than %d ccas", maxAxis)
 		}
 		sp.CCAs = append(sp.CCAs, cca)
-	}
-	return nil
-}
-
-// validCCA accepts the congestion controllers tcp.New knows.
-func validCCA(name string) bool {
-	switch name {
-	case tcp.AlgCubic, tcp.AlgBBR, tcp.AlgBBR2, tcp.AlgReno, tcp.AlgVegas, tcp.AlgLEDBAT:
-		return true
-	}
-	return false
-}
-
-// checkName bounds campaign names to short identifier-like tokens.
-func checkName(name string) error {
-	if name == "" {
-		return fmt.Errorf("missing")
-	}
-	if len(name) > 64 {
-		return fmt.Errorf("%q longer than 64 bytes", name)
-	}
-	for _, r := range name {
-		if !(r == '-' || r == '_' || r == '.' ||
-			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')) {
-			return fmt.Errorf("%q contains %q (want letters, digits, -_.)", name, r)
-		}
 	}
 	return nil
 }

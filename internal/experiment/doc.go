@@ -13,13 +13,19 @@
 // for simulation decisions, so identical configs produce bit-identical
 // RunResults.
 //
-// # Sweeps
+// # Execution and sweeps
 //
-// RunSweep executes a campaign across a bounded worker pool. Every run's
-// seed derives from its grid position (runSeed), so the result set is
-// deterministic regardless of worker count or scheduling order. Workers
-// defaults to DefaultWorkers (runtime.NumCPU) — the single place the
-// repository's parallelism default lives.
+// Execute is the in-process executor: it runs a list of Jobs across a
+// bounded worker pool, through the run cache when one is given, reports
+// every run to optional obs.Progress and obs.RunLog sinks, and hands each
+// result to a caller hook on the worker goroutine. Workers defaults to
+// DefaultWorkers (runtime.NumCPU) — the single place the repository's
+// parallelism default lives.
+//
+// RunSweep expands the paper grid into jobs, executes them, and groups the
+// results by condition. Every run's seed derives from its grid position
+// (runSeed), so the result set is deterministic regardless of worker count
+// or scheduling order.
 //
 // Sweeps are cancellable and observable: RunSweep takes a context.Context,
 // and SweepConfig carries optional obs.Progress and obs.RunLog sinks.

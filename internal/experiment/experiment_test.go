@@ -496,6 +496,19 @@ func TestRunResultRecordMatchesHeadlines(t *testing.T) {
 	if rec.FramesDisplayed != r.FramesDisplayed {
 		t.Errorf("FramesDisplayed = %d, want %d", rec.FramesDisplayed, r.FramesDisplayed)
 	}
+	// The headline measures every caller reads off the record.
+	if rec.Fairness < -1 || rec.Fairness > 1 {
+		t.Errorf("Fairness %v out of range", rec.Fairness)
+	}
+	if rec.RTTMs < 16 {
+		t.Errorf("RTTMs %v below base RTT", rec.RTTMs)
+	}
+	if rec.FPS <= 0 || rec.FPS > 61 {
+		t.Errorf("FPS %v out of range", rec.FPS)
+	}
+	if rr := metrics.MeasureResponseRecovery(r.GameSeries(), r.Cfg.Timeline); rr.OriginalMbs <= 0 {
+		t.Error("no original bitrate measured")
+	}
 }
 
 func TestDefaultWorkers(t *testing.T) {

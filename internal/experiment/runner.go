@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/gamestream"
@@ -187,11 +188,126 @@ func (s *SweepResult) Find(cond Condition) *ConditionResult {
 	return nil
 }
 
-// RunSweep executes the campaign. Runs execute in parallel across workers;
-// results are deterministic regardless of scheduling because every run has
-// a position-derived seed. The iteration order mirrors the paper's striping
-// (outer: iteration; inner: system) to document the methodology, although
-// in simulation ordering has no temporal effect.
+// Job is one run of an execution plan: its configuration and its index
+// within its grid cell, which becomes the Iteration of its record.
+type Job struct {
+	Cfg  RunConfig
+	Iter int
+}
+
+// Sinks observe an execution while it runs; every field may be left zero.
+type Sinks struct {
+	// Progress receives SweepStart, one RunDone per completed run (with the
+	// run's record attached), and SweepDone.
+	Progress obs.Progress
+	// RunLog receives one structured record per completed run.
+	RunLog obs.RunLog
+	// ProbeDir, when non-empty, receives the exports of every probed run,
+	// named <cond>__seed<seed>.{cc,queue,drops}.csv (plus .events.jsonl
+	// when the ring is on).
+	ProbeDir string
+}
+
+// Execute is the in-process executor every multi-run caller goes through:
+// it runs jobs across workers goroutines (<= 0 = DefaultWorkers), each
+// through cache when one is given, and reports every run to sinks. Results
+// are independent of scheduling because a run is a pure function of its
+// configuration.
+//
+// each, when non-nil, receives every completed run with its index in jobs
+// and whether the cache served it. It runs on the worker goroutine —
+// after the RunLog sink, before Progress.RunDone — so per-run post-
+// processing stays parallel; it must be safe to call concurrently for
+// different indices.
+//
+// Cancelling ctx stops new runs from starting; in-flight runs complete.
+// Execute returns the number of runs that completed.
+func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache, sinks Sinks, each func(i int, res *RunResult, hit bool)) int {
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	total := len(jobs)
+	if sinks.Progress != nil {
+		sinks.Progress.SweepStart(total)
+	}
+	start := time.Now()
+
+	var (
+		next, done atomic.Int64
+		wg         sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= total {
+					return
+				}
+				j := jobs[i]
+				runStart := time.Now()
+				res, hit := RunCached(cache, j.Cfg)
+				var pmeta *obs.ProbeMeta
+				if res.Probe != nil {
+					m := res.Probe.Meta()
+					if sinks.ProbeDir != "" {
+						// An export failure must not kill a campaign; the
+						// meta then carries counts without filenames.
+						if em, err := res.Probe.Export(sinks.ProbeDir, probeBase(j.Cfg.Condition, j.Cfg.Seed)); err == nil {
+							m = em
+						}
+					}
+					pmeta = &m
+				}
+				var rec *obs.Record
+				if sinks.RunLog != nil || sinks.Progress != nil {
+					r := res.Record(j.Iter)
+					r.Probe = pmeta
+					r.Cached = hit
+					rec = &r
+				}
+				if sinks.RunLog != nil {
+					// Sinks serialise internally; errors are the sink's to
+					// surface (a broken log must not kill a campaign).
+					_ = sinks.RunLog.Log(*rec)
+				}
+				if each != nil {
+					each(i, res, hit)
+				}
+				d := int(done.Add(1))
+				if sinks.Progress != nil {
+					elapsed := time.Since(start)
+					var eta time.Duration
+					if d < total {
+						eta = time.Duration(float64(elapsed) / float64(d) * float64(total-d))
+					}
+					sinks.Progress.RunDone(obs.Update{
+						Done: d, Total: total,
+						Cond: j.Cfg.Condition.String(), Seed: j.Cfg.Seed, Iteration: j.Iter,
+						RunWall: time.Since(runStart), Elapsed: elapsed, ETA: eta,
+						Record: rec,
+					})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := int(done.Load())
+	if sinks.Progress != nil {
+		sinks.Progress.SweepDone(n < total, time.Since(start))
+	}
+	return n
+}
+
+// RunSweep executes the campaign: it expands the grid into jobs, runs them
+// through Execute, and groups the results by condition. The iteration
+// order mirrors the paper's striping (outer: iteration; inner: system) to
+// document the methodology, although in simulation ordering has no
+// temporal effect, and every run has a position-derived seed.
 //
 // Cancelling ctx stops new runs from starting; in-flight runs complete and
 // the partial result comes back with Interrupted set. Progress and run-log
@@ -202,140 +318,71 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 		ctx = context.Background()
 	}
 
-	type job struct {
-		cond Condition
-		iter int
-	}
 	imps := cfg.Impairments
 	if len(imps) == 0 {
 		imps = []netem.Impairment{{}}
 	}
-	var jobs []job
+	var jobs []Job
 	for it := 0; it < cfg.Iterations; it++ {
 		for _, imp := range imps {
 			for _, cca := range cfg.CCAs {
 				for _, capy := range cfg.Capacities {
 					for _, qm := range cfg.QueueMults {
 						for _, sys := range cfg.Systems {
-							jobs = append(jobs, job{
-								cond: Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: cfg.AQM, Impair: imp},
-								iter: it,
-							})
+							cond := Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: cfg.AQM, Impair: imp}
+							jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
+								Condition:      cond,
+								Timeline:       cfg.Timeline,
+								Seed:           runSeed(cfg.BaseSeed, it, cond),
+								BaseRTT:        cfg.BaseRTT,
+								Burst:          cfg.Burst,
+								Probe:          cfg.Probe,
+								Schedule:       cfg.Schedule,
+								Population:     cfg.Population,
+								SerialDispatch: cfg.SerialDispatch,
+							}})
 						}
 					}
 				}
 			}
 		}
 	}
-	total := len(jobs)
-	if cfg.Progress != nil {
-		cfg.Progress.SweepStart(total)
-	}
-	start := time.Now()
 	var cacheBefore runcache.Stats
 	if cfg.Cache != nil {
 		cacheBefore = cfg.Cache.Stats()
 	}
-
-	// Feed jobs through a channel so cancellation simply stops the feed;
-	// workers drain whatever is in flight and exit.
-	jobCh := make(chan job)
-	go func() {
-		defer close(jobCh)
-		for _, j := range jobs {
-			select {
-			case jobCh <- j:
-			case <-ctx.Done():
-				return
-			}
+	results := make([]*RunResult, len(jobs))
+	sinks := Sinks{Progress: cfg.Progress, RunLog: cfg.RunLog, ProbeDir: cfg.ProbeDir}
+	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, sinks, func(i int, res *RunResult, _ bool) {
+		if !cfg.DiscardRuns {
+			results[i] = res
 		}
-	}()
+	})
 
-	results := make(map[Condition][]*RunResult)
-	var mu sync.Mutex
-	done := 0
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				runStart := time.Now()
-				rc := RunConfig{
-					Condition:      j.cond,
-					Timeline:       cfg.Timeline,
-					Seed:           runSeed(cfg.BaseSeed, j.iter, j.cond),
-					BaseRTT:        cfg.BaseRTT,
-					Burst:          cfg.Burst,
-					Probe:          cfg.Probe,
-					Schedule:       cfg.Schedule,
-					Population:     cfg.Population,
-					SerialDispatch: cfg.SerialDispatch,
-				}
-				res, hit := RunCached(cfg.Cache, rc)
-				var pmeta *obs.ProbeMeta
-				if res.Probe != nil {
-					m := res.Probe.Meta()
-					if cfg.ProbeDir != "" {
-						// An export failure must not kill a campaign; the
-						// meta then carries counts without filenames.
-						if em, err := res.Probe.Export(cfg.ProbeDir, probeBase(j.cond, rc.Seed)); err == nil {
-							m = em
-						}
-					}
-					pmeta = &m
-				}
-				var rec *obs.Record
-				if cfg.RunLog != nil || cfg.Progress != nil {
-					r := res.Record(j.iter)
-					r.Probe = pmeta
-					r.Cached = hit
-					rec = &r
-				}
-				if cfg.RunLog != nil {
-					// Sinks serialise internally; errors are the sink's
-					// to surface (a broken log must not kill a campaign).
-					_ = cfg.RunLog.Log(*rec)
-				}
-				mu.Lock()
-				if !cfg.DiscardRuns {
-					results[j.cond] = append(results[j.cond], res)
-				}
-				done++
-				d := done
-				mu.Unlock()
-				if cfg.Progress != nil {
-					elapsed := time.Since(start)
-					var eta time.Duration
-					if d < total {
-						eta = time.Duration(float64(elapsed) / float64(d) * float64(total-d))
-					}
-					cfg.Progress.RunDone(obs.Update{
-						Done: d, Total: total,
-						Cond: j.cond.String(), Seed: rc.Seed, Iteration: j.iter,
-						RunWall: time.Since(runStart), Elapsed: elapsed, ETA: eta,
-						Record: rec,
-					})
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	out := &SweepResult{Cfg: cfg, Interrupted: done < total}
+	out := &SweepResult{Cfg: cfg, Interrupted: done < len(jobs)}
 	if cfg.Cache != nil {
 		out.Cache = cfg.Cache.Stats().Sub(cacheBefore)
 	}
-	for cond, runs := range results {
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Cfg.Seed < runs[j].Cfg.Seed })
-		out.Conditions = append(out.Conditions, &ConditionResult{Cond: cond, Runs: runs})
+	byCond := make(map[Condition]*ConditionResult)
+	for i, res := range results {
+		if res == nil {
+			continue
+		}
+		cond := jobs[i].Cfg.Condition
+		c := byCond[cond]
+		if c == nil {
+			c = &ConditionResult{Cond: cond}
+			byCond[cond] = c
+			out.Conditions = append(out.Conditions, c)
+		}
+		c.Runs = append(c.Runs, res)
+	}
+	for _, c := range out.Conditions {
+		sort.Slice(c.Runs, func(i, j int) bool { return c.Runs[i].Cfg.Seed < c.Runs[j].Cfg.Seed })
 	}
 	sort.Slice(out.Conditions, func(i, j int) bool {
 		return out.Conditions[i].Cond.String() < out.Conditions[j].Cond.String()
 	})
-	if cfg.Progress != nil {
-		cfg.Progress.SweepDone(out.Interrupted, time.Since(start))
-	}
 	return out
 }
 

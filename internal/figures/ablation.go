@@ -7,7 +7,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -87,35 +86,28 @@ var ablations = []ablation{
 func (c *Campaign) AblationTable() *report.Table {
 	tb := report.NewTable("Ablations: each calibrated mechanism at its load-bearing condition (25 Mb/s)",
 		"Ablation", "Condition", "Game Mb/s (stock)", "(ablated)", "FPS (stock)", "(ablated)")
-	tl := c.Opts.timeline()
+	// Rows alternate stock and ablated runs of each ablation's condition.
+	var rows []experiment.RunConfig
 	for _, ab := range ablations {
 		cond := experiment.Condition{
 			System: ab.System, CCA: ab.CCA, Capacity: units.Mbps(25),
 			QueueMult: ab.Queue, AQM: c.Opts.AQM,
 		}
-		var stockRate, ablRate, stockFPS, ablFPS stats.Accumulator
-		for it := 0; it < c.Opts.Iterations; it++ {
-			seed := uint64(5000 + it)
-			stock := experiment.Run(experiment.RunConfig{
-				Condition: cond, Timeline: tl, Seed: seed,
-			})
-			prof := gamestream.ProfileFor(ab.System)
-			ab.Mutate(&prof)
-			abl := experiment.Run(experiment.RunConfig{
-				Condition: cond, Timeline: tl, Seed: seed, Profile: &prof,
-			})
-			ff, ft := tl.FairnessWindow()
-			stockRate.Add(stock.GameSeries().MeanBetween(ff, ft))
-			ablRate.Add(abl.GameSeries().MeanBetween(ff, ft))
-			stockFPS.Add(stock.FPSSeries().MeanBetween(ff, ft))
-			ablFPS.Add(abl.FPSSeries().MeanBetween(ff, ft))
-		}
+		prof := gamestream.ProfileFor(ab.System)
+		ab.Mutate(&prof)
+		rows = append(rows,
+			experiment.RunConfig{Condition: cond},
+			experiment.RunConfig{Condition: cond, Profile: &prof})
+	}
+	rs := c.runRows(rows, 5000)
+	for i, ab := range ablations {
+		stock, abl := rs[2*i], rs[2*i+1]
 		tb.AddRow(ab.Name,
 			fmt.Sprintf("%s/%s q%.1fx", ab.System, ab.CCA, ab.Queue),
-			fmt.Sprintf("%.1f", stockRate.Mean()),
-			fmt.Sprintf("%.1f", ablRate.Mean()),
-			fmt.Sprintf("%.1f", stockFPS.Mean()),
-			fmt.Sprintf("%.1f", ablFPS.Mean()))
+			fmt.Sprintf("%.1f", stock.game.Mean()),
+			fmt.Sprintf("%.1f", abl.game.Mean()),
+			fmt.Sprintf("%.1f", stock.fps.Mean()),
+			fmt.Sprintf("%.1f", abl.fps.Mean()))
 	}
 	return tb
 }

@@ -76,36 +76,81 @@ var Mixes = []struct {
 func (c *Campaign) MixTable() *report.Table {
 	tb := report.NewTable("Traffic mixtures at 25 Mb/s, 2x BDP queue (paper §5 future work)",
 		"System", "Mix", "Game (Mb/s)", "Cross (Mb/s)", "RTT (ms)", "FPS")
-	tl := c.Opts.timeline()
+	var rows []experiment.RunConfig
 	for _, sys := range gamestream.Systems {
 		for _, mix := range Mixes {
-			var game, cross, rtt, fps stats.Accumulator
-			for it := 0; it < c.Opts.Iterations; it++ {
-				r := experiment.Run(experiment.RunConfig{
-					Condition: experiment.Condition{
-						System: sys, Capacity: units.Mbps(25), QueueMult: 2, AQM: c.Opts.AQM,
-					},
-					Competitors: mix.Competitors,
-					Timeline:    tl,
-					Seed:        uint64(9000 + it),
-				})
-				ff, ft := tl.FairnessWindow()
-				game.Add(r.GameSeries().MeanBetween(ff, ft))
-				cross.Add(r.TCPSeries().MeanBetween(ff, ft))
-				xs := r.RTTBetween(ff, ft)
-				if len(xs) > 0 {
-					rtt.Add(stats.Mean(xs))
-				}
-				fps.Add(r.FPSSeries().MeanBetween(ff, ft))
-			}
-			tb.AddRow(string(sys), mix.Name,
-				fmt.Sprintf("%.1f", game.Mean()),
-				fmt.Sprintf("%.1f", cross.Mean()),
-				fmt.Sprintf("%.1f", rtt.Mean()),
-				fmt.Sprintf("%.1f", fps.Mean()))
+			rows = append(rows, experiment.RunConfig{
+				Condition: experiment.Condition{
+					System: sys, Capacity: units.Mbps(25), QueueMult: 2, AQM: c.Opts.AQM,
+				},
+				Competitors: mix.Competitors,
+			})
 		}
 	}
+	for i, row := range c.runRows(rows, 9000) {
+		tb.AddRow(append([]string{string(rows[i].System), Mixes[i%len(Mixes)].Name}, sharesRow(row)...)...)
+	}
 	return tb
+}
+
+// rowStats accumulates one table row's runs over their fairness windows.
+type rowStats struct {
+	game, cross, rtt, fps  stats.Accumulator
+	jain, tputP50, starved stats.Accumulator
+}
+
+// runRows executes Options.Iterations runs of every row template, seeded
+// seedBase+iteration, through the in-process executor with the campaign's
+// workers and cache, then folds each row's runs in iteration order, so the
+// tables are byte-identical at any worker count. These runs feed no
+// Progress, RunLog or Telemetry sink: their condition strings collide with
+// the solo sweep cells those sinks aggregate (every mix reads
+// stadia/solo/B25/q2.0x).
+func (c *Campaign) runRows(rows []experiment.RunConfig, seedBase uint64) []rowStats {
+	tl := c.Opts.timeline()
+	iters := c.Opts.Iterations
+	var jobs []experiment.Job
+	for _, row := range rows {
+		for it := 0; it < iters; it++ {
+			cfg := row
+			cfg.Timeline, cfg.Seed = tl, seedBase+uint64(it)
+			jobs = append(jobs, experiment.Job{Cfg: cfg, Iter: it})
+		}
+	}
+	runs := make([]*experiment.RunResult, len(jobs))
+	if experiment.Execute(c.ctx, jobs, c.Opts.Workers, c.Opts.Cache, experiment.Sinks{},
+		func(i int, r *experiment.RunResult, _ bool) { runs[i] = r }) < len(jobs) {
+		c.interrupted = true
+	}
+	ff, ft := tl.FairnessWindow()
+	out := make([]rowStats, len(rows))
+	for i, r := range runs {
+		if r == nil {
+			continue // never started: the campaign was interrupted
+		}
+		a := &out[i/iters]
+		a.game.Add(r.GameSeries().MeanBetween(ff, ft))
+		a.cross.Add(r.TCPSeries().MeanBetween(ff, ft))
+		if xs := r.RTTBetween(ff, ft); len(xs) > 0 {
+			a.rtt.Add(stats.Mean(xs))
+		}
+		a.fps.Add(r.FPSSeries().MeanBetween(ff, ft))
+		a.jain.Add(r.FlowSummary.Jain)
+		a.tputP50.Add(r.FlowSummary.TputP50Mbps)
+		a.starved.Add(float64(r.FlowSummary.Starved))
+	}
+	return out
+}
+
+// sharesRow renders a row's mean game and cross-traffic bitrates, RTT and
+// frame rate.
+func sharesRow(a rowStats) []string {
+	return []string{
+		fmt.Sprintf("%.1f", a.game.Mean()),
+		fmt.Sprintf("%.1f", a.cross.Mean()),
+		fmt.Sprintf("%.1f", a.rtt.Mean()),
+		fmt.Sprintf("%.1f", a.fps.Mean()),
+	}
 }
 
 // QoETable combines §4.3's indicators (frame rate, RTT, loss) into the
@@ -196,33 +241,16 @@ func (c *Campaign) ResponseRecoveryTable() *report.Table {
 func (c *Campaign) AQMTable() *report.Table {
 	tb := report.NewTable("Queue discipline comparison: 25 Mb/s, 7x BDP, vs TCP Cubic",
 		"System", "Qdisc", "Game (Mb/s)", "TCP (Mb/s)", "RTT (ms)", "FPS")
-	tl := c.Opts.timeline()
+	var rows []experiment.RunConfig
 	for _, sys := range gamestream.Systems {
 		for _, aqm := range []string{experiment.AQMDropTail, experiment.AQMCoDel, experiment.AQMFQCoDel} {
-			var game, tcp, rtt, fps stats.Accumulator
-			for it := 0; it < c.Opts.Iterations; it++ {
-				r := experiment.Run(experiment.RunConfig{
-					Condition: experiment.Condition{
-						System: sys, CCA: "cubic", Capacity: units.Mbps(25), QueueMult: 7, AQM: aqm,
-					},
-					Timeline: tl,
-					Seed:     uint64(7000 + it),
-				})
-				ff, ft := tl.FairnessWindow()
-				game.Add(r.GameSeries().MeanBetween(ff, ft))
-				tcp.Add(r.TCPSeries().MeanBetween(ff, ft))
-				xs := r.RTTBetween(ff, ft)
-				if len(xs) > 0 {
-					rtt.Add(stats.Mean(xs))
-				}
-				fps.Add(r.FPSSeries().MeanBetween(ff, ft))
-			}
-			tb.AddRow(string(sys), aqm,
-				fmt.Sprintf("%.1f", game.Mean()),
-				fmt.Sprintf("%.1f", tcp.Mean()),
-				fmt.Sprintf("%.1f", rtt.Mean()),
-				fmt.Sprintf("%.1f", fps.Mean()))
+			rows = append(rows, experiment.RunConfig{Condition: experiment.Condition{
+				System: sys, CCA: "cubic", Capacity: units.Mbps(25), QueueMult: 7, AQM: aqm,
+			}})
 		}
+	}
+	for i, row := range c.runRows(rows, 7000) {
+		tb.AddRow(append([]string{string(rows[i].System), rows[i].AQM}, sharesRow(row)...)...)
 	}
 	return tb
 }

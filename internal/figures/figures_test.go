@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
+	"repro/internal/runcache"
 	"repro/internal/units"
 )
 
@@ -170,11 +171,26 @@ func TestAblationTableRenders(t *testing.T) {
 }
 
 func TestAQMTableRenders(t *testing.T) {
-	c := NewCampaign(Options{Iterations: 1, TimeScale: 0.1, Workers: 4})
+	c := NewCampaign(Options{Iterations: 2, TimeScale: 0.1, Workers: 4})
 	out := c.AQMTable().String()
 	for _, want := range []string{"Queue discipline", "droptail", "codel", "fq_codel"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("AQM table missing %q:\n%s", want, out)
 		}
+	}
+	// Rows aggregate in plan order, so the table is byte-identical at any
+	// worker count and when replayed from the run cache.
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := NewCampaign(Options{Iterations: 2, TimeScale: 0.1, Workers: 1, Cache: cache})
+	for pass := 0; pass < 2; pass++ {
+		if got := serial.AQMTable().String(); got != out {
+			t.Fatalf("pass %d: serial cached table differs:\n%s\nvs\n%s", pass, got, out)
+		}
+	}
+	if st := cache.Stats(); st.Hits != 18 {
+		t.Errorf("cache hits = %d, want 18 on the replay", st.Hits)
 	}
 }

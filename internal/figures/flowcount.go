@@ -6,7 +6,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -22,44 +21,30 @@ var FlowCounts = []int{0, 1, 2, 5, 10, 20, 50}
 func (c *Campaign) FlowCountTable() *report.Table {
 	tb := report.NewTable("Stream bitrate vs competing-flow count (25 Mb/s, 2x BDP, on/off cubic population)",
 		"System", "Flows", "Game (Mb/s)", "RTT (ms)", "FPS", "Jain", "Tput p50", "Starved")
-	tl := c.Opts.timeline()
+	var rows []experiment.RunConfig
 	for _, sys := range gamestream.Systems {
 		for _, n := range FlowCounts {
-			var game, rtt, fps, jain, p50, starved stats.Accumulator
-			for it := 0; it < c.Opts.Iterations; it++ {
-				r := experiment.Run(experiment.RunConfig{
-					Condition: experiment.Condition{
-						System: sys, Capacity: units.Mbps(25), QueueMult: 2, AQM: c.Opts.AQM,
-					},
-					Population: experiment.FlowPopulation{Flows: n},
-					Timeline:   tl,
-					Seed:       uint64(11000 + it),
-				})
-				ff, ft := tl.FairnessWindow()
-				game.Add(r.GameSeries().MeanBetween(ff, ft))
-				xs := r.RTTBetween(ff, ft)
-				if len(xs) > 0 {
-					rtt.Add(stats.Mean(xs))
-				}
-				fps.Add(r.FPSSeries().MeanBetween(ff, ft))
-				if n > 0 {
-					jain.Add(r.FlowSummary.Jain)
-					p50.Add(r.FlowSummary.TputP50Mbps)
-					starved.Add(float64(r.FlowSummary.Starved))
-				}
-			}
-			jainCol, p50Col, starvedCol := "-", "-", "-"
-			if n > 0 {
-				jainCol = fmt.Sprintf("%.3f", jain.Mean())
-				p50Col = fmt.Sprintf("%.2f", p50.Mean())
-				starvedCol = fmt.Sprintf("%.1f", starved.Mean())
-			}
-			tb.AddRow(string(sys), fmt.Sprintf("%d", n),
-				fmt.Sprintf("%.1f", game.Mean()),
-				fmt.Sprintf("%.1f", rtt.Mean()),
-				fmt.Sprintf("%.1f", fps.Mean()),
-				jainCol, p50Col, starvedCol)
+			rows = append(rows, experiment.RunConfig{
+				Condition: experiment.Condition{
+					System: sys, Capacity: units.Mbps(25), QueueMult: 2, AQM: c.Opts.AQM,
+				},
+				Population: experiment.FlowPopulation{Flows: n},
+			})
 		}
+	}
+	for i, a := range c.runRows(rows, 11000) {
+		n := rows[i].Population.Flows
+		jainCol, p50Col, starvedCol := "-", "-", "-"
+		if n > 0 {
+			jainCol = fmt.Sprintf("%.3f", a.jain.Mean())
+			p50Col = fmt.Sprintf("%.2f", a.tputP50.Mean())
+			starvedCol = fmt.Sprintf("%.1f", a.starved.Mean())
+		}
+		tb.AddRow(string(rows[i].System), fmt.Sprintf("%d", n),
+			fmt.Sprintf("%.1f", a.game.Mean()),
+			fmt.Sprintf("%.1f", a.rtt.Mean()),
+			fmt.Sprintf("%.1f", a.fps.Mean()),
+			jainCol, p50Col, starvedCol)
 	}
 	return tb
 }

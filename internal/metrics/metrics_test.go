@@ -213,6 +213,9 @@ func TestHarm(t *testing.T) {
 
 func TestTimelineWindows(t *testing.T) {
 	tl := PaperTimeline
+	if tl.FlowStop != 370*time.Second || tl.TraceEnd != 540*time.Second {
+		t.Errorf("timeline = %+v, want flow stop 370s, trace end 540s", tl)
+	}
 	of, ot := tl.OriginalWindow()
 	if of != 185*time.Second-185*time.Second/3 || ot != 185*time.Second {
 		t.Errorf("original window = [%v, %v]", of, ot)

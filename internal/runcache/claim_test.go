@@ -113,6 +113,57 @@ func TestClaimStealRaceHasOneWinner(t *testing.T) {
 	}
 }
 
+// TestClaimNeverReadTorn races acquirers that take and release one claim
+// in a loop against readers polling it: a reader must only ever see no
+// claim or a whole one, never a created-but-unwritten file.
+func TestClaimNeverReadTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0004.claim")
+	const acquirers, readers, rounds = 4, 4, 500
+	var done sync.WaitGroup
+	stop := make(chan struct{})
+	var readersDone sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readersDone.Add(1)
+		go func() {
+			defer readersDone.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := ReadClaim(path); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for a := 0; a < acquirers; a++ {
+		owner := string(rune('a' + a))
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			for i := 0; i < rounds; i++ {
+				c, ok, err := AcquireClaim(path, owner, time.Minute)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					if err := c.Release(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	done.Wait()
+	close(stop)
+	readersDone.Wait()
+}
+
 func TestClaimTornFileIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard-0003.claim")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {

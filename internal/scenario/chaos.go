@@ -1,14 +1,13 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -177,28 +176,25 @@ type ChaosConfig struct {
 	// Scale compresses the paper timeline (default 1.0; CI smoke uses
 	// 0.1-0.25 for speed).
 	Scale float64
-	// Workers bounds run concurrency (default 1: fully serial).
+	// Workers bounds run concurrency (<= 0 = one worker per CPU).
 	Workers int
 	// Cache, when non-nil, serves and stores runs content-addressed; a
 	// same-seed campaign re-run is then a 100% hit.
 	Cache *runcache.Cache
-	// Log, when non-nil, receives one record per run (the standard runlog
-	// schema, so chaos campaigns are grep-able like sweeps).
-	Log obs.RunLog
 	// SampleEvery is the period of the expensive differential invariants
 	// (determinism re-run, loss monotonicity): every Nth run pays one extra
 	// simulation. 0 defaults to 16; negative disables sampling.
 	SampleEvery int
-	// Progress, when non-nil, is called after each completed run with
-	// (done, total, violations so far).
-	Progress func(done, total, violations int)
 }
 
 // RunChaos executes a campaign: generate Runs configurations from Seed,
-// run each (through the cache when provided), check every invariant
-// against every run, and aggregate a report. The report is deterministic
-// for a given (Seed, Runs, Scale) regardless of Workers or cache state.
-func RunChaos(cc ChaosConfig) (*CampaignReport, error) {
+// run each through experiment.Execute (and the cache when provided), check
+// every invariant against every run on the worker that ran it, and
+// aggregate a report. sinks observe the runs exactly as they observe a
+// sweep (run records use the standard runlog schema, so chaos campaigns
+// are grep-able like sweeps). The report is deterministic for a given
+// (Seed, Runs, Scale) regardless of Workers or cache state.
+func RunChaos(cc ChaosConfig, sinks experiment.Sinks) (*CampaignReport, error) {
 	if cc.Runs <= 0 {
 		return nil, fmt.Errorf("scenario: chaos campaign needs Runs > 0")
 	}
@@ -208,59 +204,18 @@ func RunChaos(cc ChaosConfig) (*CampaignReport, error) {
 	if cc.SampleEvery == 0 {
 		cc.SampleEvery = 16
 	}
-	workers := cc.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > cc.Runs {
-		workers = cc.Runs
-	}
 
 	runs := make([]*ChaosRun, cc.Runs)
+	jobs := make([]experiment.Job, cc.Runs)
+	for i := range runs {
+		runs[i] = GenerateChaosRun(cc.Seed, i, cc.Scale)
+		jobs[i] = experiment.Job{Cfg: runs[i].Cfg, Iter: i}
+	}
 	outcomes := make([][]InvariantOutcome, cc.Runs)
-	hits := make([]bool, cc.Runs)
-
-	var (
-		mu         sync.Mutex
-		done, viol int
-	)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cr := GenerateChaosRun(cc.Seed, i, cc.Scale)
-				res, hit := experiment.RunCached(cc.Cache, cr.Cfg)
-				cr.Result, cr.Cached = res, hit
-				out := CheckInvariants(cr, cc.SampleEvery)
-				runs[i], outcomes[i], hits[i] = cr, out, hit
-
-				if cc.Log != nil {
-					rec := res.Record(i)
-					rec.Cached = hit
-					_ = cc.Log.Log(rec)
-				}
-				if cc.Progress != nil {
-					mu.Lock()
-					done++
-					for _, o := range out {
-						if o.Violation != "" {
-							viol++
-						}
-					}
-					cc.Progress(done, cc.Runs, viol)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < cc.Runs; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	experiment.Execute(context.Background(), jobs, cc.Workers, cc.Cache, sinks, func(i int, res *experiment.RunResult, hit bool) {
+		runs[i].Result, runs[i].Cached = res, hit
+		outcomes[i] = CheckInvariants(runs[i], cc.SampleEvery)
+	})
 
 	rep := &CampaignReport{
 		Seed:  cc.Seed,
@@ -274,7 +229,7 @@ func RunChaos(cc ChaosConfig) (*CampaignReport, error) {
 		byName[inv.Name] = &rep.Invariants[i]
 	}
 	for i := range runs {
-		if hits[i] {
+		if runs[i].Cached {
 			rep.CacheHits++
 		}
 		for _, o := range outcomes[i] {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 )
@@ -94,10 +95,9 @@ func TestChaosCampaign(t *testing.T) {
 		Scale:       0.05,
 		Workers:     4,
 		Cache:       cache,
-		Log:         log,
 		SampleEvery: 4,
 	}
-	rep, err := RunChaos(cc)
+	rep, err := RunChaos(cc, experiment.Sinks{RunLog: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,8 @@ func TestChaosCampaign(t *testing.T) {
 	// report (and canonical runlog) byte-identical.
 	log2 := &memLog{}
 	cc2 := cc
-	cc2.Log = log2
 	cc2.Workers = 1
-	rep2, err := RunChaos(cc2)
+	rep2, err := RunChaos(cc2, experiment.Sinks{RunLog: log2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +158,8 @@ func TestChaosWorkersInvariant(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		log := &memLog{}
 		rep, err := RunChaos(ChaosConfig{
-			Seed: 9, Runs: 4, Scale: 0.05, Workers: workers, Log: log, SampleEvery: -1,
-		})
+			Seed: 9, Runs: 4, Scale: 0.05, Workers: workers, SampleEvery: -1,
+		}, experiment.Sinks{RunLog: log})
 		if err != nil {
 			t.Fatal(err)
 		}

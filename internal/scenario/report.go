@@ -6,20 +6,6 @@ import (
 	"os"
 )
 
-// Load parses a scenario file from disk.
-func Load(path string) (*Spec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	defer f.Close()
-	sp, err := Parse(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", path, err)
-	}
-	return sp, nil
-}
-
 // SaveReport writes a campaign report as indented JSON, the interchange
 // format gsreport -invariants renders.
 func SaveReport(path string, rep *CampaignReport) error {

@@ -13,7 +13,6 @@
 package scenario
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -24,18 +23,17 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
+	"repro/internal/ini"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/tcp"
 	"repro/internal/units"
 )
 
-// Parser safety bounds. Specs are small human-written files; anything
-// past these limits is hostile or corrupt input and is rejected rather
+// Parser safety bounds beyond the lexer's size limits (see internal/ini):
+// anything past them is hostile or corrupt input and is rejected rather
 // than amplified into memory or CPU (the fuzz harness leans on this).
 const (
-	maxSpecBytes  = 1 << 20 // 1 MiB
-	maxLineBytes  = 4096
 	maxLinks      = 64
 	maxHops       = 64
 	maxFlows      = 64
@@ -133,137 +131,88 @@ func ParseFile(path string) (*Spec, error) {
 func Parse(r io.Reader) (*Spec, error) {
 	sp := &Spec{Iterations: 1, Scale: 1}
 	var (
-		section  string // current section kind
-		secName  string // current link/flow name
 		curLink  *Link
 		curFlow  *Flow
-		seenSec  = map[string]bool{}
-		seenKey  = map[string]bool{}
 		schedule []string
-		lineNo   int
-		total    int
 	)
+	seenSec := map[string]bool{}
 	flowDefined := map[string]bool{}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 256), maxLineBytes)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		total += len(line) + 1
-		if total > maxSpecBytes {
-			return nil, fmt.Errorf("line %d: spec exceeds %d bytes", lineNo, maxSpecBytes)
-		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-
-		if strings.HasPrefix(line, "[") {
-			if !strings.HasSuffix(line, "]") {
-				return nil, fmt.Errorf("line %d: unterminated section header %q", lineNo, line)
-			}
-			header := strings.TrimSpace(line[1 : len(line)-1])
+	err := ini.Lex(r, ini.Grammar{
+		Section: func(header string) (string, string, error) {
 			kind, name, _ := strings.Cut(header, " ")
 			kind = strings.ToLower(strings.TrimSpace(kind))
 			name = strings.TrimSpace(name)
 			switch kind {
 			case "run", "game", "path", "impair", "schedule", "population":
 				if name != "" {
-					return nil, fmt.Errorf("line %d: section [%s] takes no name", lineNo, kind)
+					return "", "", fmt.Errorf("section [%s] takes no name", kind)
 				}
 				if seenSec[kind] {
-					return nil, fmt.Errorf("line %d: duplicate section [%s]", lineNo, kind)
+					return "", "", fmt.Errorf("duplicate section [%s]", kind)
 				}
 				seenSec[kind] = true
 				curLink, curFlow = nil, nil
 			case "link":
-				if err := checkName(name); err != nil {
-					return nil, fmt.Errorf("line %d: link name: %v", lineNo, err)
+				if err := ini.CheckName(name); err != nil {
+					return "", "", fmt.Errorf("link name: %v", err)
 				}
 				if len(sp.Links) >= maxLinks {
-					return nil, fmt.Errorf("line %d: more than %d links", lineNo, maxLinks)
+					return "", "", fmt.Errorf("more than %d links", maxLinks)
 				}
 				if sp.linkIndex(name) >= 0 {
-					return nil, fmt.Errorf("line %d: duplicate link %q", lineNo, name)
+					return "", "", fmt.Errorf("duplicate link %q", name)
 				}
 				sp.Links = append(sp.Links, Link{Name: name})
 				curLink, curFlow = &sp.Links[len(sp.Links)-1], nil
 			case "flow":
-				if err := checkName(name); err != nil {
-					return nil, fmt.Errorf("line %d: flow name: %v", lineNo, err)
+				if err := ini.CheckName(name); err != nil {
+					return "", "", fmt.Errorf("flow name: %v", err)
 				}
 				if len(sp.Flows) >= maxFlows {
-					return nil, fmt.Errorf("line %d: more than %d flows", lineNo, maxFlows)
+					return "", "", fmt.Errorf("more than %d flows", maxFlows)
 				}
 				if flowDefined[name] {
-					return nil, fmt.Errorf("line %d: duplicate flow %q", lineNo, name)
+					return "", "", fmt.Errorf("duplicate flow %q", name)
 				}
 				flowDefined[name] = true
 				sp.Flows = append(sp.Flows, Flow{Name: name, Kind: "iperf"})
 				curFlow, curLink = &sp.Flows[len(sp.Flows)-1], nil
 			default:
-				return nil, fmt.Errorf("line %d: unknown section [%s]", lineNo, header)
+				return "", "", fmt.Errorf("unknown section [%s]", header)
 			}
-			section, secName = kind, name
-			continue
-		}
-
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("line %d: want \"key = value\", got %q", lineNo, line)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if section == "" {
-			return nil, fmt.Errorf("line %d: %q outside any section", lineNo, key)
-		}
+			return kind, name, nil
+		},
 		// Schedule steps are the one repeatable key; everything else must
 		// be unique within its section.
-		if !(section == "schedule" && key == "step") {
-			id := section + "\x00" + secName + "\x00" + key
-			if seenKey[id] {
-				return nil, fmt.Errorf("line %d: duplicate key %q in [%s]", lineNo, key, section)
-			}
-			seenKey[id] = true
-		}
-
-		var err error
-		switch section {
-		case "run":
-			err = sp.setRunKey(key, val)
-		case "game":
-			err = sp.setGameKey(key, val)
-		case "link":
-			err = curLink.setKey(key, val)
-		case "path":
-			err = sp.setPathKey(key, val)
-		case "flow":
-			err = curFlow.setKey(key, val)
-		case "impair":
-			err = sp.setImpairKey(key, val)
-		case "schedule":
-			if key != "step" {
-				err = fmt.Errorf("unknown key %q (want step)", key)
-			} else if len(schedule) >= maxScheduleBy {
-				err = fmt.Errorf("more than %d schedule steps", maxScheduleBy)
-			} else {
+		Repeatable: func(kind, key string) bool { return kind == "schedule" && key == "step" },
+		Key: func(kind, key, val string) error {
+			switch kind {
+			case "run":
+				return sp.setRunKey(key, val)
+			case "game":
+				return sp.setGameKey(key, val)
+			case "link":
+				return curLink.setKey(key, val)
+			case "path":
+				return sp.setPathKey(key, val)
+			case "flow":
+				return curFlow.setKey(key, val)
+			case "impair":
+				return sp.setImpairKey(key, val)
+			case "schedule":
+				if key != "step" {
+					return fmt.Errorf("unknown key %q (want step)", key)
+				}
+				if len(schedule) >= maxScheduleBy {
+					return fmt.Errorf("more than %d schedule steps", maxScheduleBy)
+				}
 				schedule = append(schedule, val)
+				return nil
 			}
-		case "population":
-			err = sp.setPopulationKey(key, val)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("line %d: [%s] %s: %v", lineNo, section, key, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("line %d: line exceeds %d bytes", lineNo+1, maxLineBytes)
-		}
+			return sp.setPopulationKey(key, val)
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -280,23 +229,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	return sp, nil
 }
 
-// checkName bounds link/flow names to short identifier-like tokens.
-func checkName(name string) error {
-	if name == "" {
-		return fmt.Errorf("missing")
-	}
-	if len(name) > 64 {
-		return fmt.Errorf("%q longer than 64 bytes", name)
-	}
-	for _, r := range name {
-		if !(r == '-' || r == '_' || r == '.' ||
-			(r >= '0' && r <= '9') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')) {
-			return fmt.Errorf("%q contains %q (want letters, digits, -_.)", name, r)
-		}
-	}
-	return nil
-}
-
 func (sp *Spec) linkIndex(name string) int {
 	for i := range sp.Links {
 		if sp.Links[i].Name == name {
@@ -309,7 +241,7 @@ func (sp *Spec) linkIndex(name string) int {
 func (sp *Spec) setRunKey(key, val string) error {
 	switch key {
 	case "name":
-		if err := checkName(val); err != nil {
+		if err := ini.CheckName(val); err != nil {
 			return err
 		}
 		sp.Name = val
@@ -395,7 +327,7 @@ func (sp *Spec) setPathKey(key, val string) error {
 	}
 	for _, h := range strings.Split(val, ",") {
 		h = strings.TrimSpace(h)
-		if err := checkName(h); err != nil {
+		if err := ini.CheckName(h); err != nil {
 			return fmt.Errorf("hop: %v", err)
 		}
 		if len(sp.Path) >= maxHops {
@@ -416,7 +348,7 @@ func (f *Flow) setKey(key, val string) error {
 		}
 		return fmt.Errorf("unknown kind %q (want iperf, dash, or videocall)", val)
 	case "cca":
-		if !validCCA(val) {
+		if !tcp.Known(val) {
 			return fmt.Errorf("unknown cca %q", val)
 		}
 		f.CCA = val
@@ -434,17 +366,6 @@ func (f *Flow) setKey(key, val string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown key %q", key)
-}
-
-// validCCA accepts the congestion controllers tcp.New knows, so a bad
-// name fails at parse time with an error instead of at run time with a
-// panic.
-func validCCA(name string) bool {
-	switch name {
-	case tcp.AlgCubic, tcp.AlgBBR, tcp.AlgBBR2, tcp.AlgReno, tcp.AlgVegas, tcp.AlgLEDBAT:
-		return true
-	}
-	return false
 }
 
 func (sp *Spec) setImpairKey(key, val string) error {

@@ -113,24 +113,30 @@ const (
 	AlgVegas = "vegas"
 )
 
+// constructors maps every algorithm name New accepts to its constructor.
+var constructors = map[string]func() CongestionControl{
+	AlgCubic:  func() CongestionControl { return NewCubic() },
+	AlgBBR:    func() CongestionControl { return NewBBR() },
+	AlgBBR2:   func() CongestionControl { return NewBBR2() },
+	AlgReno:   func() CongestionControl { return NewReno() },
+	AlgVegas:  func() CongestionControl { return NewVegas() },
+	AlgLEDBAT: func() CongestionControl { return NewLEDBAT() },
+}
+
 // New returns a congestion controller by name. It panics on an unknown
 // name, which is a configuration error.
 func New(name string) CongestionControl {
-	switch name {
-	case AlgCubic:
-		return NewCubic()
-	case AlgBBR:
-		return NewBBR()
-	case AlgBBR2:
-		return NewBBR2()
-	case AlgReno:
-		return NewReno()
-	case AlgVegas:
-		return NewVegas()
-	case AlgLEDBAT:
-		return NewLEDBAT()
+	if f, ok := constructors[name]; ok {
+		return f()
 	}
 	panic("tcp: unknown congestion control " + name)
+}
+
+// Known reports whether New accepts name, so spec parsers can reject a bad
+// name with an error instead of a run-time panic.
+func Known(name string) bool {
+	_, ok := constructors[name]
+	return ok
 }
 
 // NewBulk returns n independent controllers of the named algorithm. Cubic

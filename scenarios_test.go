@@ -24,7 +24,7 @@ func TestScenarioFilesParse(t *testing.T) {
 	}
 	for _, f := range files {
 		t.Run(filepath.Base(f), func(t *testing.T) {
-			sp, err := scenario.Load(f)
+			sp, err := scenario.ParseFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}

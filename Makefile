@@ -39,14 +39,16 @@ race:
 	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/obs/... ./internal/netem/... ./internal/tcp/... ./internal/runcache/... ./internal/campaign/...
 
 # Short coverage-guided sessions: the receiver-reassembly target, the
-# three experiment-flag parsers (schedule/loss/probability), the
-# scenario-file parser, and the campaign-spec parser. Corpora are checked
+# event engine's lane-ordering proof, the three experiment-flag parsers
+# (schedule/loss/probability), the scenario-file parser, and the
+# campaign-spec parser. Corpora are checked
 # in under internal/*/testdata/fuzz. Raise FUZZTIME (and PARSEFUZZTIME for
 # the cheap string parsers) for a real local campaign.
 FUZZTIME ?= 30s
 PARSEFUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/tcp -run '^$$' -fuzz FuzzReceiverReassembly -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLaneOrder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseSchedule -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseLoss -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseProb -fuzztime $(PARSEFUZZTIME)

@@ -18,7 +18,8 @@ type Stats struct {
 // Link models a store-and-forward link: packets serialise at Rate one at a
 // time and then propagate for Delay. The internal buffer is unbounded — use
 // a Shaper with a Queue where a bounded bottleneck is required. Packets are
-// delivered in order.
+// delivered in order: their delivery times never decrease, so they wait in
+// one sim.Lane, and only the earliest holds a key in the engine's heap.
 type Link struct {
 	eng   *sim.Engine
 	rate  units.Rate
@@ -26,7 +27,7 @@ type Link struct {
 	next  packet.Handler
 
 	busyUntil sim.Time
-	deliver   func(any) // prebuilt so per-packet scheduling allocates nothing
+	inFlight  sim.Lane // packets serialised or propagating, in delivery order
 	Stats     Stats
 }
 
@@ -34,7 +35,7 @@ type Link struct {
 // delivering to next. A non-positive rate serialises instantaneously.
 func NewLink(eng *sim.Engine, rate units.Rate, d time.Duration, next packet.Handler) *Link {
 	l := &Link{eng: eng, rate: rate, delay: d, next: next}
-	l.deliver = func(x any) { l.next.Handle(x.(*packet.Packet)) }
+	l.inFlight.Init(eng, func(x any) { l.next.Handle(x.(*packet.Packet)) })
 	return l
 }
 
@@ -49,30 +50,31 @@ func (l *Link) Handle(p *packet.Packet) {
 	l.busyUntil = done
 	l.Stats.Packets++
 	l.Stats.Bytes += units.ByteSize(p.Size)
-	l.eng.ScheduleCallAt(done.Add(l.delay), l.deliver, p)
+	l.inFlight.ScheduleAt(done.Add(l.delay), p)
 }
 
 // Delay forwards packets after a fixed delay, preserving order — the
 // equivalent of `netem delay <d>`. With jitter configured it matches
 // `netem delay <d> <jitter>`: per-packet delays vary uniformly in
 // [d-jitter, d+jitter] but delivery order is still preserved (like netem
-// with a rate-limited child qdisc, reordering is suppressed).
+// with a rate-limited child qdisc, reordering is suppressed). Like netem's
+// send-time-ordered queue, delayed packets wait in one sim.Lane.
 type Delay struct {
 	eng    *sim.Engine
 	d      time.Duration
 	next   packet.Handler
 	jitter time.Duration
 	rng    *sim.RNG
-	// lastOut enforces in-order delivery under jitter.
-	lastOut sim.Time
-	deliver func(any)
-	Stats   Stats
+	// lastOut enforces in-order delivery under jitter and delay changes.
+	lastOut  sim.Time
+	inFlight sim.Lane
+	Stats    Stats
 }
 
 // NewDelay returns a fixed-delay element delivering to next.
 func NewDelay(eng *sim.Engine, d time.Duration, next packet.Handler) *Delay {
 	de := &Delay{eng: eng, d: d, next: next}
-	de.deliver = func(x any) { de.next.Handle(x.(*packet.Packet)) }
+	de.inFlight.Init(eng, func(x any) { de.next.Handle(x.(*packet.Packet)) })
 	return de
 }
 
@@ -98,7 +100,7 @@ func (d *Delay) Handle(p *packet.Packet) {
 		out = d.lastOut // preserve order
 	}
 	d.lastOut = out
-	d.eng.ScheduleCallAt(out, d.deliver, p)
+	d.inFlight.ScheduleAt(out, p)
 }
 
 // SetDelay changes the delay for subsequently handled packets.

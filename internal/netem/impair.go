@@ -131,8 +131,13 @@ type Impairer struct {
 	// lastOut is the latest scheduled delivery: the order clamp without
 	// Reorder, the overtake detector with it.
 	lastOut sim.Time
-	deliver func(any)
-	Stats   ImpairStats
+	// Without Reorder, jittered deliveries are FIFO and wait in inFlight;
+	// with it they may overtake, so each is scheduled on the engine through
+	// deliver. Reorder is fixed at construction, so one impairer never
+	// mixes the two.
+	inFlight sim.Lane
+	deliver  func(any)
+	Stats    ImpairStats
 }
 
 // NewImpairer returns an impairer delivering to next, drawing from rng. The
@@ -144,6 +149,7 @@ func NewImpairer(eng *sim.Engine, cfg Impairment, rng *sim.RNG, next packet.Hand
 	}
 	i := &Impairer{eng: eng, cfg: cfg, rng: rng, next: next}
 	i.deliver = func(x any) { i.next.Handle(x.(*packet.Packet)) }
+	i.inFlight.Init(eng, i.deliver)
 	return i
 }
 
@@ -266,7 +272,11 @@ func (i *Impairer) forward(p *packet.Packet) {
 	if out > i.lastOut {
 		i.lastOut = out
 	}
-	i.eng.ScheduleCallAt(out, i.deliver, p)
+	if i.cfg.Reorder {
+		i.eng.ScheduleCallAt(out, i.deliver, p)
+		return
+	}
+	i.inFlight.ScheduleAt(out, p)
 }
 
 // drop runs the drop callback and recycles the packet.

@@ -83,9 +83,10 @@ func TestSameTimestampSeqOrderProperty(t *testing.T) {
 
 // TestBatchWindowZeroAlloc extends the zero-alloc suite to the batch drain
 // loop's new interaction sites: ScheduleCall while a same-timestamp batch
-// is draining, and Timer.Reset from inside a batch window (the in-place
-// move path against an event sitting in the drained buffer — the likeliest
-// new-bug site of the refactor).
+// is draining, a lane whose head sits in the batch and re-arms mid-batch,
+// and Timer.Reset from inside a batch window (the in-place move path
+// against an event sitting in the drained buffer — the likeliest new-bug
+// site of the refactor).
 func TestBatchWindowZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 
@@ -108,6 +109,22 @@ func TestBatchWindowZeroAlloc(t *testing.T) {
 		e.RunFor(time.Second)
 	}); n != 0 {
 		t.Errorf("ScheduleCall under batch drain: %.1f allocs/op, want 0", n)
+	}
+
+	// A lane head inside a batch window: the lane's items share the batch
+	// instant with a cohort of one-shots scheduled between them, so each
+	// delivery re-arms the lane below the batch keys still waiting and the
+	// merge rule dispatches the next item from the heap mid-batch.
+	ln := newLane(e, call)
+	if n := testing.AllocsPerRun(50, func() {
+		at := e.Now().Add(time.Microsecond)
+		for i := 0; i < 40; i++ {
+			ln.ScheduleAt(at, arg)
+			e.ScheduleCallAt(at, call, arg)
+		}
+		e.RunFor(time.Second)
+	}); n != 0 {
+		t.Errorf("Lane head inside batch window: %.1f allocs/op, want 0", n)
 	}
 
 	// Timer.Reset inside a batch window: the timer's event is drained into

@@ -10,19 +10,28 @@
 // The event core is built for zero steady-state allocations on the hot
 // path (see docs/ARCHITECTURE.md, "hot path & memory discipline"):
 //
-//   - the queue is a concrete-typed 4-ary min-heap of 48-byte event values,
-//     so pushing an event never boxes through interface{} the way
-//     container/heap does;
-//   - Run drains all events sharing the head timestamp into a small fixed
+//   - the queue is a 4-ary min-heap of pointer-free 16-byte keys
+//     {at, seq<<24 | slot}, so a sift moves plain words and the garbage
+//     collector never scans the heap;
+//   - what a key dispatches — a call plus its argument, a Timer/Ticker
+//     entry, or a Lane — lives in a slot table beside the heap, whose
+//     int32 position column the sifts keep current and whose free slots
+//     chain through that same column; vacated slots are zeroed so
+//     dispatched closures and arguments become garbage-collectable
+//     immediately;
+//   - Run drains all keys sharing the head timestamp into a small fixed
 //     batch buffer and dispatches them without re-touching the heap root
 //     per event;
-//   - popped heap slots are zeroed so dispatched closures and arguments
-//     become garbage-collectable immediately;
-//   - Timer and Ticker own an indexed heap entry that Reset/Stop move or
-//     remove in place instead of abandoning tombstone events in the queue;
+//   - Timer and Ticker keep one slot while armed, and Reset/Stop move or
+//     remove its key in place instead of abandoning tombstone events in
+//     the queue;
+//   - a Lane queues FIFO deliveries whose times never decrease (a link's
+//     or delay line's packets in flight) in its own ring; only its head
+//     item holds a heap key, so the heap stays a few entries deep however
+//     many packets are on the wire;
 //   - ScheduleCall carries a pre-built func(arg) plus a pointer-shaped
-//     argument through the event record itself, so per-packet network
-//     events need no per-event closure allocation.
+//     argument, for deliveries that are not FIFO, with no per-event
+//     closure allocation.
 package sim
 
 import (
@@ -57,45 +66,61 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // String formats t as a duration since the start of the run.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is one queued dispatch, kept at 48 bytes so heap sift copies stay
-// cheap. Exactly one of the two dispatch forms is set: call+arg (a prebuilt
-// function applied to an argument; one-shot closures from Schedule travel
-// this way too, as runClosure applied to the func() boxed in arg — func
-// values are pointer-shaped, so the boxing never allocates), or ent (an
-// indexed Timer/Ticker entry).
-type event struct {
-	at   Time
-	seq  uint64 // tiebreaker: preserves scheduling order for simultaneous events
+// A key's ord word packs the event's sequence number above its slot index.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
+
+// slotLimit caps the slot table, and so the number of keys queued at once,
+// at what slotBits can address. Tests lower it to reach the overflow panic.
+var slotLimit = 1 << slotBits
+
+// key is one heap element: the dispatch time and ord = seq<<slotBits | slot.
+// Sequence numbers are unique, so ordering on (at, ord) is ordering on
+// (at, seq): simultaneous events dispatch in scheduling order.
+type key struct {
+	at  Time
+	ord uint64
+}
+
+func (k key) slot() int32 { return int32(k.ord & slotMask) }
+
+func less(a, b key) bool { return a.at < b.at || (a.at == b.at && a.ord < b.ord) }
+
+// slot holds what one queued key dispatches. Exactly one form is set:
+// call+arg (a prebuilt function applied to an argument; one-shot closures
+// from Schedule travel this way too, as runClosure applied to the func()
+// boxed in arg — func values are pointer-shaped, so the boxing never
+// allocates), ent (an armed Timer/Ticker entry), or lane (a Lane whose
+// head item the key stands for).
+type slot struct {
 	call func(any)
 	arg  any
 	ent  *entry
+	lane *Lane
 }
 
 // runClosure is the shared dispatch shim for Schedule: the scheduled func()
-// rides in the event's arg slot.
+// rides in the slot's arg.
 func runClosure(a any) { a.(func())() }
 
-// entry is the reschedulable heap handle owned by a Timer or Ticker. The
-// heap keeps pos up to date as the entry's event moves, so Reset and Stop
-// operate on the live queue position in O(log n) instead of abandoning a
-// tombstone event per call.
+// entry is the reschedulable handle owned by a Timer or Ticker. While armed
+// it holds one slot, and Reset and Stop find its key through the slot's
+// position column in O(1), then move or remove it in O(log n) instead of
+// abandoning a tombstone event per call.
 //
 // An entry fires through exactly one of two callback forms: fn (a plain
 // func(), possibly a method value allocated at construction) or call+arg
 // (a shared prebuilt func(any) applied to a pointer-shaped argument — the
 // ScheduleCall pattern, which lets value-embedded timers initialise with
 // zero allocations; see Timer.InitCall).
-//
-// pos encodes where the entry's event lives: a heap index when queued,
-// -1 when disarmed, and -2-i when drained into batch slot i of the Run
-// loop's dispatch buffer but not yet dispatched. Reset/Stop on a drained
-// entry adjust pos (and the engine's inBatch count), which makes the
-// dispatch loop skip the stale batch slot.
 type entry struct {
 	fn   func()
 	call func(any)
 	arg  any
-	pos  int
+	slot int32 // -1 when disarmed
 }
 
 // fire dispatches the entry's callback.
@@ -112,25 +137,32 @@ func (en *entry) fire() {
 // in seq order, so the cap affects only locality, never semantics.
 const batchCap = 64
 
+// initCap sizes the heap and slot-table arrays embedded in the Engine: a
+// paper run keeps about ten keys queued, so neither grows, and a new engine
+// costs no allocation for them, in the common case.
+const initCap = 64
+
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64 // ordering counter; advances on every (re)schedule
-	events  []event
+	now  Time
+	seq  uint64 // ordering counter; advances on every (re)schedule
+	heap []key
+	// slots and pos form the slot table, indexed by a key's slot. For an
+	// occupied slot, pos is the heap index of its key, or -2-i while the
+	// key waits in slot i of the Run loop's batch buffer. For a free slot,
+	// pos links to the next free slot; free heads the list (-1 ends it).
+	slots   []slot
+	pos     []int32
+	free    int32
 	stopped bool
 	// serial disables the batched drain loop (SetBatchDispatch(false)),
 	// keeping the one-pop-per-event reference path for differential tests.
 	serial bool
-	// inBatch counts events drained into the Run loop's batch buffer that
-	// have not yet dispatched (or been cancelled/moved from the buffer).
-	// Logical pending = len(events) + inBatch, so Stats taken from inside a
-	// callback are identical between batched and serial dispatch.
-	inBatch int
-	rng     *RNG
+	rng    *RNG
 	// processed counts dispatched events, for diagnostics and benchmarks.
 	processed uint64
-	// scheduled counts events pushed into the queue.
+	// scheduled counts events ever queued, lane items included.
 	scheduled uint64
 	// cancelled counts events removed from the queue without dispatching
 	// (Timer/Ticker Stop). Before the indexed-timer design these lingered
@@ -139,11 +171,16 @@ type Engine struct {
 	// moved counts in-place timer reschedules; each one is a tombstone the
 	// old design would have leaked into the queue.
 	moved uint64
-	// peakPending is the high-water mark of the event heap.
+	// peakPending is the high-water mark of pending events.
 	peakPending int
 	// wall accumulates wall-clock time spent inside Run. It never feeds
 	// back into the simulation, so determinism is preserved.
 	wall time.Duration
+
+	// Initial backing arrays of heap, slots and pos.
+	heap0  [initCap]key
+	slots0 [initCap]slot
+	pos0   [initCap]int32
 }
 
 // Stats is a snapshot of the engine's counters. All counters are maintained
@@ -166,11 +203,12 @@ type Stats struct {
 	// (Timer.Reset on an armed timer). Each one is a dead event the
 	// tombstone design would have queued and dispatched for nothing.
 	TimerMoves uint64
-	// Pending is the number of events still waiting in the queue, including
-	// any drained into the in-progress dispatch batch but not yet run.
+	// Pending is the number of events still waiting to dispatch: keys in
+	// the heap or the in-progress dispatch batch, plus items queued behind
+	// a Lane's head.
 	Pending int
-	// PeakPending is the high-water mark of the event queue depth, a proxy
-	// for the simulation's working-set size.
+	// PeakPending is the high-water mark of Pending, a proxy for the
+	// simulation's working-set size.
 	PeakPending int
 	// SimTime is the current virtual clock.
 	SimTime Time
@@ -204,7 +242,7 @@ func (e *Engine) Stats() Stats {
 		EventsScheduled:  e.scheduled,
 		EventsCancelled:  e.cancelled,
 		TimerMoves:       e.moved,
-		Pending:          len(e.events) + e.inBatch,
+		Pending:          e.Pending(),
 		PeakPending:      e.peakPending,
 		SimTime:          e.now,
 		WallTime:         e.wall,
@@ -214,7 +252,11 @@ func (e *Engine) Stats() Stats {
 // NewEngine returns an engine with its clock at zero and an RNG seeded with
 // the given seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	e := &Engine{free: -1, rng: NewRNG(seed)}
+	e.heap = e.heap0[:0]
+	e.slots = e.slots0[:0]
+	e.pos = e.pos0[:0]
+	return e
 }
 
 // Now returns the current virtual time.
@@ -232,167 +274,186 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // tests can prove it.
 func (e *Engine) SetBatchDispatch(enabled bool) { e.serial = !enabled }
 
-// --- 4-ary min-heap ---
+// --- 4-ary min-heap of keys ---
 //
 // Children of i live at 4i+1..4i+4; the parent of i is (i-1)/4. A 4-ary
 // layout halves the tree depth versus binary, trading slightly wider
-// sibling scans (which stay within one or two cache lines of event values)
-// for fewer levels of sift work per push/pop.
+// sibling scans (four keys are one cache line) for fewer levels of sift
+// work per push/pop. Every sift writes the moved keys' heap indexes into
+// the position column; keys and positions hold no pointers, so neither
+// write needs a GC write barrier.
 
-func lessEv(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// up places k at heap index i or above, moving a hole toward the root.
+func (e *Engine) up(i int, k key) {
+	h, pos := e.heap, e.pos
+	for i > 0 {
+		p := int(uint(i-1) >> 2)
+		pk := h[p]
+		if !less(k, pk) {
+			break
+		}
+		h[i] = pk
+		pos[pk.slot()] = int32(i)
+		i = p
+	}
+	h[i] = k
+	pos[k.slot()] = int32(i)
 }
 
-// down sifts the event at index i toward the leaves, moving a hole rather
-// than swapping so each displaced event is copied once. The slice header and
-// length are loaded once; the 4-child minimum scan is unrolled.
-func (e *Engine) down(i int) {
-	evs := e.events
-	n := len(evs)
-	ev := evs[i]
+// down places k at heap index i or below, moving a hole toward the leaves;
+// the 4-child minimum scan is unrolled.
+func (e *Engine) down(i int, k key) {
+	h, pos := e.heap, e.pos
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
-		m := c
-		if c+1 < n && lessEv(&evs[c+1], &evs[m]) {
-			m = c + 1
+		m, mk := c, h[c]
+		if c+1 < n && less(h[c+1], mk) {
+			m, mk = c+1, h[c+1]
 		}
-		if c+2 < n && lessEv(&evs[c+2], &evs[m]) {
-			m = c + 2
+		if c+2 < n && less(h[c+2], mk) {
+			m, mk = c+2, h[c+2]
 		}
-		if c+3 < n && lessEv(&evs[c+3], &evs[m]) {
-			m = c + 3
+		if c+3 < n && less(h[c+3], mk) {
+			m, mk = c+3, h[c+3]
 		}
-		if !lessEv(&evs[m], &ev) {
+		if !less(mk, k) {
 			break
 		}
-		evs[i] = evs[m]
-		if ent := evs[i].ent; ent != nil {
-			ent.pos = i
-		}
+		h[i] = mk
+		pos[mk.slot()] = int32(i)
 		i = m
 	}
-	evs[i] = ev
-	if ent := ev.ent; ent != nil {
-		ent.pos = i
+	h[i] = k
+	pos[k.slot()] = int32(i)
+}
+
+// fix places k at heap index i, sifting whichever way restores order.
+func (e *Engine) fix(i int, k key) {
+	if i > 0 && less(k, e.heap[(i-1)/4]) {
+		e.up(i, k)
+	} else {
+		e.down(i, k)
 	}
 }
 
-// up sifts the event at index i toward the root.
-func (e *Engine) up(i int) {
-	evs := e.events
-	ev := evs[i]
-	for i > 0 {
-		p := int(uint(i-1) >> 2)
-		if !lessEv(&ev, &evs[p]) {
-			break
-		}
-		evs[i] = evs[p]
-		if ent := evs[i].ent; ent != nil {
-			ent.pos = i
-		}
-		i = p
+// insert adds k to the heap without touching the counters. It is used
+// directly when a key (re-)enters the heap without a new event being
+// scheduled: a lane re-arming with its next item, a timer moved out of the
+// dispatch batch, or undispatched batch keys restored on Stop.
+func (e *Engine) insert(k key) {
+	e.heap = append(e.heap, k)
+	e.up(len(e.heap)-1, k)
+}
+
+// pop removes and returns the earliest key. The popped key's position is
+// left stale; the caller owns its slot from here.
+func (e *Engine) pop() key {
+	h := e.heap
+	k := h[0]
+	n := len(h) - 1
+	e.heap = h[:n]
+	if n > 0 {
+		e.down(0, h[n])
 	}
-	evs[i] = ev
-	if ent := ev.ent; ent != nil {
-		ent.pos = i
+	return k
+}
+
+// removeAt deletes the key at heap index i without dispatching it.
+func (e *Engine) removeAt(i int) {
+	h := e.heap
+	n := len(h) - 1
+	e.heap = h[:n]
+	if i < n {
+		e.fix(i, h[n])
 	}
 }
 
-// push appends ev, restores heap order with the sift fused in (the appended
-// value stays in a register until its final slot is known), and maintains
-// the scheduled counter and pending high-water mark.
-func (e *Engine) push(ev event) {
-	e.pushNoCount(ev)
+// --- slot table ---
+
+// acquire takes a free slot, growing the table when none is left.
+func (e *Engine) acquire() int32 {
+	if s := e.free; s >= 0 {
+		e.free = e.pos[s]
+		return s
+	}
+	s := len(e.slots)
+	if s >= slotLimit {
+		panic(fmt.Sprintf("sim: more than %d events queued at once", slotLimit))
+	}
+	if s == cap(e.slots) {
+		e.grow()
+	}
+	e.slots = e.slots[:s+1]
+	e.pos = e.pos[:s+1]
+	return int32(s)
+}
+
+// grow quadruples the slot table and the heap together. The heap never
+// holds more keys than there are slots, so it never grows on its own, and
+// a population thousands of events deep costs a few allocations. The old
+// slots are cleared: the first table is embedded in the Engine, which would
+// otherwise keep their closures and arguments reachable.
+func (e *Engine) grow() {
+	n := 4 * cap(e.slots)
+	slots := make([]slot, len(e.slots), n)
+	copy(slots, e.slots)
+	clear(e.slots)
+	pos := make([]int32, len(e.pos), n)
+	copy(pos, e.pos)
+	heap := make([]key, len(e.heap), n)
+	copy(heap, e.heap)
+	e.slots, e.pos, e.heap = slots, pos, heap
+}
+
+// release zeroes slot s, so its closure, argument and entry do not stay
+// pinned, and returns it to the free list.
+func (e *Engine) release(s int32) {
+	e.slots[s] = slot{}
+	e.pos[s] = e.free
+	e.free = s
+}
+
+// nextOrd takes a fresh sequence number and packs it with slot s.
+func (e *Engine) nextOrd(s int32) uint64 {
+	e.seq++
+	if e.seq > maxSeq {
+		panic("sim: sequence numbers exhausted")
+	}
+	return e.seq<<slotBits | uint64(s)
+}
+
+// count books one newly scheduled event and the pending high-water mark.
+func (e *Engine) count() {
 	e.scheduled++
-	if n := len(e.events) + e.inBatch; n > e.peakPending {
+	if n := e.Pending(); n > e.peakPending {
 		e.peakPending = n
 	}
 }
 
-// pushNoCount inserts ev without touching the scheduled counter or the peak
-// watermark. It is the raw insert under push, and is used directly when an
-// event re-enters the heap without being newly scheduled: a timer move out
-// of the dispatch batch, or restoring undispatched batch events on Stop —
-// cases where logical pending does not grow.
-func (e *Engine) pushNoCount(ev event) {
-	evs := append(e.events, ev)
-	e.events = evs
-	i := len(evs) - 1
-	for i > 0 {
-		p := int(uint(i-1) >> 2)
-		if !lessEv(&ev, &evs[p]) {
-			break
-		}
-		evs[i] = evs[p]
-		if ent := evs[i].ent; ent != nil {
-			ent.pos = i
-		}
-		i = p
-	}
-	evs[i] = ev
-	if ent := ev.ent; ent != nil {
-		ent.pos = i
-	}
-}
-
-// popInto removes the earliest event into *dst. The vacated tail slot is
-// zeroed so the dispatched closure, call argument, and entry pointer do not
-// pin garbage from the backing array. The caller is responsible for the
-// popped entry's pos (disarmed vs batch-slot encoding).
-func (e *Engine) popInto(dst *event) {
-	evs := e.events
-	*dst = evs[0]
-	n := len(evs) - 1
-	last := evs[n]
-	evs[n] = event{}
-	e.events = evs[:n]
-	if n > 0 {
-		evs[0] = last
-		if ent := last.ent; ent != nil {
-			ent.pos = 0
-		}
-		e.down(0)
-	}
-}
-
-// removeAt deletes the event at index i without dispatching it, zeroing the
-// vacated slot.
-func (e *Engine) removeAt(i int) {
-	if ent := e.events[i].ent; ent != nil {
-		ent.pos = -1
-	}
-	n := len(e.events) - 1
-	if i == n {
-		e.events[n] = event{}
-		e.events = e.events[:n]
+// dispatch runs the event behind slot s, whose key has just left the heap
+// or the batch buffer. A one-shot or entry slot is released before its
+// callback runs, so the callback may schedule into it again; a lane
+// re-arms with its next item first, for the same reason.
+func (e *Engine) dispatch(s int32) {
+	e.processed++
+	sl := &e.slots[s]
+	if l := sl.lane; l != nil {
+		l.fire()
 		return
 	}
-	moved := e.events[n]
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	e.events[i] = moved
-	if ent := moved.ent; ent != nil {
-		ent.pos = i
+	if ent := sl.ent; ent != nil {
+		ent.slot = -1
+		e.release(s)
+		ent.fire()
+		return
 	}
-	if i > 0 && lessEv(&e.events[i], &e.events[(i-1)/4]) {
-		e.up(i)
-	} else {
-		e.down(i)
-	}
-}
-
-// updateAt rekeys the event at index i and restores heap order.
-func (e *Engine) updateAt(i int, at Time, seq uint64) {
-	e.events[i].at = at
-	e.events[i].seq = seq
-	if i > 0 && lessEv(&e.events[i], &e.events[(i-1)/4]) {
-		e.up(i)
-	} else {
-		e.down(i)
-	}
+	call, arg := sl.call, sl.arg
+	e.release(s)
+	call(arg)
 }
 
 // checkFuture panics on scheduling in the past: silently reordering time
@@ -415,15 +476,14 @@ func (e *Engine) Schedule(d time.Duration, fn func()) {
 // ScheduleAt runs fn at time t. Scheduling in the past is an error in the
 // simulation logic and panics.
 func (e *Engine) ScheduleAt(t Time, fn func()) {
-	e.checkFuture(t)
-	e.seq++
-	e.push(event{at: t, seq: e.seq, call: runClosure, arg: fn})
+	e.ScheduleCallAt(t, runClosure, fn)
 }
 
 // ScheduleCall runs fn(arg) after delay d (negative delays clamp to zero).
-// Unlike Schedule, the callback and its argument travel inside the event
-// record, so callers that reuse one prebuilt fn — per-packet delivery in
-// the network elements — schedule without allocating a closure per event.
+// Unlike Schedule, the callback and its argument are stored as given, so
+// callers that reuse one prebuilt fn schedule without allocating a closure
+// per event. Deliveries whose times never decrease belong on a Lane, which
+// keeps them out of the heap.
 func (e *Engine) ScheduleCall(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -434,51 +494,57 @@ func (e *Engine) ScheduleCall(d time.Duration, fn func(any), arg any) {
 // ScheduleCallAt runs fn(arg) at time t. See ScheduleCall.
 func (e *Engine) ScheduleCallAt(t Time, fn func(any), arg any) {
 	e.checkFuture(t)
-	e.seq++
-	e.push(event{at: t, seq: e.seq, call: fn, arg: arg})
+	s := e.acquire()
+	sl := &e.slots[s]
+	sl.call = fn
+	sl.arg = arg
+	e.insert(key{t, e.nextOrd(s)})
+	e.count()
 }
 
 // scheduleEntry arms (or re-arms) an indexed entry for time t. An entry
-// already in the queue is rekeyed in place; one drained into the dispatch
-// batch is pulled back into the heap (the stale batch slot is skipped);
-// a disarmed one is pushed. Either way it receives a fresh sequence number,
-// so a re-armed timer orders after events already scheduled for the same
-// instant, exactly as a freshly scheduled event would.
+// already in the heap is rekeyed in place; one drained into the dispatch
+// batch re-enters the heap (the stale batch key is skipped, since its
+// position no longer names the batch); a disarmed one takes a slot. Either
+// way it receives a fresh sequence number, so a re-armed timer orders after
+// events already scheduled for the same instant, exactly as a freshly
+// scheduled event would.
 func (e *Engine) scheduleEntry(ent *entry, t Time) {
 	e.checkFuture(t)
-	e.seq++
-	if ent.pos >= 0 {
-		e.moved++
-		e.updateAt(ent.pos, t, e.seq)
+	s := ent.slot
+	if s < 0 {
+		s = e.acquire()
+		e.slots[s].ent = ent
+		ent.slot = s
+		e.insert(key{t, e.nextOrd(s)})
+		e.count()
 		return
 	}
-	if ent.pos <= -2 {
-		// Drained but not yet dispatched: this Reset supersedes the pending
-		// firing, which in serial dispatch would have been an in-place heap
-		// move. Re-enter the heap without counting a new schedule; logical
-		// pending (heap + batch) is unchanged.
-		e.moved++
-		e.inBatch--
-		e.pushNoCount(event{at: t, seq: e.seq, ent: ent})
-		return
+	// Re-arming an armed entry moves it: logical pending is unchanged,
+	// whether the superseded firing sat in the heap or in the batch.
+	e.moved++
+	k := key{t, e.nextOrd(s)}
+	if i := e.pos[s]; i >= 0 {
+		e.fix(int(i), k)
+	} else {
+		e.insert(k)
 	}
-	e.push(event{at: t, seq: e.seq, ent: ent})
 }
 
-// cancelEntry removes an armed entry from the queue — or invalidates its
-// batch slot if it has been drained but not yet dispatched. Disarmed
-// entries are a no-op.
+// cancelEntry removes an armed entry's key from the heap — or orphans it in
+// the batch buffer if it has been drained but not yet dispatched — and
+// releases the slot. Disarmed entries are a no-op.
 func (e *Engine) cancelEntry(ent *entry) {
-	if ent.pos >= 0 {
-		e.cancelled++
-		e.removeAt(ent.pos)
+	s := ent.slot
+	if s < 0 {
 		return
 	}
-	if ent.pos <= -2 {
-		e.cancelled++
-		e.inBatch--
-		ent.pos = -1
+	e.cancelled++
+	if i := e.pos[s]; i >= 0 {
+		e.removeAt(int(i))
 	}
+	ent.slot = -1
+	e.release(s)
 }
 
 // Stop halts the run loop after the current event finishes. It only affects
@@ -489,10 +555,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // called, or the clock would pass until. Events scheduled exactly at until
 // are dispatched. It returns the final virtual time.
 //
-// Run drains all events sharing the head timestamp (up to batchCap per
-// pass) into a fixed on-stack buffer and dispatches them in seq order
-// without re-touching the heap root per event. A lone head event — the
-// common case — takes a direct pop-and-dispatch fast path.
+// Run drains all keys sharing the head timestamp (up to batchCap per pass)
+// into a fixed on-stack buffer and dispatches them in key order without
+// re-touching the heap root per event. A lone head key — the common case —
+// takes a direct pop-and-dispatch fast path.
 //
 // Run clears any previous Stop before dispatching, so an engine stopped
 // mid-run can be resumed simply by calling Run again.
@@ -502,73 +568,33 @@ func (e *Engine) Run(until Time) Time {
 	}
 	start := time.Now()
 	e.stopped = false
-	var batch [batchCap]event
-	for len(e.events) > 0 && !e.stopped {
-		t := e.events[0].at
+	var batch [batchCap]key
+	for len(e.heap) > 0 && !e.stopped {
+		t := e.heap[0].at
 		if t > until {
 			break
 		}
 		e.now = t
-		e.popInto(&batch[0])
-		if len(e.events) == 0 || e.events[0].at != t {
-			// Single event at this instant: dispatch without batch
-			// bookkeeping. Identical to one serial loop iteration.
-			ev := &batch[0]
-			e.processed++
-			if ent := ev.ent; ent != nil {
-				ent.pos = -1
-				ent.fire()
-			} else {
-				ev.call(ev.arg)
-			}
+		k := e.pop()
+		if len(e.heap) == 0 || e.heap[0].at != t {
+			// Single key at this instant: identical to one serial loop
+			// iteration.
+			e.dispatch(k.slot())
 			continue
 		}
-		if ent := batch[0].ent; ent != nil {
-			ent.pos = -2
-		}
+		batch[0] = k
+		e.pos[k.slot()] = -2
 		n := 1
 		for {
-			e.popInto(&batch[n])
-			if ent := batch[n].ent; ent != nil {
-				ent.pos = -2 - n
-			}
+			k = e.pop()
+			batch[n] = k
+			e.pos[k.slot()] = int32(-2 - n)
 			n++
-			if n == batchCap || len(e.events) == 0 || e.events[0].at != t {
+			if n == batchCap || len(e.heap) == 0 || e.heap[0].at != t {
 				break
 			}
 		}
-		e.inBatch = n
-		for i := 0; i < n; i++ {
-			ev := &batch[i]
-			if ent := ev.ent; ent != nil {
-				if ent.pos != -2-i {
-					// Cancelled or re-armed while waiting in the batch;
-					// already accounted for there.
-					continue
-				}
-				ent.pos = -1
-				e.inBatch--
-				e.processed++
-				ent.fire()
-			} else {
-				e.inBatch--
-				e.processed++
-				ev.call(ev.arg)
-			}
-			if e.stopped {
-				// Restore undispatched live batch events to the heap with
-				// their original keys, as if they had never been drained.
-				for j := i + 1; j < n; j++ {
-					rv := &batch[j]
-					if ent := rv.ent; ent != nil && ent.pos != -2-j {
-						continue
-					}
-					e.inBatch--
-					e.pushNoCount(*rv)
-				}
-				break
-			}
-		}
+		e.runBatch(batch[:n])
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -577,26 +603,58 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
+// runBatch dispatches a drained same-instant batch in key order. Keys
+// scheduled from inside the batch take fresh sequence numbers and sort
+// after it, with one exception: a lane that fires re-arms with its next
+// item's key, scheduled earlier, which can sort below the batch keys still
+// waiting. So before each batch key, any heap head with a smaller key is
+// dispatched first.
+func (e *Engine) runBatch(batch []key) {
+	for i, k := range batch {
+		for len(e.heap) > 0 && less(e.heap[0], k) {
+			e.dispatch(e.pop().slot())
+			if e.stopped {
+				e.restore(batch, i)
+				return
+			}
+		}
+		s := k.slot()
+		if e.pos[s] != int32(-2-i) {
+			// Cancelled or re-armed while waiting in the batch; already
+			// accounted for there.
+			continue
+		}
+		e.dispatch(s)
+		if e.stopped {
+			e.restore(batch, i+1)
+			return
+		}
+	}
+}
+
+// restore returns the undispatched live keys batch[from:] to the heap with
+// their original keys, as if they had never been drained.
+func (e *Engine) restore(batch []key, from int) {
+	for j := from; j < len(batch); j++ {
+		if k := batch[j]; e.pos[k.slot()] == int32(-2-j) {
+			e.insert(k)
+		}
+	}
+}
+
 // runSerial is the one-pop-per-event reference dispatch loop, selected by
 // SetBatchDispatch(false). It must remain observably identical to the
 // batched loop; the differential determinism tests compare the two.
 func (e *Engine) runSerial(until Time) Time {
 	start := time.Now()
 	e.stopped = false
-	var ev event
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > until {
+	for len(e.heap) > 0 && !e.stopped {
+		if e.heap[0].at > until {
 			break
 		}
-		e.popInto(&ev)
-		e.now = ev.at
-		e.processed++
-		if ent := ev.ent; ent != nil {
-			ent.pos = -1
-			ent.fire()
-		} else {
-			ev.call(ev.arg)
-		}
+		k := e.pop()
+		e.now = k.at
+		e.dispatch(k.slot())
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -609,16 +667,122 @@ func (e *Engine) runSerial(until Time) Time {
 func (e *Engine) RunFor(d time.Duration) Time { return e.Run(e.now.Add(d)) }
 
 // Pending reports how many events are waiting to dispatch, including any
-// drained into the in-progress dispatch batch but not yet run.
-func (e *Engine) Pending() int { return len(e.events) + e.inBatch }
+// drained into the in-progress dispatch batch and any queued behind a
+// Lane's head.
+func (e *Engine) Pending() int { return int(e.scheduled - e.processed - e.cancelled) }
+
+// Lane is a FIFO of deliveries on an engine whose times never decrease —
+// the packets in flight on a link or a delay line, which netem holds in one
+// send-time-ordered queue per qdisc. Every item takes its sequence number
+// when it is scheduled, exactly as ScheduleCallAt would, so dispatch order
+// and Stats are the same as scheduling each item on the engine directly;
+// but only the head item holds a heap key, and the rest wait in the lane's
+// ring. Items count as pending while they wait.
+//
+// The zero Lane is not usable until Init. Lanes must not be copied once
+// initialised.
+type Lane struct {
+	eng  *Engine
+	fn   func(any)
+	ring []laneItem // power-of-two ring, head first
+	head int
+	n    int
+	tail Time  // time of the last scheduled item
+	slot int32 // held while the lane has items; -1 when empty
+	// ring0 is the ring's first backing array, so a lane embedded in a
+	// network element holds a typical window in flight with no allocation.
+	ring0 [laneInitCap]laneItem
+}
+
+// laneItem is one queued delivery. Every item in a ring carries the lane's
+// current slot in its key: the lane keeps that slot until it empties.
+type laneItem struct {
+	key key
+	arg any
+}
+
+// laneInitCap is a lane ring's first capacity: enough for the tens of
+// packets in flight on a 25 Mb/s path; a burst beyond it grows the ring.
+const laneInitCap = 64
+
+// Init prepares a zero-value Lane in place to deliver each item's argument
+// to fn. A network element embeds its Lane by value and initialises it with
+// its prebuilt delivery callback, at no allocation at all.
+func (l *Lane) Init(eng *Engine, fn func(any)) {
+	l.eng = eng
+	l.fn = fn
+	l.slot = -1
+	l.ring = l.ring0[:]
+}
+
+// ScheduleAt queues fn(arg) for time t. Scheduling in the past panics, as
+// on the engine, and so does a time before the lane's last scheduled item:
+// silently reordering a FIFO would corrupt every queue model downstream.
+func (l *Lane) ScheduleAt(t Time, arg any) {
+	e := l.eng
+	e.checkFuture(t)
+	if t < l.tail {
+		panic(fmt.Sprintf("sim: lane schedule at %v before its tail %v", t, l.tail))
+	}
+	l.tail = t
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	s := l.slot
+	empty := s < 0
+	if empty {
+		s = e.acquire()
+		e.slots[s].lane = l
+		l.slot = s
+	}
+	k := key{t, e.nextOrd(s)}
+	c := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	c.key = k
+	c.arg = arg
+	l.n++
+	if empty {
+		e.insert(k)
+	}
+	e.count()
+}
+
+// grow doubles the ring, unrolling it so the head lands at index 0. The
+// old ring is cleared: when it is ring0, the Lane would otherwise keep its
+// copies of the queued arguments reachable.
+func (l *Lane) grow() {
+	r := make([]laneItem, 2*len(l.ring))
+	k := copy(r, l.ring[l.head:])
+	copy(r[k:], l.ring[:l.head])
+	clear(l.ring)
+	l.ring = r
+	l.head = 0
+}
+
+// fire delivers the head item. The lane re-arms with its next item (or
+// gives up its slot) before the callback runs, so the heap again holds
+// every lane's earliest item whatever the callback schedules.
+func (l *Lane) fire() {
+	c := &l.ring[l.head]
+	arg := c.arg
+	c.arg = nil // delivered packets must not stay pinned by the ring
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	if l.n > 0 {
+		l.eng.insert(l.ring[l.head].key)
+	} else {
+		l.eng.release(l.slot)
+		l.slot = -1
+	}
+	l.fn(arg)
+}
 
 // Timer is a cancellable, reschedulable single-shot timer bound to an engine.
 // It is the building block for retransmission timeouts, delayed ACKs, and
 // periodic application ticks.
 //
-// A Timer owns one indexed heap entry: Reset moves the armed entry in place
-// and Stop removes it, so no call on a Timer ever strands a dead event in
-// the queue or allocates after construction. Timers must not be copied once
+// A Timer owns one indexed entry: Reset moves the armed key in place and
+// Stop removes it, so no call on a Timer ever strands a dead event in the
+// queue or allocates after construction. Timers must not be copied once
 // created.
 type Timer struct {
 	eng *Engine
@@ -631,7 +795,7 @@ type Timer struct {
 // disarmed.
 func NewTimer(eng *Engine, fn func()) *Timer {
 	t := &Timer{eng: eng, fn: fn}
-	t.ent.pos = -1
+	t.ent.slot = -1
 	t.ent.fn = fn
 	return t
 }
@@ -644,7 +808,7 @@ func NewTimer(eng *Engine, fn func()) *Timer {
 // disarmed. Like every Timer, it must not be copied once initialised.
 func (t *Timer) InitCall(eng *Engine, fn func(any), arg any) {
 	t.eng = eng
-	t.ent.pos = -1
+	t.ent.slot = -1
 	t.ent.call = fn
 	t.ent.arg = arg
 }
@@ -665,14 +829,14 @@ func (t *Timer) Stop() { t.eng.cancelEntry(&t.ent) }
 
 // Armed reports whether the timer is waiting to fire (queued or drained
 // into the in-progress dispatch batch).
-func (t *Timer) Armed() bool { return t.ent.pos != -1 }
+func (t *Timer) Armed() bool { return t.ent.slot >= 0 }
 
 // Deadline returns when the timer will fire; meaningful only when Armed.
 func (t *Timer) Deadline() Time { return t.at }
 
 // Ticker invokes fn every interval until stopped. The first tick fires one
 // interval after Start (or immediately if startNow). Like Timer, a Ticker
-// reuses one indexed heap entry for its whole life, so steady-state ticking
+// reuses one indexed entry for its whole life, so steady-state ticking
 // performs no allocation. Tickers must not be copied once created.
 type Ticker struct {
 	eng      *Engine
@@ -688,7 +852,7 @@ func NewTicker(eng *Engine, interval time.Duration, fn func()) *Ticker {
 		panic("sim: ticker interval must be positive")
 	}
 	t := &Ticker{eng: eng, fn: fn, interval: interval}
-	t.ent.pos = -1
+	t.ent.slot = -1
 	t.ent.fn = t.tick
 	return t
 }
@@ -700,7 +864,7 @@ func (t *Ticker) tick() {
 		return
 	}
 	t.fn()
-	if t.running && t.ent.pos == -1 {
+	if t.running && t.ent.slot < 0 {
 		t.eng.scheduleEntry(&t.ent, t.eng.now.Add(t.interval))
 	}
 }

@@ -38,6 +38,22 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("ScheduleCall with pointer arg: %.1f allocs/op, want 0", n)
 	}
 
+	// A lane in steady state: a 30-item window in flight, each delivery
+	// queueing the next.
+	var ln *Lane
+	ln = newLane(e, func(x any) { ln.ScheduleAt(e.Now().Add(30*time.Microsecond), x) })
+	for i := 0; i < 30; i++ {
+		ln.ScheduleAt(e.Now().Add(time.Duration(i+1)*time.Microsecond), arg)
+	}
+	e.RunFor(time.Millisecond)
+	if n := testing.AllocsPerRun(100, func() {
+		e.RunFor(time.Millisecond)
+	}); n != 0 {
+		t.Errorf("Lane steady state: %.1f allocs/op, want 0", n)
+	}
+	ln.fn = func(any) {}
+	e.RunFor(time.Second) // drain, so the checks below start from an idle heap
+
 	tm := NewTimer(e, func() {})
 	if n := testing.AllocsPerRun(100, func() {
 		tm.Reset(time.Microsecond) // fresh arm
@@ -64,28 +80,52 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestPoppedSlotsZeroed verifies that dispatch and cancellation zero the
-// vacated heap slots: a popped event's closure, call argument, and entry
-// pointer must not linger in the backing array where they would pin
-// otherwise-dead objects for the lifetime of the engine.
+// vacated slot-table entries: a dispatched event's closure, call argument,
+// entry and lane pointers must not linger in the table where they would pin
+// otherwise-dead objects for the lifetime of the engine — in the table and
+// in the first, embedded table it grew out of. The same holds for a lane's
+// ring: a delivered item's argument (a packet, in the network
+// elements) must not stay reachable from its ring cell.
 func TestPoppedSlotsZeroed(t *testing.T) {
 	e := NewEngine(1)
 	big := make([]byte, 1<<10)
+	ln := newLane(e, func(any) {})
+	for i := 0; i < initCap; i++ { // outgrow the table embedded in the Engine
+		e.ScheduleCall(time.Duration(i+1)*time.Millisecond, func(any) {}, &big)
+	}
 	for i := 0; i < 16; i++ {
 		e.Schedule(time.Duration(i+1)*time.Millisecond, func() { _ = big })
 		e.ScheduleCall(time.Duration(i+1)*time.Millisecond, func(any) {}, &big)
+		ln.ScheduleAt(At(time.Duration(i+1)*time.Millisecond), &big)
 	}
 	tm := NewTimer(e, func() {})
 	tm.Reset(5 * time.Millisecond)
 	tm.Stop() // cancellation path must zero too
+	fired := NewTimer(e, func() {})
+	fired.Reset(7 * time.Millisecond)
 	e.Run(End)
 
-	if len(e.events) != 0 {
-		t.Fatalf("%d events still pending", len(e.events))
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("%d events still pending", n)
 	}
-	spare := e.events[:cap(e.events)]
-	for i, ev := range spare {
-		if ev.call != nil || ev.arg != nil || ev.ent != nil {
-			t.Fatalf("vacated slot %d not zeroed: %+v", i, ev)
+	if len(e.heap) != 0 {
+		t.Fatalf("%d keys still in the heap", len(e.heap))
+	}
+	free := 0
+	for s := e.free; s >= 0; s = e.pos[s] {
+		free++
+	}
+	if free != len(e.slots) {
+		t.Fatalf("%d of %d slots on the free list after the run", free, len(e.slots))
+	}
+	for i, sl := range append(e.slots0[:], e.slots[:cap(e.slots)]...) {
+		if sl.call != nil || sl.arg != nil || sl.ent != nil || sl.lane != nil {
+			t.Fatalf("vacated slot %d not zeroed: %+v", i, sl)
+		}
+	}
+	for i, c := range ln.ring {
+		if c.arg != nil {
+			t.Fatalf("delivered lane cell %d still holds its argument", i)
 		}
 	}
 }

@@ -85,11 +85,12 @@ bench-compare:
 	$(GO) run ./cmd/gsbench -bench-compare BENCH_$(BENCH_PREV).json BENCH_$(BENCH_N).json
 
 # Documentation gate: every markdown link and backticked file reference in
-# the root and docs/ markdown must resolve to a real file, and every
-# shipped scenario and campaign file must parse to a cacheable
-# configuration.
+# the root and docs/ markdown must resolve to a real file, every flag the
+# docs, this Makefile and CI pass to a command must still be defined by
+# it, and every shipped scenario and campaign file must parse to a
+# cacheable configuration.
 docs-check:
-	$(GO) test -run 'TestDocsLinksResolve|TestScenarioFilesParse|TestCampaignFilesParse' -count=1 .
+	$(GO) test -run 'TestDocsLinksResolve|TestDocsFlagsExist|TestScenarioFilesParse|TestCampaignFilesParse' -count=1 .
 
 # A sharded campaign end to end at CI size: the coordinator spawns two
 # gscampaign worker processes over a throwaway directory, sweeps up and

@@ -11,13 +11,16 @@
 //	gsbench -exp figure3 -aqm fq_codel   # future-work AQM variant
 //	gsbench -exp all -progress -runlog runs.jsonl
 //	gsbench -exp all -cache runs.cache   # incremental: re-runs replay hits
+//	gsbench -exp figure3 -telemetry-out telemetry.json  # sketch snapshot
 //	gsbench -bench-json BENCH_3.json     # benchmark-trajectory suite only
+//
+// Every -exp name is checked before the first run; an unknown one exits 2.
 //
 // Ctrl-C cancels the in-progress sweep: in-flight runs drain, tables
 // rendered from the partial data mark missing cells with "-", and the
 // remaining experiments are skipped. With -cache, completed runs are
 // already stored, so re-invoking the same command executes only the
-// missing ones.
+// missing ones; the cache's hit/miss/store counters print on exit.
 package main
 
 import (
@@ -48,11 +51,8 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "timeline compression factor (1.0 = full 9-minute traces)")
 		workers = flag.Int("workers", experiment.DefaultWorkers(), "parallel runs")
 		aqm     = flag.String("aqm", experiment.AQMDropTail, "bottleneck queue discipline: droptail|codel|fq_codel")
-		saveDir = flag.String("save", "", "save materialised sweeps into this directory")
-		loadDir = flag.String("load", "", "load previously saved sweeps from this directory")
 
-		cacheDir   = flag.String("cache", "", "content-addressed run cache directory (created if missing); repeated campaigns replay hits instead of re-running")
-		cacheStats = flag.Bool("cache-stats", false, "print run-cache hit/miss/store counters to stderr on exit")
+		cacheDir = flag.String("cache", "", "content-addressed run cache directory (created if missing); repeated campaigns replay hits instead of re-running, and its hit/miss/store counters print to stderr on exit")
 
 		progress   = flag.Bool("progress", false, "print live sweep progress to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
@@ -78,6 +78,11 @@ func main() {
 	)
 	flag.Parse()
 
+	names, err := parseExps(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gsbench:", err)
+		os.Exit(2)
+	}
 	impairments, sched, err := parseImpairFlags(*loss, *jitter, *reorder, *dup, *schedule)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gsbench:", err)
@@ -131,7 +136,6 @@ func main() {
 	}
 	var cache *runcache.Cache
 	if *cacheDir != "" {
-		var err error
 		if cache, err = runcache.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "gsbench:", err)
 			os.Exit(1)
@@ -145,8 +149,9 @@ func main() {
 		}
 		opts.ProbeDir = *probeDir
 	}
+	var sinks []obs.Progress
 	if *progress {
-		opts.Progress = obs.NewPrinter(os.Stderr)
+		sinks = append(sinks, obs.NewPrinter(os.Stderr))
 	}
 	if *runlog != "" {
 		f, err := os.Create(*runlog)
@@ -160,7 +165,11 @@ func main() {
 		opts.RunLog = obs.NewJSONL(f)
 	}
 	if *telAddr != "" || *telOut != "" || *telLog != "" {
-		opts.Telemetry = obs.NewAggregator()
+		ag := obs.NewAggregator()
+		sinks = append(sinks, ag)
+		if cache != nil {
+			ag.CacheStats = cache.Stats
+		}
 		if *telLog != "" {
 			f, err := os.OpenFile(*telLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -168,10 +177,10 @@ func main() {
 				os.Exit(1)
 			}
 			defer f.Close()
-			opts.Telemetry.Timeline = f
+			ag.Timeline = f
 		}
 		if *telAddr != "" {
-			srv, err := obs.ServeTelemetry(*telAddr, opts.Telemetry)
+			srv, err := obs.ServeTelemetry(*telAddr, ag)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "gsbench:", err)
 				os.Exit(1)
@@ -181,7 +190,6 @@ func main() {
 		}
 		if *telOut != "" {
 			out := *telOut
-			ag := opts.Telemetry
 			defer func() {
 				if err := obs.WriteSnapshot(out, ag.Snapshot()); err != nil {
 					fmt.Fprintln(os.Stderr, "gsbench:", err)
@@ -191,95 +199,82 @@ func main() {
 			}()
 		}
 	}
+	opts.Progress = obs.MultiProgress(sinks...)
 	c := figures.NewCampaign(opts)
 	c.SetContext(ctx)
 
-	if *loadDir != "" {
-		if err := c.Load(*loadDir); err != nil {
-			fmt.Fprintln(os.Stderr, "gsbench: load:", err)
-			os.Exit(1)
-		}
-	}
-
 	start := time.Now()
-	run := func(name string) {
-		switch name {
-		case "table1":
-			fmt.Println(c.Table1())
-		case "figure2":
-			panels := c.Figure2()
-			var names []string
-			for n := range panels {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				fmt.Printf("## Figure 2 panel: %s (25 Mb/s)\n%s\n", n, panels[n])
-			}
-		case "figure3":
-			for _, h := range c.Figure3() {
-				fmt.Println(h)
-			}
-		case "figure4":
-			fmt.Println(c.Figure4Table())
-		case "table3":
-			fmt.Println(c.Table3())
-		case "table4":
-			fmt.Println(c.Table4())
-		case "table5":
-			fmt.Println(c.Table5())
-		case "loss":
-			fmt.Println(c.LossTables())
-		case "harm":
-			fmt.Println(c.HarmTable())
-		case "mix":
-			fmt.Println(c.MixTable())
-		case "flowcount":
-			fmt.Println(c.FlowCountTable())
-		case "aqmcmp":
-			fmt.Println(c.AQMTable())
-		case "ablation":
-			fmt.Println(c.AblationTable())
-		case "responserecovery":
-			fmt.Println(c.ResponseRecoveryTable())
-		case "qoe":
-			fmt.Println(c.QoETable())
-		case "summary":
-			fmt.Println(c.Summary())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
-		}
-	}
-
-	names := []string{
-		"table1", "figure2", "figure3", "figure4",
-		"table3", "table4", "table5", "loss",
-		"responserecovery", "summary",
-	}
-	if *exp != "all" {
-		// Comma-separated experiments share one campaign (one set of
-		// sweeps) within this process.
-		names = strings.Split(*exp, ",")
-	}
 	for _, name := range names {
-		run(strings.TrimSpace(name))
+		experiments[name](c)
 		if c.Interrupted() {
 			fmt.Fprintln(os.Stderr, "gsbench: interrupted — results above are partial; skipping remaining experiments")
 			break
 		}
 	}
-	if *saveDir != "" {
-		if err := c.Save(*saveDir); err != nil {
-			fmt.Fprintln(os.Stderr, "gsbench: save:", err)
-			os.Exit(1)
-		}
-	}
-	if *cacheStats && cache != nil {
+	if cache != nil {
 		fmt.Fprintf(os.Stderr, "gsbench: cache %s: %s\n", cache.Dir(), cache.Stats())
 	}
 	fmt.Fprintf(os.Stderr, "gsbench: done in %v (iters=%d scale=%g workers=%d aqm=%s)\n",
 		time.Since(start), *iters, *scale, *workers, *aqm)
+}
+
+// experiments renders each -exp name from the campaign; names given
+// together share the campaign's sweeps.
+var experiments = map[string]func(c *figures.Campaign){
+	"table1": func(c *figures.Campaign) { fmt.Println(c.Table1()) },
+	"figure2": func(c *figures.Campaign) {
+		panels := c.Figure2()
+		var names []string
+		for n := range panels {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Printf("## Figure 2 panel: %s (25 Mb/s)\n%s\n", n, panels[n])
+		}
+	},
+	"figure3": func(c *figures.Campaign) {
+		for _, h := range c.Figure3() {
+			fmt.Println(h)
+		}
+	},
+	"figure4":          func(c *figures.Campaign) { fmt.Println(c.Figure4Table()) },
+	"table3":           func(c *figures.Campaign) { fmt.Println(c.Table3()) },
+	"table4":           func(c *figures.Campaign) { fmt.Println(c.Table4()) },
+	"table5":           func(c *figures.Campaign) { fmt.Println(c.Table5()) },
+	"loss":             func(c *figures.Campaign) { fmt.Println(c.LossTables()) },
+	"harm":             func(c *figures.Campaign) { fmt.Println(c.HarmTable()) },
+	"mix":              func(c *figures.Campaign) { fmt.Println(c.MixTable()) },
+	"flowcount":        func(c *figures.Campaign) { fmt.Println(c.FlowCountTable()) },
+	"aqmcmp":           func(c *figures.Campaign) { fmt.Println(c.AQMTable()) },
+	"ablation":         func(c *figures.Campaign) { fmt.Println(c.AblationTable()) },
+	"responserecovery": func(c *figures.Campaign) { fmt.Println(c.ResponseRecoveryTable()) },
+	"qoe":              func(c *figures.Campaign) { fmt.Println(c.QoETable()) },
+	"summary":          func(c *figures.Campaign) { fmt.Println(c.Summary()) },
+}
+
+// parseExps resolves an -exp value ("all" or comma-separated names) to
+// the experiments to run, rejecting unknown names before anything runs.
+func parseExps(exp string) ([]string, error) {
+	if exp == "all" {
+		return []string{
+			"table1", "figure2", "figure3", "figure4",
+			"table3", "table4", "table5", "loss",
+			"responserecovery", "summary",
+		}, nil
+	}
+	var names, unknown []string
+	for _, name := range strings.Split(exp, ",") {
+		name = strings.TrimSpace(name)
+		if experiments[name] == nil {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+		}
+		names = append(names, name)
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment %s", strings.Join(unknown, ", "))
+	}
+	return names, nil
 }
 
 // parseImpairFlags builds the impairment sweep axis from the CLI flags. The

@@ -1,11 +1,12 @@
-// Command gsreport reads artefacts produced by gssim and recomputes the
-// paper's derived measures offline. In its default mode it parses a trace
-// CSV and reports original/adjusted bitrates, response and recovery times,
-// adaptiveness inputs, fairness ratio, and RTT/frame rate summaries. With
-// -runlog it instead aggregates a JSONL run log (written by gssim -sweep
-// or gsbench) per condition — including interrupted, partial campaigns.
+// Command gsreport reads artefacts produced by gssim, gsbench and
+// gscampaign and recomputes the paper's derived measures offline. In its
+// default mode it parses a trace CSV and reports original/adjusted
+// bitrates, response and recovery times, adaptiveness inputs, fairness
+// ratio, and RTT/frame rate summaries. With -runlog it instead aggregates
+// a JSONL run log (written by gssim or gsbench) per condition — including
+// interrupted, partial campaigns.
 // With -telemetry it renders quantiles-with-CI tables for every paper
-// metric from a persisted sketch snapshot (gssim/gsbench -telemetry-out)
+// metric from a persisted sketch snapshot (gsbench -telemetry-out)
 // alone — no per-run data needed, however large the campaign was.
 // With -campaign it reports a gscampaign directory: shard completion from
 // the manifest, then the merged campaign's telemetry tables.
@@ -19,10 +20,10 @@
 //	gssim -system luna -cca bbr > trace.csv
 //	gsreport -capacity 25 trace.csv
 //
-//	gssim -sweep -runlog runs.jsonl
+//	gsbench -exp figure3 -runlog runs.jsonl
 //	gsreport -runlog runs.jsonl
 //
-//	gssim -sweep -telemetry-out telemetry.json
+//	gsbench -exp figure3 -telemetry-out telemetry.json
 //	gsreport -telemetry telemetry.json
 //
 //	gscampaign -spec paper.campaign -dir camp -workers 4
@@ -55,7 +56,7 @@ func main() {
 	flowStart := flag.Float64("flow-start", 185, "competing flow arrival (s)")
 	flowStop := flag.Float64("flow-stop", 370, "competing flow departure (s)")
 	runlog := flag.String("runlog", "", "aggregate a JSONL run log instead of a trace CSV")
-	telemetry := flag.String("telemetry", "", "render quantiles-with-CI tables from a telemetry snapshot (gssim/gsbench -telemetry-out)")
+	telemetry := flag.String("telemetry", "", "render quantiles-with-CI tables from a telemetry snapshot (gsbench -telemetry-out)")
 	campaignDir := flag.String("campaign", "", "render a gscampaign directory: shard status plus the merged telemetry tables")
 	ccPath := flag.String("cc", "", "summarise a probe cc.csv export (cwnd-vs-time per flow)")
 	queuePath := flag.String("queue", "", "summarise a probe queue.csv export (depth-vs-time per queue)")

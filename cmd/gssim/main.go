@@ -1,18 +1,14 @@
 // Command gssim runs experiments directly. In its default single-run mode
 // it executes one condition and prints its 0.5 s time series (game bitrate,
 // competing-flow bitrate, RTT, frame rate, loss) as CSV — the raw data
-// behind one line of Figure 2. With -sweep it instead executes the paper's
-// full campaign grid (narrowed by -iters/-scale) with live progress,
-// structured JSONL run logs, and clean SIGINT cancellation.
+// behind one line of Figure 2.
 //
 // Usage:
 //
 //	gssim -system stadia -cca cubic -capacity 25 -queue 2 > trace.csv
 //	gssim -scenario scenarios/paper_1v1.scn > trace.csv
 //	gssim -flows 20 -flow-mix "iperf:cubic,dash" -runlog runs.jsonl
-//	gssim -sweep -progress -runlog runs.jsonl -iters 15
-//	gssim -sweep -cache runs.cache -cache-stats   # resumable/incremental
-//	gssim -sweep -iters 1 -scale 0.2 -cpuprofile cpu.out
+//	gssim -scale 0.2 -cache runs.cache -cpuprofile cpu.out
 //	gssim -chaos -chaos-runs 200 -seed 42 -scale 0.1 -cache runs.cache \
 //	      -invariants-out campaign.json
 //
@@ -21,25 +17,23 @@
 // produces byte-identical results. With -chaos the tool generates a
 // seed-derived random impairment campaign, checks every run against the
 // metamorphic invariant suite, prints the per-invariant verdict table, and
-// exits non-zero if any invariant was violated.
+// exits non-zero if any invariant was violated. A flag the selected mode
+// does not read is an error (exit 2), not silently ignored.
 //
-// A sweep interrupted with Ctrl-C drains its in-flight runs, reports the
-// partial results, and marks them "interrupted" on stderr and in the exit
-// summary; every completed run is already in the JSONL log.
+// The paper's full grid is not a gssim mode: gsbench -exp runs it in
+// process and renders the tables, and gscampaign -spec
+// scenarios/paper_grid.campaign runs it sharded in O(conditions) memory.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/experiment"
@@ -68,32 +62,24 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "run seed")
 		scale    = flag.Float64("scale", 1, "timeline compression")
 		pcapPath = flag.String("pcap", "", "also write the bottleneck trace as a pcap file")
-
-		sweep   = flag.Bool("sweep", false, "run the paper's full sweep grid instead of a single condition")
-		iters   = flag.Int("iters", 15, "sweep iterations per condition")
-		workers = flag.Int("workers", 0, "sweep parallelism (0 = one worker per CPU)")
+		workers  = flag.Int("workers", 0, "with -chaos: run parallelism (0 = one worker per CPU)")
 
 		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of flag-built conditions (see docs/SCENARIOS.md)")
 		chaos        = flag.Bool("chaos", false, "run a seed-derived chaos campaign checked against the invariant suite (-seed selects the campaign)")
 		chaosRuns    = flag.Int("chaos-runs", 200, "with -chaos: number of generated runs")
 		invOut       = flag.String("invariants-out", "", "with -chaos: write the campaign report JSON here (render with gsreport -invariants)")
 
-		cacheDir   = flag.String("cache", "", "content-addressed run cache directory (created if missing)")
-		cacheStats = flag.Bool("cache-stats", false, "print run-cache hit/miss/store counters to stderr on exit")
+		cacheDir = flag.String("cache", "", "content-addressed run cache directory (created if missing); its hit/miss/store counters print to stderr on exit")
 
 		progress   = flag.Bool("progress", false, "print live progress to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
-		telAddr    = flag.String("telemetry-addr", "", "with -sweep: serve live telemetry over HTTP at this address (e.g. :9300): /metrics is Prometheus text, /snapshot JSON")
-		telOut     = flag.String("telemetry-out", "", "with -sweep: write the final telemetry snapshot (metric sketches + health) to this JSON file")
-		telLog     = flag.String("telemetry-log", "", "with -sweep: append the JSONL health timeline (progress, cache hit rate, events/sec drift) to this file")
-		discard    = flag.Bool("discard-runs", false, "with -sweep: drop per-run results once the sinks have seen them, keeping memory O(conditions)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		probeOn       = flag.Bool("probe", false, "attach CC/queue instrumentation and export cc/queue/drops series")
 		probeInterval = flag.Duration("probe-interval", 100*time.Millisecond, "probe sampling interval (0 = snapshot on every ACK)")
 		events        = flag.Int("events", 0, "packet lifecycle event ring capacity (0 = off)")
-		probeOut      = flag.String("probe-out", "probe", "probe export location: basename prefix for a single run, directory for -sweep")
+		probeOut      = flag.String("probe-out", "probe", "probe export basename prefix")
 
 		flows   = flag.Int("flows", 0, "competing flow slots sharing the bottleneck (0 = classic 1-vs-1)")
 		streams = flag.Int("streams", 0, "additional concurrent game streams beyond the primary")
@@ -108,6 +94,20 @@ func main() {
 		schedule = flag.String("schedule", "", `mid-run retuning program, e.g. "60s rate=10mbit; 120s down; 121s up"`)
 	)
 	flag.Parse()
+
+	mode := "single"
+	switch {
+	case *chaos:
+		mode = "chaos"
+	case *scenarioPath != "":
+		mode = "scenario"
+	}
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if bad := unreadFlags(mode, set); len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "gssim: %s mode does not read -%s\n", mode, strings.Join(bad, ", -"))
+		os.Exit(2)
+	}
 
 	var impair netem.Impairment
 	if err := experiment.ParseLoss(*loss, &impair); err != nil {
@@ -171,29 +171,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if *cacheStats {
-				fmt.Fprintf(os.Stderr, "gssim: cache %s: %s\n", cache.Dir(), cache.Stats())
-			}
-		}()
+		defer func() { fmt.Fprintf(os.Stderr, "gssim: cache %s: %s\n", cache.Dir(), cache.Stats()) }()
 	}
 
-	telem, err := openTelemetry(*telAddr, *telOut, *telLog, cache)
-	if err != nil {
-		fatal(err)
-	}
-	defer telem.close()
-
-	if *chaos {
+	switch mode {
+	case "chaos":
 		runChaos(*seed, *chaosRuns, *scale, *workers, *invOut, *progress, runLog, cache)
 		return
-	}
-	if *scenarioPath != "" {
+	case "scenario":
 		runScenario(*scenarioPath, *progress, runLog, cache)
-		return
-	}
-	if *sweep {
-		runSweep(*iters, *scale, *workers, *aqm, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache, telem, *discard)
 		return
 	}
 	runSingle(*system, *cca, *capacity, *queue, *aqm, *seed, *scale, *pcapPath, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache)
@@ -299,67 +285,6 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 	}
 	if !rep.Passed() {
 		os.Exit(1)
-	}
-}
-
-// runSweep executes the paper's campaign with live observability and clean
-// SIGINT cancellation, printing one summary line per condition at the end.
-func runSweep(iters int, scale float64, workers int, aqm string, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeDir string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache, telem *telemetry, discard bool) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := experiment.PaperSweep()
-	cfg.Iterations = iters
-	cfg.Timeline = paperTimeline(scale)
-	cfg.Workers = workers
-	cfg.AQM = aqm
-	cfg.Schedule = sched
-	cfg.Population = pop
-	cfg.Cache = cache
-	cfg.DiscardRuns = discard
-	if impair.Enabled() {
-		cfg.Impairments = []netem.Impairment{impair}
-	}
-	if probeCfg != nil {
-		cfg.Probe = probeCfg
-		cfg.ProbeDir = probeDir
-	}
-	if runLog != nil {
-		cfg.RunLog = runLog
-	}
-	var printer obs.Progress
-	if progress {
-		printer = obs.NewPrinter(os.Stderr)
-	}
-	cfg.Progress = obs.MultiProgress(printer, telem.progress())
-
-	start := time.Now()
-	sw := experiment.RunSweep(ctx, cfg)
-
-	total := 0
-	if discard && telem.ag != nil {
-		// Per-run results were dropped; the streaming sinks kept count.
-		total = telem.ag.Done()
-	}
-	for _, cond := range sw.Conditions {
-		total += len(cond.Runs)
-		ff, ft := cond.ContentionWindow()
-		g := cond.GameRate(ff, ft)
-		t := cond.TCPRate(ff, ft)
-		fmt.Printf("%-28s runs %2d  game %5.1f Mb/s  tcp %5.1f Mb/s  fairness %+5.2f\n",
-			cond.Cond, len(cond.Runs), g.Mean, t.Mean, cond.FairnessRatio())
-	}
-	state := "completed"
-	if sw.Interrupted {
-		state = "interrupted"
-	}
-	fmt.Fprintf(os.Stderr, "gssim: sweep %s: %d runs across %d conditions in %v\n",
-		state, total, len(sw.Conditions), time.Since(start).Round(time.Second))
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "gssim: sweep cache: %s\n", sw.Cache)
-	}
-	if runLog != nil {
-		fmt.Fprintf(os.Stderr, "gssim: %d JSONL records written\n", runLog.Count())
 	}
 }
 
@@ -476,6 +401,36 @@ func paperTimeline(scale float64) metrics.Timeline {
 		return metrics.PaperTimeline.Scale(scale)
 	}
 	return metrics.PaperTimeline
+}
+
+// modeFlags names the flags each mode reads; profileFlags are accepted in
+// every mode.
+var (
+	profileFlags = []string{"cpuprofile", "memprofile"}
+	modeFlags    = map[string][]string{
+		"single": {"system", "cca", "capacity", "queue", "aqm", "seed", "scale", "pcap",
+			"progress", "runlog", "cache", "probe", "probe-interval", "events", "probe-out",
+			"flows", "streams", "flow-mix", "flow-on", "flow-off",
+			"loss", "jitter", "reorder", "dup", "schedule"},
+		"scenario": {"scenario", "progress", "runlog", "cache"},
+		"chaos":    {"chaos", "chaos-runs", "seed", "scale", "workers", "invariants-out", "progress", "runlog", "cache"},
+	}
+)
+
+// unreadFlags returns the names in set that mode does not read, in the
+// order of set (flag.Visit's is lexicographical).
+func unreadFlags(mode string, set []string) []string {
+	reads := make(map[string]bool)
+	for _, name := range append(modeFlags[mode], profileFlags...) {
+		reads[name] = true
+	}
+	var bad []string
+	for _, name := range set {
+		if !reads[name] {
+			bad = append(bad, name)
+		}
+	}
+	return bad
 }
 
 func writeMemProfile(path string) {

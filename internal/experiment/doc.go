@@ -36,8 +36,10 @@
 //
 // # Persistence
 //
-// SaveSweep/LoadSweep round-trip a SweepResult through gzipped gob so
-// additional tables can be rendered without re-running hundreds of
-// simulations; RunResult.Record renders a run as an obs.Record for
-// JSONL run logs.
+// RunCached serves a run from the content-addressed run cache when its
+// result is stored, so a repeated or interrupted campaign re-renders from
+// disk and executes only the missing runs. SaveSweep/LoadSweep round-trip
+// a whole SweepResult through gzipped gob, each run in the same persisted
+// form a cache entry holds; RunResult.Record renders a run as an
+// obs.Record for JSONL run logs.
 package experiment

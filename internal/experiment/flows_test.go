@@ -233,44 +233,45 @@ func (b *lockedBuffer) Write(p []byte) (int, error) {
 }
 
 // TestPopulationSweepDeterministicAcrossWorkers is the acceptance check for
-// the flow-population scheduler: a populated sweep's runlog records are
+// the flow-population scheduler: a populated grid's runlog records are
 // byte-identical across 1, 4 and 8 workers (compared order-independently),
 // and the per-run flow summaries agree run for run.
 func TestPopulationSweepDeterministicAcrossWorkers(t *testing.T) {
-	sweepWith := func(workers int) (*SweepResult, string) {
-		var sink lockedBuffer
-		res := RunSweep(context.Background(), SweepConfig{
-			Systems:    []gamestream.System{gamestream.Stadia, gamestream.Luna},
-			CCAs:       []string{"cubic"},
-			Capacities: []units.Rate{units.Mbps(25)},
-			QueueMults: []float64{2},
-			Iterations: 2,
-			Timeline:   metrics.PaperTimeline.Scale(0.05),
-			BaseSeed:   7,
-			Workers:    workers,
-			Population: FlowPopulation{Flows: 6, Streams: 1},
-			RunLog:     obs.NewJSONL(&sink),
-		})
-		return res, canonicalLog(t, sink.buf.Bytes())
+	var jobs []Job
+	for it := 0; it < 2; it++ {
+		for _, sys := range []gamestream.System{gamestream.Stadia, gamestream.Luna} {
+			cond := Condition{System: sys, CCA: "cubic", Capacity: units.Mbps(25), QueueMult: 2}
+			jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
+				Condition:  cond,
+				Timeline:   metrics.PaperTimeline.Scale(0.05),
+				Seed:       RunSeed(7, it, cond),
+				Population: FlowPopulation{Flows: 6, Streams: 1},
+			}})
+		}
 	}
-	refRes, refLog := sweepWith(1)
+	sweepWith := func(workers int) ([]*RunResult, string) {
+		var sink lockedBuffer
+		runs := make([]*RunResult, len(jobs))
+		Execute(context.Background(), jobs, workers, nil, Sinks{RunLog: obs.NewJSONL(&sink)},
+			func(i int, res *RunResult, _ bool) { runs[i] = res })
+		return runs, canonicalLog(t, sink.buf.Bytes())
+	}
+	refRuns, refLog := sweepWith(1)
 	if refLog == "" {
 		t.Fatal("1-worker sweep produced an empty runlog")
 	}
 	for _, workers := range []int{4, 8} {
-		res, log := sweepWith(workers)
+		runs, log := sweepWith(workers)
 		if log != refLog {
 			t.Errorf("runlog with %d workers differs from 1-worker runlog", workers)
 		}
-		for _, ca := range refRes.Conditions {
-			cb := res.Find(ca.Cond)
-			if cb == nil || len(ca.Runs) != len(cb.Runs) {
-				t.Fatalf("%s: runs missing with %d workers", ca.Cond, workers)
+		for i, ra := range refRuns {
+			rb := runs[i]
+			if ra == nil || rb == nil {
+				t.Fatalf("%s: runs missing with %d workers", jobs[i].Cfg.Condition, workers)
 			}
-			for i := range ca.Runs {
-				if ca.Runs[i].FlowSummary != cb.Runs[i].FlowSummary {
-					t.Errorf("%s run %d: flow summary diverged with %d workers", ca.Cond, i, workers)
-				}
+			if ra.FlowSummary != rb.FlowSummary {
+				t.Errorf("%s run %d: flow summary diverged with %d workers", ra.Cfg.Condition, jobs[i].Iter, workers)
 			}
 		}
 	}

@@ -46,9 +46,8 @@ func init() {
 	gob.Register(persistedRun{})
 }
 
-// SaveSweep writes the sweep to path as gzipped gob, so later gsbench
-// invocations can render additional tables without re-running hundreds of
-// simulations.
+// SaveSweep writes the sweep to path as gzipped gob, each run in the same
+// persisted form the run cache stores.
 func SaveSweep(path string, s *SweepResult) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -40,17 +40,9 @@ type SweepConfig struct {
 	Impairments []netem.Impairment
 	// Schedule, when non-empty, applies the same mid-run retuning steps to
 	// every run of the sweep.
-	Schedule []ScheduleStep
-	// Population, when enabled, attaches the same N-flow population (extra
-	// game streams plus on/off competing flows) to every run of the sweep.
-	// It does not extend Condition.String(), so a populated sweep reuses the
-	// clean sweep's per-run seeds — deliberately: paired comparisons against
-	// the 1-vs-1 baseline then differ only in the population.
-	Population FlowPopulation
+	Schedule   []ScheduleStep
 	Iterations int
 	Timeline   metrics.Timeline
-	BaseRTT    time.Duration
-	Burst      units.ByteSize
 	// Workers bounds run parallelism (<= 0 = DefaultWorkers, i.e. NumCPU).
 	Workers int
 	// BaseSeed derives all per-run seeds deterministically.
@@ -74,12 +66,6 @@ type SweepConfig struct {
 	// sweeps bypass the cache (see RunConfig.Cacheable). It is never
 	// persisted by SaveSweep.
 	Cache *runcache.Cache
-	// DiscardRuns drops each RunResult after its sinks (Progress, RunLog)
-	// have seen it, so the sweep runs in O(conditions) memory instead of
-	// retaining every run. The returned SweepResult then has no Conditions
-	// — campaign-scale runs consume their data through a streaming sink
-	// such as obs.Aggregator.
-	DiscardRuns bool
 	// SerialDispatch forwards to RunConfig.SerialDispatch on every run:
 	// one-event-at-a-time dispatch for differential testing against the
 	// batched drain loop.
@@ -334,11 +320,8 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 								Condition:      cond,
 								Timeline:       cfg.Timeline,
 								Seed:           runSeed(cfg.BaseSeed, it, cond),
-								BaseRTT:        cfg.BaseRTT,
-								Burst:          cfg.Burst,
 								Probe:          cfg.Probe,
 								Schedule:       cfg.Schedule,
-								Population:     cfg.Population,
 								SerialDispatch: cfg.SerialDispatch,
 							}})
 						}
@@ -353,11 +336,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 	}
 	results := make([]*RunResult, len(jobs))
 	sinks := Sinks{Progress: cfg.Progress, RunLog: cfg.RunLog, ProbeDir: cfg.ProbeDir}
-	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, sinks, func(i int, res *RunResult, _ bool) {
-		if !cfg.DiscardRuns {
-			results[i] = res
-		}
-	})
+	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, sinks, func(i int, res *RunResult, _ bool) { results[i] = res })
 
 	out := &SweepResult{Cfg: cfg, Interrupted: done < len(jobs)}
 	if cfg.Cache != nil {

@@ -40,7 +40,6 @@ func TestTelemetrySketchesIdenticalAcrossWorkers(t *testing.T) {
 		cfg.Workers = workers
 		ag := obs.NewAggregator()
 		cfg.Progress = ag
-		cfg.DiscardRuns = true
 		RunSweep(context.Background(), cfg)
 		got, err := ag.Snapshot().DeterministicJSON()
 		if err != nil {
@@ -53,40 +52,6 @@ func TestTelemetrySketchesIdenticalAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("workers=%d: deterministic snapshot differs from 1-worker reference", workers)
 		}
-	}
-}
-
-// TestTelemetryDiscardRuns: with DiscardRuns the sweep keeps no per-run
-// results (O(conditions) memory) while the Aggregator still sees every run.
-func TestTelemetryDiscardRuns(t *testing.T) {
-	cfg := telemetrySweep()
-	cfg.Workers = 4
-	ag := obs.NewAggregator()
-	cfg.Progress = ag
-	cfg.DiscardRuns = true
-	sw := RunSweep(context.Background(), cfg)
-
-	if len(sw.Conditions) != 0 {
-		t.Fatalf("DiscardRuns retained %d conditions of run results", len(sw.Conditions))
-	}
-	if sw.Interrupted {
-		t.Fatal("sweep reported interrupted")
-	}
-	total := 4 * cfg.Iterations // 2 systems × 2 CCAs × 3 iterations
-	snap := ag.Snapshot()
-	if snap.Done != total {
-		t.Fatalf("aggregator saw %d runs, want %d", snap.Done, total)
-	}
-	if len(snap.Conditions) != 4 {
-		t.Fatalf("aggregator has %d conditions, want 4", len(snap.Conditions))
-	}
-	for _, c := range snap.Conditions {
-		if got := c.Metrics["game_mbps"].N(); got != int64(cfg.Iterations) {
-			t.Errorf("%s: game_mbps N = %d, want %d", c.Cond, got, cfg.Iterations)
-		}
-	}
-	if got := snap.Campaign["game_mbps"].N(); got != int64(total) {
-		t.Errorf("campaign game_mbps N = %d, want %d", got, total)
 	}
 }
 

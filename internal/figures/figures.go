@@ -3,8 +3,6 @@ package figures
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -30,7 +28,9 @@ type Options struct {
 	Workers int
 	// AQM overrides the bottleneck discipline (default drop-tail).
 	AQM string
-	// Progress, when non-nil, observes every sweep the campaign runs.
+	// Progress, when non-nil, observes every sweep the campaign runs; pass
+	// an obs.Aggregator (alone or through obs.MultiProgress) to fold the
+	// runs into streaming metric sketches.
 	Progress obs.Progress
 	// RunLog, when non-nil, receives one structured record per run across
 	// all of the campaign's sweeps.
@@ -49,11 +49,6 @@ type Options struct {
 	// repeated campaign is pure cache replay and an interrupted one
 	// resumes where it stopped. See internal/runcache.
 	Cache *runcache.Cache
-	// Telemetry, when non-nil, observes every sweep alongside Progress and
-	// folds each run into its streaming metric sketches (live HTTP
-	// endpoint, snapshot persistence, health timeline). The campaign wires
-	// its CacheStats hook to the shared Cache automatically.
-	Telemetry *obs.Aggregator
 }
 
 func (o Options) defaults() Options {
@@ -107,36 +102,13 @@ func (c *Campaign) SetContext(ctx context.Context) {
 // before completing.
 func (c *Campaign) Interrupted() bool { return c.interrupted }
 
-// CacheStats snapshots the run cache's counters across everything this
-// campaign (and any other user of the same cache object) did; the zero
-// value when the campaign runs uncached.
-func (c *Campaign) CacheStats() runcache.Stats {
-	if c.Opts.Cache == nil {
-		return runcache.Stats{}
-	}
-	return c.Opts.Cache.Stats()
-}
-
-// telemetry returns the telemetry sink with its cache hook attached, or nil.
-func (c *Campaign) telemetry() obs.Progress {
-	ag := c.Opts.Telemetry
-	if ag == nil {
-		return nil
-	}
-	if ag.CacheStats == nil && c.Opts.Cache != nil {
-		cache := c.Opts.Cache
-		ag.CacheStats = func() runcache.Stats { return cache.Stats() }
-	}
-	return ag
-}
-
 // sweep applies the campaign-wide options and runs cfg.
 func (c *Campaign) sweep(cfg experiment.SweepConfig) *experiment.SweepResult {
 	cfg.Iterations = c.Opts.Iterations
 	cfg.Workers = c.Opts.Workers
 	cfg.Timeline = c.Opts.timeline()
 	cfg.AQM = c.Opts.AQM
-	cfg.Progress = obs.MultiProgress(c.Opts.Progress, c.telemetry())
+	cfg.Progress = c.Opts.Progress
 	cfg.RunLog = c.Opts.RunLog
 	cfg.Probe = c.Opts.Probe
 	cfg.ProbeDir = c.Opts.ProbeDir
@@ -485,49 +457,4 @@ func (c *Campaign) Summary() string {
 		}
 	}
 	return b.String()
-}
-
-// Save writes whichever sweeps this campaign has materialised into dir, so
-// a later invocation can Load them instead of re-running simulations.
-func (c *Campaign) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	save := func(name string, s *experiment.SweepResult) error {
-		if s == nil {
-			return nil
-		}
-		return experiment.SaveSweep(filepath.Join(dir, name+".sweep.gz"), s)
-	}
-	if err := save("contended", c.contended); err != nil {
-		return err
-	}
-	if err := save("solo", c.solo); err != nil {
-		return err
-	}
-	return save("baseline", c.baseline)
-}
-
-// Load restores previously saved sweeps from dir; missing files are simply
-// left to be re-run on demand.
-func (c *Campaign) Load(dir string) error {
-	load := func(name string, dst **experiment.SweepResult) error {
-		path := filepath.Join(dir, name+".sweep.gz")
-		if _, err := os.Stat(path); err != nil {
-			return nil // absent: run on demand
-		}
-		s, err := experiment.LoadSweep(path)
-		if err != nil {
-			return err
-		}
-		*dst = s
-		return nil
-	}
-	if err := load("contended", &c.contended); err != nil {
-		return err
-	}
-	if err := load("solo", &c.solo); err != nil {
-		return err
-	}
-	return load("baseline", &c.baseline)
 }

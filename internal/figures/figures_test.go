@@ -194,3 +194,24 @@ func TestAQMTableRenders(t *testing.T) {
 		t.Errorf("cache hits = %d, want 18 on the replay", st.Hits)
 	}
 }
+
+// TestGridTableReplaysFromCache pins what a repeated gsbench -cache
+// invocation does: a second campaign over the same cache renders a grid
+// table byte-identically from hits alone.
+func TestGridTableReplaysFromCache(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Iterations: 1, TimeScale: 0.05, Workers: 4, Cache: cache}
+	cold := NewCampaign(opts).Table4().String()
+	before := cache.Stats()
+	opts.Workers = 1
+	warm := NewCampaign(opts).Table4().String()
+	if warm != cold {
+		t.Fatalf("replayed Table 4 differs:\n%s\nvs\n%s", warm, cold)
+	}
+	if st := cache.Stats().Sub(before); st.Hits != 54 || st.HitRate() != 100 {
+		t.Errorf("replay cache counters = %s, want 54 hits at 100%%", st)
+	}
+}

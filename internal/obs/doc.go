@@ -34,7 +34,7 @@
 // object per line, so campaigns can be tailed live, grepped, and diffed
 // across revisions:
 //
-//	gssim -sweep -progress -runlog runs.jsonl &
+//	gsbench -exp figure3 -progress -runlog runs.jsonl &
 //	tail -f runs.jsonl | grep '"cond":"stadia/bbr/B25/q0.5x"'
 //
 // ReadJSONL is the inverse, used by gsreport to re-aggregate a finished

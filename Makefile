@@ -8,13 +8,7 @@ GO ?= go
 # target each.
 COVER_TARGETS := cover-netem cover-runcache cover-obs cover-campaign
 
-.PHONY: verify build test vet race bench bench-json bench-compare probe-demo fuzz-smoke $(COVER_TARGETS) impair-demo docs-check chaos-smoke campaign-smoke
-
-# BENCH_N matches this PR's position in the stacked sequence; bump it when a
-# later change re-baselines the trajectory file. BENCH_PREV is the baseline
-# the bench-compare gate diffs against.
-BENCH_N ?= 10
-BENCH_PREV ?= 9
+.PHONY: verify build test vet race bench probe-demo fuzz-smoke $(COVER_TARGETS) impair-demo docs-check chaos-smoke campaign-smoke
 
 # The benchmark under bench/ is a module of its own, so the root ./...
 # leaves it out; verify vets and tests it explicitly.
@@ -69,20 +63,11 @@ $(COVER_TARGETS): cover-%:
 		else printf "%s coverage %.1f%% (gate 80%%)\n", pkg, $$3 }'
 	@rm -f $*.cover.out
 
-# One regeneration per benchmark target (reduced-size campaigns), then the
-# fixed trajectory suite written as BENCH_$(BENCH_N).json (see README).
-bench: bench-json
+# Every Go benchmark once, as a smoke test that they compile and run. The
+# throughput verdict is `bash bench/run.sh --compare`; per-run allocation
+# ceilings are tests, run by verify.
+bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-bench-json:
-	$(GO) run ./cmd/gsbench -bench-json BENCH_$(BENCH_N).json
-
-# Regression gate between the two newest checked-in trajectory files: fail
-# on any >10% events_per_sec drop or any allocs_per_run growth. CI's
-# bench-gate job runs this plus a freshly measured file against the
-# checked-in baseline.
-bench-compare:
-	$(GO) run ./cmd/gsbench -bench-compare BENCH_$(BENCH_PREV).json BENCH_$(BENCH_N).json
 
 # Documentation gate: every markdown link and backticked file reference in
 # the root and docs/ markdown must resolve to a real file, every flag the

@@ -132,42 +132,6 @@ func BenchmarkSingleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDispatchManyFlows measures the engine's fixed 64-slot
-// dispatch batch buffer where it earns its keep: the many_flows_200
-// condition, whose 200 on/off flows pile events onto shared timestamps. The
-// serial sub-benchmark runs the identical workload with the batched drain
-// loop disabled (SetBatchDispatch(false) via SerialDispatch), so the pair
-// isolates exactly what the batch buffer buys. gsbench pins the
-// full-fidelity batched number in BENCH_*.json as many_flows_200.
-func BenchmarkBatchDispatchManyFlows(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"batched", false}, {"serial", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var events, wall float64
-			for i := 0; i < b.N; i++ {
-				res := experiment.Run(experiment.RunConfig{
-					Condition: experiment.Condition{
-						System: gamestream.Stadia, Capacity: units.Mbps(25), QueueMult: 2,
-					},
-					Population:     experiment.FlowPopulation{Flows: 200},
-					Timeline:       metrics.PaperTimeline.Scale(0.15),
-					Seed:           uint64(i + 1),
-					SerialDispatch: mode.serial,
-				})
-				events += float64(res.EventsProcessed)
-				wall += res.Engine.WallTime.Seconds()
-			}
-			b.ReportMetric(events/float64(b.N), "events/run")
-			if wall > 0 {
-				b.ReportMetric(events/wall, "events/sec")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationAQM compares the drop-tail bufferbloat condition against
 // the future-work AQM variants (DESIGN.md ablation).
 func BenchmarkAblationAQM(b *testing.B) {

@@ -12,7 +12,6 @@
 //	gsbench -exp all -progress -runlog runs.jsonl
 //	gsbench -exp all -cache runs.cache   # incremental: re-runs replay hits
 //	gsbench -exp figure3 -telemetry-out telemetry.json  # sketch snapshot
-//	gsbench -bench-json BENCH_3.json     # benchmark-trajectory suite only
 //
 // Every -exp name is checked before the first run; an unknown one exits 2.
 //
@@ -62,9 +61,6 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		benchJSON    = flag.String("bench-json", "", "run the fixed benchmark-trajectory suite and write BENCH_*.json to this path, then exit")
-		benchCompare = flag.String("bench-compare", "", "diff this BENCH_*.json baseline against the file given as the positional arg; exit 1 on >10% events_per_sec regression or any allocs_per_run growth")
-
 		probeOn       = flag.Bool("probe", false, "attach CC/queue instrumentation to every run")
 		probeInterval = flag.Duration("probe-interval", 100*time.Millisecond, "probe sampling interval (0 = snapshot on every ACK)")
 		events        = flag.Int("events", 0, "packet lifecycle event ring capacity per run (0 = off)")
@@ -102,26 +98,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	defer writeMemProfile(*memprofile)
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "gsbench: bench-json:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchCompare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "gsbench: usage: gsbench -bench-compare OLD.json NEW.json")
-			os.Exit(2)
-		}
-		if err := runBenchCompare(*benchCompare, flag.Arg(0)); err != nil {
-			fmt.Fprintln(os.Stderr, "gsbench: bench-compare:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()

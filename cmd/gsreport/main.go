@@ -40,6 +40,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -128,7 +129,7 @@ func main() {
 
 	cols, err := readCSV(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsreport:", err)
+		fmt.Fprintf(os.Stderr, "gsreport: %s: %v\n", flag.Arg(0), err)
 		os.Exit(1)
 	}
 	tcol, ok := cols["t_sec"]
@@ -300,21 +301,33 @@ func reportRunLog(path string) error {
 	return nil
 }
 
-// readCSV parses a headered numeric CSV into named columns.
-func readCSV(f *os.File) (map[string][]float64, error) {
-	sc := bufio.NewScanner(f)
+// readCSV parses a headered numeric CSV into named columns. An empty cell
+// reads as 0: report.CSV leaves the cells of a column shorter than the
+// others empty. A cell that is not a number, or a row whose field count
+// differs from the header's, is an error naming its line and column.
+func readCSV(r io.Reader) (map[string][]float64, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("empty file")
 	}
 	headers := strings.Split(strings.TrimSpace(sc.Text()), ",")
 	cols := make(map[string][]float64, len(headers))
-	for sc.Scan() {
+	for line := 2; sc.Scan(); line++ {
 		fields := strings.Split(strings.TrimSpace(sc.Text()), ",")
+		if len(fields) != len(headers) {
+			return nil, fmt.Errorf("line %d: %d fields, header has %d", line, len(fields), len(headers))
+		}
 		for i, h := range headers {
 			v := 0.0
-			if i < len(fields) && fields[i] != "" {
-				v, _ = strconv.ParseFloat(fields[i], 64)
+			if fields[i] != "" {
+				var err error
+				if v, err = strconv.ParseFloat(fields[i], 64); err != nil {
+					return nil, fmt.Errorf("line %d, column %d (%s): %q is not a number", line, i+1, h, fields[i])
+				}
 			}
 			cols[h] = append(cols[h], v)
 		}

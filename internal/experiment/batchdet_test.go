@@ -6,79 +6,30 @@ import (
 	"encoding/json"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/units"
 )
 
-// goldenRunDispatch is goldenRun with the dispatch mode explicit, for the
-// batched-vs-serial differential tests.
-func goldenRunDispatch(seed uint64, serial bool) *RunResult {
-	return Run(RunConfig{
-		Condition: Condition{
-			System: gamestream.Stadia, CCA: "bbr", Capacity: units.Mbps(25), QueueMult: 2,
-		},
-		Timeline:       metrics.PaperTimeline.Scale(0.1),
-		Seed:           seed,
-		Probe:          &probe.Config{Interval: 100 * time.Millisecond, Events: 1 << 12},
-		SerialDispatch: serial,
-	})
-}
-
-// TestBatchedVsSerialGoldenExports is the batched-dispatch determinism
-// contract: draining all same-timestamp events into the on-stack batch
-// buffer must be invisible in every output. A golden-seed run under
-// batched and serial dispatch must agree on every engine counter and
-// produce byte-identical probe exports.
-func TestBatchedVsSerialGoldenExports(t *testing.T) {
-	b := goldenRunDispatch(42, false)
-	s := goldenRunDispatch(42, true)
-
-	if b.EventsProcessed != s.EventsProcessed {
-		t.Errorf("EventsProcessed diverged: batched %d vs serial %d",
-			b.EventsProcessed, s.EventsProcessed)
-	}
-	if b.Engine.EventsDispatched != s.Engine.EventsDispatched ||
-		b.Engine.EventsScheduled != s.Engine.EventsScheduled ||
-		b.Engine.EventsCancelled != s.Engine.EventsCancelled ||
-		b.Engine.TimerMoves != s.Engine.TimerMoves ||
-		b.Engine.PeakPending != s.Engine.PeakPending {
-		t.Errorf("engine stats diverged:\nbatched %+v\nserial  %+v", b.Engine, s.Engine)
-	}
-
-	eb, es := exportBytes(t, b), exportBytes(t, s)
-	for name := range eb {
-		if len(eb[name]) == 0 && name != "drops.csv" {
-			t.Errorf("%s export empty — test exercises nothing", name)
-		}
-		if !bytes.Equal(eb[name], es[name]) {
-			t.Errorf("%s export not byte-identical between batched and serial dispatch", name)
-		}
-	}
-}
-
 // runlogRecords executes a small sweep with the given worker count and
-// dispatch mode and returns its runlog records, sorted into grid order
-// with machine-dependent wall-clock fields zeroed.
-func runlogRecords(t *testing.T, workers int, serial bool) []obs.Record {
+// returns its runlog records, sorted into grid order with
+// machine-dependent wall-clock fields zeroed.
+func runlogRecords(t *testing.T, workers int) []obs.Record {
 	t.Helper()
 	var buf bytes.Buffer
 	jl := obs.NewJSONL(&buf)
 	RunSweep(context.Background(), SweepConfig{
-		Systems:        []gamestream.System{gamestream.Stadia, gamestream.Luna},
-		CCAs:           []string{"cubic", "bbr"},
-		Capacities:     []units.Rate{units.Mbps(25)},
-		QueueMults:     []float64{2},
-		Iterations:     2,
-		Timeline:       metrics.PaperTimeline.Scale(0.05),
-		BaseSeed:       7,
-		Workers:        workers,
-		RunLog:         jl,
-		SerialDispatch: serial,
+		Systems:    []gamestream.System{gamestream.Stadia, gamestream.Luna},
+		CCAs:       []string{"cubic", "bbr"},
+		Capacities: []units.Rate{units.Mbps(25)},
+		QueueMults: []float64{2},
+		Iterations: 2,
+		Timeline:   metrics.PaperTimeline.Scale(0.05),
+		BaseSeed:   7,
+		Workers:    workers,
+		RunLog:     jl,
 	})
 	recs, err := obs.ReadJSONL(&buf)
 	if err != nil {
@@ -98,16 +49,15 @@ func runlogRecords(t *testing.T, workers int, serial bool) []obs.Record {
 	return recs
 }
 
-// TestBatchedVsSerialRunlogAcrossWorkers sweeps the same grid under every
-// combination of dispatch mode and worker count {1, 4, 8} and asserts all
-// six runlogs are identical record for record (wall-clock fields aside):
-// neither goroutine scheduling nor the batch drain loop may leak into
-// results.
+// TestBatchedVsSerialRunlogAcrossWorkers sweeps the same grid with 1, 4
+// and 8 workers and asserts the three runlogs are identical record for
+// record (wall-clock fields aside): goroutine scheduling must not leak
+// into results.
 func TestBatchedVsSerialRunlogAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("six sweeps of the grid; skipped in -short")
+		t.Skip("three sweeps of the grid; skipped in -short")
 	}
-	ref := runlogRecords(t, 1, true) // serial single-worker = reference semantics
+	ref := runlogRecords(t, 1) // single-worker = reference semantics
 	if len(ref) != 8 {
 		t.Fatalf("reference runlog has %d records, want 8", len(ref))
 	}
@@ -119,24 +69,19 @@ func TestBatchedVsSerialRunlogAcrossWorkers(t *testing.T) {
 		}
 		refJSON[i] = b
 	}
-	for _, workers := range []int{1, 4, 8} {
-		for _, serial := range []bool{false, true} {
-			if workers == 1 && serial {
-				continue // the reference itself
+	for _, workers := range []int{4, 8} {
+		got := runlogRecords(t, workers)
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), len(ref))
+		}
+		for i := range got {
+			b, err := json.Marshal(got[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := runlogRecords(t, workers, serial)
-			if len(got) != len(ref) {
-				t.Fatalf("workers=%d serial=%v: %d records, want %d", workers, serial, len(got), len(ref))
-			}
-			for i := range got {
-				b, err := json.Marshal(got[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(b, refJSON[i]) {
-					t.Errorf("workers=%d serial=%v record %d diverged:\n got %s\nwant %s",
-						workers, serial, i, b, refJSON[i])
-				}
+			if !bytes.Equal(b, refJSON[i]) {
+				t.Errorf("workers=%d record %d diverged:\n got %s\nwant %s",
+					workers, i, b, refJSON[i])
 			}
 		}
 	}

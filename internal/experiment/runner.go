@@ -66,10 +66,6 @@ type SweepConfig struct {
 	// sweeps bypass the cache (see RunConfig.Cacheable). It is never
 	// persisted by SaveSweep.
 	Cache *runcache.Cache
-	// SerialDispatch forwards to RunConfig.SerialDispatch on every run:
-	// one-event-at-a-time dispatch for differential testing against the
-	// batched drain loop.
-	SerialDispatch bool
 }
 
 // PaperSweep returns the paper's full grid: 3 systems × {cubic, bbr} ×
@@ -317,12 +313,11 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 						for _, sys := range cfg.Systems {
 							cond := Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: cfg.AQM, Impair: imp}
 							jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
-								Condition:      cond,
-								Timeline:       cfg.Timeline,
-								Seed:           runSeed(cfg.BaseSeed, it, cond),
-								Probe:          cfg.Probe,
-								Schedule:       cfg.Schedule,
-								SerialDispatch: cfg.SerialDispatch,
+								Condition: cond,
+								Timeline:  cfg.Timeline,
+								Seed:      runSeed(cfg.BaseSeed, it, cond),
+								Probe:     cfg.Probe,
+								Schedule:  cfg.Schedule,
 							}})
 						}
 					}

@@ -139,11 +139,6 @@ type RunConfig struct {
 	// loss changes, link flaps) at fixed trace offsets. Steps execute via
 	// sim timers, so scheduled runs stay deterministic per seed.
 	Schedule []ScheduleStep
-	// SerialDispatch disables the engine's batched same-timestamp drain
-	// loop and dispatches strictly one event at a time. Batched and serial
-	// dispatch are contractually identical (same order, same output, same
-	// stats); this knob exists so differential tests can prove it.
-	SerialDispatch bool
 	// ForceImpairer constructs the impairment stage even when no static
 	// impairment or schedule is configured. An inert impairer is
 	// contractually invisible — no events, no RNG draws, no extra delay —
@@ -272,7 +267,6 @@ func (r *RunResult) LossBetween(from, to time.Duration) float64 {
 func Run(cfg RunConfig) *RunResult {
 	cfg = cfg.Defaults()
 	eng := sim.NewEngine(cfg.Seed)
-	eng.SetBatchDispatch(!cfg.SerialDispatch)
 	var ids uint64
 
 	// --- Topology (paper Figure 1) ---

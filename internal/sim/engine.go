@@ -19,9 +19,6 @@
 //     chain through that same column; vacated slots are zeroed so
 //     dispatched closures and arguments become garbage-collectable
 //     immediately;
-//   - Run drains all keys sharing the head timestamp into a small fixed
-//     batch buffer and dispatches them without re-touching the heap root
-//     per event;
 //   - Timer and Ticker keep one slot while armed, and Reset/Stop move or
 //     remove its key in place instead of abandoning tombstone events in
 //     the queue;
@@ -132,11 +129,6 @@ func (en *entry) fire() {
 	en.fn()
 }
 
-// batchCap bounds one drain pass of the Run loop. Bursts of more than
-// batchCap events at one instant are dispatched in successive passes, still
-// in seq order, so the cap affects only locality, never semantics.
-const batchCap = 64
-
 // initCap sizes the heap and slot-table arrays embedded in the Engine: a
 // paper run keeps about ten keys queued, so neither grows, and a new engine
 // costs no allocation for them, in the common case.
@@ -149,17 +141,13 @@ type Engine struct {
 	seq  uint64 // ordering counter; advances on every (re)schedule
 	heap []key
 	// slots and pos form the slot table, indexed by a key's slot. For an
-	// occupied slot, pos is the heap index of its key, or -2-i while the
-	// key waits in slot i of the Run loop's batch buffer. For a free slot,
-	// pos links to the next free slot; free heads the list (-1 ends it).
+	// occupied slot, pos is the heap index of its key. For a free slot, pos
+	// links to the next free slot; free heads the list (-1 ends it).
 	slots   []slot
 	pos     []int32
 	free    int32
 	stopped bool
-	// serial disables the batched drain loop (SetBatchDispatch(false)),
-	// keeping the one-pop-per-event reference path for differential tests.
-	serial bool
-	rng    *RNG
+	rng     *RNG
 	// processed counts dispatched events, for diagnostics and benchmarks.
 	processed uint64
 	// scheduled counts events ever queued, lane items included.
@@ -204,8 +192,7 @@ type Stats struct {
 	// tombstone design would have queued and dispatched for nothing.
 	TimerMoves uint64
 	// Pending is the number of events still waiting to dispatch: keys in
-	// the heap or the in-progress dispatch batch, plus items queued behind
-	// a Lane's head.
+	// the heap, plus items queued behind a Lane's head.
 	Pending int
 	// PeakPending is the high-water mark of Pending, a proxy for the
 	// simulation's working-set size.
@@ -267,12 +254,6 @@ func (e *Engine) Rand() *RNG { return e.rng }
 
 // Processed reports how many events have been dispatched so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// SetBatchDispatch selects between the batched drain loop (the default) and
-// the serial one-pop-per-event reference path. Both dispatch the same events
-// in the same order with identical Stats; the toggle exists so differential
-// tests can prove it.
-func (e *Engine) SetBatchDispatch(enabled bool) { e.serial = !enabled }
 
 // --- 4-ary min-heap of keys ---
 //
@@ -341,9 +322,8 @@ func (e *Engine) fix(i int, k key) {
 }
 
 // insert adds k to the heap without touching the counters. It is used
-// directly when a key (re-)enters the heap without a new event being
-// scheduled: a lane re-arming with its next item, a timer moved out of the
-// dispatch batch, or undispatched batch keys restored on Stop.
+// directly when a key re-enters the heap without a new event being
+// scheduled: a lane re-arming with its next item.
 func (e *Engine) insert(k key) {
 	e.heap = append(e.heap, k)
 	e.up(len(e.heap)-1, k)
@@ -434,10 +414,10 @@ func (e *Engine) count() {
 	}
 }
 
-// dispatch runs the event behind slot s, whose key has just left the heap
-// or the batch buffer. A one-shot or entry slot is released before its
-// callback runs, so the callback may schedule into it again; a lane
-// re-arms with its next item first, for the same reason.
+// dispatch runs the event behind slot s, whose key has just left the heap.
+// A one-shot or entry slot is released before its callback runs, so the
+// callback may schedule into it again; a lane re-arms with its next item
+// first, for the same reason.
 func (e *Engine) dispatch(s int32) {
 	e.processed++
 	sl := &e.slots[s]
@@ -502,11 +482,9 @@ func (e *Engine) ScheduleCallAt(t Time, fn func(any), arg any) {
 	e.count()
 }
 
-// scheduleEntry arms (or re-arms) an indexed entry for time t. An entry
-// already in the heap is rekeyed in place; one drained into the dispatch
-// batch re-enters the heap (the stale batch key is skipped, since its
-// position no longer names the batch); a disarmed one takes a slot. Either
-// way it receives a fresh sequence number, so a re-armed timer orders after
+// scheduleEntry arms (or re-arms) an indexed entry for time t. An armed
+// entry's key is rekeyed in place; a disarmed one takes a slot. Either way
+// it receives a fresh sequence number, so a re-armed timer orders after
 // events already scheduled for the same instant, exactly as a freshly
 // scheduled event would.
 func (e *Engine) scheduleEntry(ent *entry, t Time) {
@@ -520,29 +498,20 @@ func (e *Engine) scheduleEntry(ent *entry, t Time) {
 		e.count()
 		return
 	}
-	// Re-arming an armed entry moves it: logical pending is unchanged,
-	// whether the superseded firing sat in the heap or in the batch.
+	// Re-arming an armed entry moves it: logical pending is unchanged.
 	e.moved++
-	k := key{t, e.nextOrd(s)}
-	if i := e.pos[s]; i >= 0 {
-		e.fix(int(i), k)
-	} else {
-		e.insert(k)
-	}
+	e.fix(int(e.pos[s]), key{t, e.nextOrd(s)})
 }
 
-// cancelEntry removes an armed entry's key from the heap — or orphans it in
-// the batch buffer if it has been drained but not yet dispatched — and
-// releases the slot. Disarmed entries are a no-op.
+// cancelEntry removes an armed entry's key from the heap and releases the
+// slot. Disarmed entries are a no-op.
 func (e *Engine) cancelEntry(ent *entry) {
 	s := ent.slot
 	if s < 0 {
 		return
 	}
 	e.cancelled++
-	if i := e.pos[s]; i >= 0 {
-		e.removeAt(int(i))
-	}
+	e.removeAt(int(e.pos[s]))
 	ent.slot = -1
 	e.release(s)
 }
@@ -555,97 +524,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // called, or the clock would pass until. Events scheduled exactly at until
 // are dispatched. It returns the final virtual time.
 //
-// Run drains all keys sharing the head timestamp (up to batchCap per pass)
-// into a fixed on-stack buffer and dispatches them in key order without
-// re-touching the heap root per event. A lone head key — the common case —
-// takes a direct pop-and-dispatch fast path.
-//
 // Run clears any previous Stop before dispatching, so an engine stopped
 // mid-run can be resumed simply by calling Run again.
 func (e *Engine) Run(until Time) Time {
-	if e.serial {
-		return e.runSerial(until)
-	}
-	start := time.Now()
-	e.stopped = false
-	var batch [batchCap]key
-	for len(e.heap) > 0 && !e.stopped {
-		t := e.heap[0].at
-		if t > until {
-			break
-		}
-		e.now = t
-		k := e.pop()
-		if len(e.heap) == 0 || e.heap[0].at != t {
-			// Single key at this instant: identical to one serial loop
-			// iteration.
-			e.dispatch(k.slot())
-			continue
-		}
-		batch[0] = k
-		e.pos[k.slot()] = -2
-		n := 1
-		for {
-			k = e.pop()
-			batch[n] = k
-			e.pos[k.slot()] = int32(-2 - n)
-			n++
-			if n == batchCap || len(e.heap) == 0 || e.heap[0].at != t {
-				break
-			}
-		}
-		e.runBatch(batch[:n])
-	}
-	if e.now < until && !e.stopped {
-		e.now = until
-	}
-	e.wall += time.Since(start)
-	return e.now
-}
-
-// runBatch dispatches a drained same-instant batch in key order. Keys
-// scheduled from inside the batch take fresh sequence numbers and sort
-// after it, with one exception: a lane that fires re-arms with its next
-// item's key, scheduled earlier, which can sort below the batch keys still
-// waiting. So before each batch key, any heap head with a smaller key is
-// dispatched first.
-func (e *Engine) runBatch(batch []key) {
-	for i, k := range batch {
-		for len(e.heap) > 0 && less(e.heap[0], k) {
-			e.dispatch(e.pop().slot())
-			if e.stopped {
-				e.restore(batch, i)
-				return
-			}
-		}
-		s := k.slot()
-		if e.pos[s] != int32(-2-i) {
-			// Cancelled or re-armed while waiting in the batch; already
-			// accounted for there.
-			continue
-		}
-		e.dispatch(s)
-		if e.stopped {
-			e.restore(batch, i+1)
-			return
-		}
-	}
-}
-
-// restore returns the undispatched live keys batch[from:] to the heap with
-// their original keys, as if they had never been drained.
-func (e *Engine) restore(batch []key, from int) {
-	for j := from; j < len(batch); j++ {
-		if k := batch[j]; e.pos[k.slot()] == int32(-2-j) {
-			e.insert(k)
-		}
-	}
-}
-
-// runSerial is the one-pop-per-event reference dispatch loop, selected by
-// SetBatchDispatch(false). It must remain observably identical to the
-// batched loop; the differential determinism tests compare the two.
-func (e *Engine) runSerial(until Time) Time {
 	start := time.Now()
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
@@ -667,8 +548,7 @@ func (e *Engine) runSerial(until Time) Time {
 func (e *Engine) RunFor(d time.Duration) Time { return e.Run(e.now.Add(d)) }
 
 // Pending reports how many events are waiting to dispatch, including any
-// drained into the in-progress dispatch batch and any queued behind a
-// Lane's head.
+// queued behind a Lane's head.
 func (e *Engine) Pending() int { return int(e.scheduled - e.processed - e.cancelled) }
 
 // Lane is a FIFO of deliveries on an engine whose times never decrease —
@@ -827,8 +707,7 @@ func (t *Timer) ResetAt(at Time) {
 // Stop disarms the timer. It is safe to call on a disarmed timer.
 func (t *Timer) Stop() { t.eng.cancelEntry(&t.ent) }
 
-// Armed reports whether the timer is waiting to fire (queued or drained
-// into the in-progress dispatch batch).
+// Armed reports whether the timer is waiting to fire.
 func (t *Timer) Armed() bool { return t.ent.slot >= 0 }
 
 // Deadline returns when the timer will fire; meaningful only when Armed.

@@ -37,14 +37,13 @@ const (
 // parameter byte, p: delays are (p%4) ms, so equal times and zero delays
 // are common, and p>>2 picks a lane or a timer. The operations are
 // ScheduleCall, Schedule, a lane item (clamped to the lane's tail so lane
-// times never decrease), Timer.Reset, Timer.Stop and Engine.Stop; inside a
-// same-instant batch, resets and stops hit keys already drained.
+// times never decrease), Timer.Reset, Timer.Stop and Engine.Stop; at a
+// shared instant, resets and stops hit keys queued for that same instant.
 //
 // With lanes false, every lane item is scheduled with ScheduleCallAt
 // instead: the reference the lanes must reproduce exactly.
-func laneFuzzRun(data []byte, lanes, batched bool) []laneFuzzStep {
+func laneFuzzRun(data []byte, lanes bool) []laneFuzzStep {
 	e := NewEngine(1)
-	e.SetBatchDispatch(batched)
 	var trace []laneFuzzStep
 	record := func(id int) {
 		s := e.Stats()
@@ -129,12 +128,11 @@ func laneFuzzRun(data []byte, lanes, batched bool) []laneFuzzStep {
 	return trace
 }
 
-// FuzzLaneOrder is the ordering proof for Lane and the batched Run loop's
-// merge rule: a lane dispatches its items exactly as if each had been
-// scheduled on the engine with ScheduleCallAt — same sequence, same Stats
-// at every step — in both batched and serial dispatch, under arbitrary
-// interleavings with one-shot events, timer resets and stops (inside
-// batches too), and Stop/resume.
+// FuzzLaneOrder is the ordering proof for Lane: a lane dispatches its items
+// exactly as if each had been scheduled on the engine with ScheduleCallAt —
+// same sequence, same Stats at every step — under arbitrary interleavings
+// with one-shot events, timer resets and stops (at shared instants too),
+// and Stop/resume.
 func FuzzLaneOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 1, 0, 1, 0, 1, 0, 0, 0})
@@ -143,21 +141,15 @@ func FuzzLaneOrder(f *testing.F) {
 		if len(data) > 1<<12 {
 			return
 		}
-		want := laneFuzzRun(data, false, false)
-		for _, mode := range []struct{ lanes, batched bool }{
-			{false, true}, {true, false}, {true, true},
-		} {
-			got := laneFuzzRun(data, mode.lanes, mode.batched)
-			for i := 0; i < len(want) && i < len(got); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("lanes=%v batched=%v: step %d = %+v, want %+v",
-						mode.lanes, mode.batched, i, got[i], want[i])
-				}
+		want := laneFuzzRun(data, false)
+		got := laneFuzzRun(data, true)
+		for i := 0; i < len(want) && i < len(got); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("step %d = %+v, want %+v", i, got[i], want[i])
 			}
-			if len(got) != len(want) {
-				t.Fatalf("lanes=%v batched=%v: %d steps, want %d",
-					mode.lanes, mode.batched, len(got), len(want))
-			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d steps, want %d", len(got), len(want))
 		}
 	})
 }

@@ -79,6 +79,39 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineDispatchAllocBudget pins the whole-run allocation cost of the
+// bare engine: a fresh engine dispatching a chain of 2M self-rescheduling
+// events. Engine construction is a handful of allocations and dispatch
+// adds none, so the ceiling sits one above today's count.
+func TestEngineDispatchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dispatches 2M events")
+	}
+	const events, ceiling = 2_000_000, 6
+	chain := func() {
+		e := NewEngine(1)
+		n := 0
+		var fn func()
+		fn = func() {
+			n++
+			if n < events {
+				e.Schedule(time.Microsecond, fn)
+			}
+		}
+		e.Schedule(time.Microsecond, fn)
+		e.Run(End)
+		if e.Processed() != events {
+			t.Fatalf("dispatched %d events, want %d", e.Processed(), events)
+		}
+	}
+	n := testing.AllocsPerRun(1, chain)
+	if n > ceiling {
+		t.Errorf("%.0f allocs/run, over the ceiling of %d", n, ceiling)
+	} else {
+		t.Logf("%.0f allocs/run, ceiling %d", n, ceiling)
+	}
+}
+
 // TestPoppedSlotsZeroed verifies that dispatch and cancellation zero the
 // vacated slot-table entries: a dispatched event's closure, call argument,
 // entry and lane pointers must not linger in the table where they would pin

@@ -138,7 +138,7 @@ func main() {
 		// Unbuffered on purpose: one small write per completed run keeps
 		// the log tail-able while the campaign executes.
 		defer f.Close()
-		opts.RunLog = obs.NewJSONL(f)
+		sinks = append(sinks, obs.NewJSONL(f))
 	}
 	if *telAddr != "" || *telOut != "" || *telLog != "" {
 		ag := obs.NewAggregator()

@@ -2,12 +2,12 @@
 // gscampaign and recomputes the paper's derived measures offline. In its
 // default mode it parses a trace CSV and reports original/adjusted
 // bitrates, response and recovery times, adaptiveness inputs, fairness
-// ratio, and RTT/frame rate summaries. With -runlog it instead aggregates
-// a JSONL run log (written by gssim or gsbench) per condition — including
-// interrupted, partial campaigns.
-// With -telemetry it renders quantiles-with-CI tables for every paper
-// metric from a persisted sketch snapshot (gsbench -telemetry-out)
-// alone — no per-run data needed, however large the campaign was.
+// ratio, and RTT/frame rate summaries. With -telemetry it renders
+// quantiles-with-CI tables for every paper metric from a persisted sketch
+// snapshot (gsbench -telemetry-out) alone — no per-run data needed, however
+// large the campaign was. With -runlog it folds a JSONL run log (written by
+// gssim, gsbench or gscampaign) into the same sketches the live sweep kept
+// and prints the same tables — including interrupted, partial campaigns.
 // With -campaign it reports a gscampaign directory: shard completion from
 // the manifest, then the merged campaign's telemetry tables.
 // With -cc / -queue it summarises probe exports (gssim -probe): per-flow
@@ -42,13 +42,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -56,7 +54,7 @@ func main() {
 	capacity := flag.Float64("capacity", 25, "bottleneck capacity in Mb/s (for the fairness ratio)")
 	flowStart := flag.Float64("flow-start", 185, "competing flow arrival (s)")
 	flowStop := flag.Float64("flow-stop", 370, "competing flow departure (s)")
-	runlog := flag.String("runlog", "", "aggregate a JSONL run log instead of a trace CSV")
+	runlog := flag.String("runlog", "", "fold a JSONL run log through the telemetry sketches and render the -telemetry tables")
 	telemetry := flag.String("telemetry", "", "render quantiles-with-CI tables from a telemetry snapshot (gsbench -telemetry-out)")
 	campaignDir := flag.String("campaign", "", "render a gscampaign directory: shard status plus the merged telemetry tables")
 	ccPath := flag.String("cc", "", "summarise a probe cc.csv export (cwnd-vs-time per flow)")
@@ -173,139 +171,18 @@ func main() {
 	}
 }
 
-// reportRunLog aggregates a JSONL run log per condition: run counts, mean
-// headline metrics, and the engine's aggregate throughput — a campaign
-// health check that works on partial (interrupted) logs too.
-func reportRunLog(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	recs, err := obs.ReadJSONL(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s: no records", path)
-	}
-
-	type agg struct {
-		n                         int
-		game, tcp, fair, rtt, fps stats.Accumulator
-		events                    uint64
-		wall                      float64
-		lossDrops, flapDrops      int
-		flaps                     int
-		downS                     float64
-		impaired                  int
-		cached                    int
-		populated                 int
-		flowSpec                  string
-		jain, tputP50, rttInfl    stats.Accumulator
-		starved                   int
-	}
-	byCond := map[string]*agg{}
-	var totalEvents uint64
-	var totalWall float64
-	totalCached := 0
-	anyImpaired := false
-	anyFlows := false
-	for _, r := range recs {
-		a := byCond[r.Cond]
-		if a == nil {
-			a = &agg{}
-			byCond[r.Cond] = a
-		}
-		a.n++
-		a.game.Add(r.GameMbps)
-		a.tcp.Add(r.TCPMbps)
-		a.fair.Add(r.Fairness)
-		a.rtt.Add(r.RTTMs)
-		a.fps.Add(r.FPS)
-		a.events += r.Engine.Events
-		a.wall += r.Engine.WallSeconds
-		totalEvents += r.Engine.Events
-		totalWall += r.Engine.WallSeconds
-		if r.Cached {
-			a.cached++
-			totalCached++
-		}
-		if r.Impair != nil {
-			anyImpaired = true
-			a.impaired++
-			a.lossDrops += r.Impair.LossDrops
-			a.flapDrops += r.Impair.FlapDrops
-			a.flaps += r.Impair.Flaps
-			a.downS += r.Impair.DownSeconds
-		}
-		if r.Flows != nil {
-			anyFlows = true
-			a.populated++
-			a.flowSpec = r.Flows.Spec
-			a.jain.Add(r.Flows.Jain)
-			a.tputP50.Add(r.Flows.TputP50)
-			a.rttInfl.Add(r.Flows.RTTInflP50)
-			a.starved += r.Flows.Starved
-		}
-	}
-
-	var conds []string
-	for c := range byCond {
-		conds = append(conds, c)
-	}
-	sort.Strings(conds)
-
-	fmt.Printf("run log: %s (%d runs, %d conditions)\n", path, len(recs), len(conds))
-	if totalCached > 0 {
-		fmt.Printf("cache: %d of %d runs served from the run cache (%.1f%%)\n",
-			totalCached, len(recs), 100*float64(totalCached)/float64(len(recs)))
-	}
-	fmt.Printf("%-28s %5s %10s %10s %9s %8s %7s\n",
-		"condition", "runs", "game Mb/s", "tcp Mb/s", "fairness", "rtt ms", "fps")
-	for _, c := range conds {
-		a := byCond[c]
-		fmt.Printf("%-28s %5d %10.1f %10.1f %+9.2f %8.1f %7.1f\n",
-			c, a.n, a.game.Mean(), a.tcp.Mean(), a.fair.Mean(), a.rtt.Mean(), a.fps.Mean())
-	}
-	if anyImpaired {
-		fmt.Printf("\nimpairments (totals across runs):\n")
-		fmt.Printf("%-28s %5s %10s %10s %6s %8s\n",
-			"condition", "runs", "loss drops", "flap drops", "flaps", "down s")
-		for _, c := range conds {
-			a := byCond[c]
-			if a.impaired == 0 {
-				continue
-			}
-			fmt.Printf("%-28s %5d %10d %10d %6d %8.1f\n",
-				c, a.impaired, a.lossDrops, a.flapDrops, a.flaps, a.downS)
-		}
-	}
-	if anyFlows {
-		fmt.Printf("\nflow populations (means across runs; starved is a total):\n")
-		fmt.Printf("%-28s %5s %-32s %6s %9s %9s %8s\n",
-			"condition", "runs", "population", "jain", "tput p50", "rtt infl", "starved")
-		for _, c := range conds {
-			a := byCond[c]
-			if a.populated == 0 {
-				continue
-			}
-			fmt.Printf("%-28s %5d %-32s %6.3f %9.2f %9.2f %8d\n",
-				c, a.populated, a.flowSpec, a.jain.Mean(), a.tputP50.Mean(), a.rttInfl.Mean(), a.starved)
-		}
-	}
-	if totalWall > 0 {
-		fmt.Printf("engine: %d events in %.1fs wall across runs = %.3g events/s\n",
-			totalEvents, totalWall, float64(totalEvents)/totalWall)
-	}
-	return nil
+// table is a headered CSV kept as string cells: the one reader behind the
+// trace CSV and the probe exports, which mix numeric and categorical
+// columns (flow names, CC modes). Blank lines are skipped; a row whose
+// field count differs from the header's is an error naming its line.
+type table struct {
+	headers []string
+	col     map[string]int
+	rows    [][]string
+	lines   []int // file line of each row, for error messages
 }
 
-// readCSV parses a headered numeric CSV into named columns. An empty cell
-// reads as 0: report.CSV leaves the cells of a column shorter than the
-// others empty. A cell that is not a number, or a row whose field count
-// differs from the header's, is an error naming its line and column.
-func readCSV(r io.Reader) (map[string][]float64, error) {
+func readTable(r io.Reader) (*table, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {
@@ -314,25 +191,77 @@ func readCSV(r io.Reader) (map[string][]float64, error) {
 		}
 		return nil, fmt.Errorf("empty file")
 	}
-	headers := strings.Split(strings.TrimSpace(sc.Text()), ",")
-	cols := make(map[string][]float64, len(headers))
+	t := &table{headers: strings.Split(strings.TrimSpace(sc.Text()), ","), col: map[string]int{}}
+	for i, h := range t.headers {
+		t.col[h] = i
+	}
 	for line := 2; sc.Scan(); line++ {
-		fields := strings.Split(strings.TrimSpace(sc.Text()), ",")
-		if len(fields) != len(headers) {
-			return nil, fmt.Errorf("line %d: %d fields, header has %d", line, len(fields), len(headers))
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
 		}
-		for i, h := range headers {
+		fields := strings.Split(text, ",")
+		if len(fields) != len(t.headers) {
+			return nil, fmt.Errorf("line %d: %d fields, header has %d", line, len(fields), len(t.headers))
+		}
+		t.rows = append(t.rows, fields)
+		t.lines = append(t.lines, line)
+	}
+	return t, sc.Err()
+}
+
+// field returns the named column of a row ("" when absent).
+func (t *table) field(row []string, name string) string {
+	if i, ok := t.col[name]; ok {
+		return row[i]
+	}
+	return ""
+}
+
+// floats parses the named columns, one slice per name. An empty cell reads
+// as 0: report.CSV leaves the cells of a column shorter than the others
+// empty. A missing column, or a cell that is not a number, is an error
+// naming where it is — the first one in file order.
+func (t *table) floats(names ...string) ([][]float64, error) {
+	idx := make([]int, len(names))
+	for k, name := range names {
+		i, ok := t.col[name]
+		if !ok {
+			return nil, fmt.Errorf("no %s column", name)
+		}
+		idx[k] = i
+	}
+	out := make([][]float64, len(names))
+	for r, row := range t.rows {
+		for k, i := range idx {
 			v := 0.0
-			if fields[i] != "" {
+			if row[i] != "" {
 				var err error
-				if v, err = strconv.ParseFloat(fields[i], 64); err != nil {
-					return nil, fmt.Errorf("line %d, column %d (%s): %q is not a number", line, i+1, h, fields[i])
+				if v, err = strconv.ParseFloat(row[i], 64); err != nil {
+					return nil, fmt.Errorf("line %d, column %d (%s): %q is not a number", t.lines[r], i+1, names[k], row[i])
 				}
 			}
-			cols[h] = append(cols[h], v)
+			out[k] = append(out[k], v)
 		}
 	}
-	return cols, sc.Err()
+	return out, nil
+}
+
+// readCSV parses a headered numeric CSV (a gssim trace) into named columns.
+func readCSV(r io.Reader) (map[string][]float64, error) {
+	t, err := readTable(r)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := t.floats(t.headers...)
+	if err != nil {
+		return nil, err
+	}
+	cols := make(map[string][]float64, len(t.headers))
+	for k, h := range t.headers {
+		cols[h] = vals[k]
+	}
+	return cols, nil
 }
 
 // window selects vals whose timestamps fall in [from, to) seconds.

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestReadCSV: empty cells read as 0, but a cell that is not a number or a
@@ -66,3 +69,88 @@ func TestReadCSV(t *testing.T) {
 		})
 	}
 }
+
+// TestProbeReportsRejectMalformedCells: the probe summaries read through
+// the same reader as the trace CSV, so a malformed numeric cell or a row of
+// the wrong width is an error naming where it is, never a silent 0.
+func TestProbeReportsRejectMalformedCells(t *testing.T) {
+	const (
+		ccHeader    = "flow,alg,t_s,cwnd_bytes,inflight_bytes,srtt_us,mode\n"
+		queueHeader = "queue,t_s,packets,bytes,sojourn_us,cum_drops\n"
+		dropsHeader = "queue,t_s,flow,id,size\n"
+	)
+	cases := []struct {
+		name    string
+		report  func(path string) error
+		in      string
+		wantErr string
+	}{
+		{
+			name:   "cc well formed",
+			report: reportCC,
+			in:     ccHeader + "tcp0,cubic,0.1,14600,2920,40000,\ntcp0,cubic,0.2,29200,,41000,\n",
+		},
+		{
+			name:    "cc malformed cwnd",
+			report:  reportCC,
+			in:      ccHeader + "tcp0,cubic,0.1,14600,2920,40000,\ntcp0,cubic,0.2,6o100,2920,41000,\n",
+			wantErr: `line 3, column 4 (cwnd_bytes): "6o100" is not a number`,
+		},
+		{
+			name:    "cc row missing its last field",
+			report:  reportCC,
+			in:      ccHeader + "tcp0,cubic,0.1,14600,2920,40000\n",
+			wantErr: "line 2: 6 fields, header has 7",
+		},
+		{
+			name:   "queue well formed",
+			report: reportQueue,
+			in:     queueHeader + "bottleneck,0.1,3,4500,,0\nbottleneck,0.2,5,7500,1200,2\n",
+		},
+		{
+			name:    "queue malformed depth",
+			report:  reportQueue,
+			in:      queueHeader + "bottleneck,0.1,3,45OO,,0\n",
+			wantErr: `line 2, column 4 (bytes): "45OO" is not a number`,
+		},
+		{
+			name:    "queue long row",
+			report:  reportQueue,
+			in:      queueHeader + "bottleneck,0.1,3,4500,,0,9\n",
+			wantErr: "line 2: 7 fields, header has 6",
+		},
+		{
+			name:    "drops malformed size",
+			report:  reportDrops0,
+			in:      dropsHeader + "bottleneck,0.1,game,1,1200\nbottleneck,0.2,game,2,12x0\n",
+			wantErr: `line 3, column 5 (size): "12x0" is not a number`,
+		},
+		{
+			name:    "drops missing column",
+			report:  reportDrops0,
+			in:      "queue,t_s,flow,id\nbottleneck,0.1,game,1\n",
+			wantErr: "no size column",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "probe.csv")
+			if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.report(path)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if want := path + ": " + tc.wantErr; err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// reportDrops0 is reportDrops with its default episode gap.
+func reportDrops0(path string) error { return reportDrops(path, 100*time.Millisecond) }

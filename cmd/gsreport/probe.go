@@ -1,65 +1,27 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/stats"
 )
 
-// probeRows is a headered CSV parsed keeping every field as a string, since
-// probe exports mix numeric and categorical columns (flow names, CC modes).
-type probeRows struct {
-	headers []string
-	col     map[string]int
-	rows    [][]string
-}
-
-func readProbeCSV(path string) (*probeRows, error) {
+// readProbeCSV reads a probe export, prefixing any error with its path.
+func readProbeCSV(path string) (*table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%s: empty file", path)
+	t, err := readTable(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	p := &probeRows{
-		headers: strings.Split(strings.TrimSpace(sc.Text()), ","),
-		col:     map[string]int{},
-	}
-	for i, h := range p.headers {
-		p.col[h] = i
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		p.rows = append(p.rows, strings.Split(line, ","))
-	}
-	return p, sc.Err()
-}
-
-// field returns the named column of a row ("" when absent).
-func (p *probeRows) field(row []string, name string) string {
-	i, ok := p.col[name]
-	if !ok || i >= len(row) {
-		return ""
-	}
-	return row[i]
-}
-
-func (p *probeRows) num(row []string, name string) float64 {
-	v, _ := strconv.ParseFloat(p.field(row, name), 64)
-	return v
+	return t, nil
 }
 
 // sparkline renders vs as a fixed-width block-character strip, downsampling
@@ -124,9 +86,14 @@ func reportCC(path string) error {
 		srttMS []float64
 		modes  map[string]int
 	}
+	cols, err := p.floats("t_s", "cwnd_bytes", "inflight_bytes", "srtt_us")
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	ts, cwnd, infl, srtt := cols[0], cols[1], cols[2], cols[3]
 	flows := map[string]*flowAgg{}
 	var order []string
-	for _, row := range p.rows {
+	for r, row := range p.rows {
 		name := p.field(row, "flow")
 		fa := flows[name]
 		if fa == nil {
@@ -134,10 +101,10 @@ func reportCC(path string) error {
 			flows[name] = fa
 			order = append(order, name)
 		}
-		fa.t = append(fa.t, p.num(row, "t_s"))
-		fa.cwnd = append(fa.cwnd, p.num(row, "cwnd_bytes"))
-		fa.infl = append(fa.infl, p.num(row, "inflight_bytes"))
-		fa.srttMS = append(fa.srttMS, p.num(row, "srtt_us")/1000)
+		fa.t = append(fa.t, ts[r])
+		fa.cwnd = append(fa.cwnd, cwnd[r])
+		fa.infl = append(fa.infl, infl[r])
+		fa.srttMS = append(fa.srttMS, srtt[r]/1000)
 		if m := p.field(row, "mode"); m != "" {
 			fa.modes[m]++
 		}
@@ -193,9 +160,14 @@ func reportQueue(path string) error {
 		sojournMS      []float64
 		drops          float64
 	}
+	cols, err := p.floats("t_s", "bytes", "packets", "sojourn_us", "cum_drops")
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	ts, bytes, pkts, sojourn, drops := cols[0], cols[1], cols[2], cols[3], cols[4]
 	queues := map[string]*qAgg{}
 	var order []string
-	for _, row := range p.rows {
+	for r, row := range p.rows {
 		name := p.field(row, "queue")
 		qa := queues[name]
 		if qa == nil {
@@ -203,13 +175,13 @@ func reportQueue(path string) error {
 			queues[name] = qa
 			order = append(order, name)
 		}
-		qa.t = append(qa.t, p.num(row, "t_s"))
-		qa.bytes = append(qa.bytes, p.num(row, "bytes"))
-		qa.pkts = append(qa.pkts, p.num(row, "packets"))
-		if s := p.field(row, "sojourn_us"); s != "" {
-			qa.sojournMS = append(qa.sojournMS, p.num(row, "sojourn_us")/1000)
+		qa.t = append(qa.t, ts[r])
+		qa.bytes = append(qa.bytes, bytes[r])
+		qa.pkts = append(qa.pkts, pkts[r])
+		if p.field(row, "sojourn_us") != "" {
+			qa.sojournMS = append(qa.sojournMS, sojourn[r]/1000)
 		}
-		qa.drops = p.num(row, "cum_drops") // cumulative; last row wins
+		qa.drops = drops[r] // cumulative; last row wins
 	}
 	fmt.Printf("queue probe: %s (%d samples, %d queues)\n", path, len(p.rows), len(queues))
 	for _, name := range order {
@@ -255,10 +227,15 @@ func reportDrops(path string, gap time.Duration) error {
 		drops    int
 		bytes    int
 	}
+	cols, err := p.floats("t_s", "size")
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	ts, sizes := cols[0], cols[1]
 	queues := map[string]*qAgg{}
 	var order []string
 	gapS := gap.Seconds()
-	for _, row := range p.rows {
+	for r, row := range p.rows {
 		name := p.field(row, "queue")
 		qa := queues[name]
 		if qa == nil {
@@ -266,8 +243,7 @@ func reportDrops(path string, gap time.Duration) error {
 			queues[name] = qa
 			order = append(order, name)
 		}
-		t := p.num(row, "t_s")
-		size := int(p.num(row, "size"))
+		t, size := ts[r], int(sizes[r])
 		qa.drops++
 		qa.bytes += size
 		if n := len(qa.episodes); n > 0 && t-qa.episodes[n-1].to <= gapS {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 
@@ -8,6 +9,44 @@ import (
 	"repro/internal/figures"
 	"repro/internal/obs"
 )
+
+// reportRunLog renders a JSONL run log (gssim/gsbench -runlog, or a
+// gscampaign merged.runs.jsonl) as the report -telemetry prints for the
+// live snapshot of the same runs — partial (interrupted) logs included.
+func reportRunLog(path string) error {
+	snap, err := foldRunLog(path)
+	if err != nil {
+		return err
+	}
+	figures.RenderTelemetry(os.Stdout, path, snap)
+	return nil
+}
+
+// foldRunLog replays a run log's records through a fresh obs.Aggregator,
+// the sink that folded them live, so the sketches come out the same.
+func foldRunLog(path string) (*obs.Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := obs.ReadJSONL(bufio.NewReaderSize(f, 1<<20))
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("%s: no records", path)
+	}
+	agg := obs.NewAggregator()
+	agg.SweepStart(len(recs))
+	for i := range recs {
+		agg.RunDone(obs.Update{Record: &recs[i]})
+	}
+	agg.SweepDone(false, 0)
+	snap := agg.Snapshot()
+	snap.ElapsedS = 0 // the fold's own wall time, not the campaign's
+	return snap, nil
+}
 
 // reportTelemetry renders a persisted telemetry snapshot (gssim/gsbench
 // -telemetry-out, or a saved /snapshot body): quantiles-with-CI tables for

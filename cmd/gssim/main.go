@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -185,10 +186,11 @@ func main() {
 	runSingle(*system, *cca, *capacity, *queue, *aqm, *seed, *scale, *pcapPath, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache)
 }
 
-// runScenario executes every iteration of a scenario file. A single
-// iteration prints the same CSV time series as the flag path (the scenario
-// and flag constructions of the same condition are byte-identical); multi-
-// iteration scenarios print one summary line per run.
+// runScenario executes every iteration of a scenario file, one at a time in
+// iteration order. A single iteration prints the same CSV time series as
+// the flag path (the scenario and flag constructions of the same condition
+// are byte-identical); multi-iteration scenarios print one summary line per
+// run.
 func runScenario(path string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
 	sp, err := scenario.ParseFile(path)
 	if err != nil {
@@ -199,18 +201,20 @@ func runScenario(path string, progress bool, runLog *obs.JSONL, cache *runcache.
 		iters = 1
 	}
 	fmt.Fprintf(os.Stderr, "gssim: scenario %q: %d iteration(s), seed %d\n", sp.Name, iters, sp.Seed)
-	for it := 0; it < iters; it++ {
-		res, hit := experiment.RunCached(cache, sp.RunConfig(it))
-		rec := res.Record(it)
-		rec.Cached = hit
-		if runLog != nil {
-			if err := runLog.Log(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "gssim:", err)
-			}
-		}
+	jobs := make([]experiment.Job, iters)
+	for it := range jobs {
+		jobs[it] = experiment.Job{Cfg: sp.RunConfig(it), Iter: it}
+	}
+	var sinks experiment.Sinks
+	if runLog != nil {
+		sinks.Progress = runLog
+	}
+	const workers = 1 // the lines below print in iteration order
+	experiment.Execute(context.Background(), jobs, workers, cache, sinks, func(it int, res *experiment.RunResult, hit bool) {
 		if iters == 1 {
 			printTrace(res)
 		} else {
+			rec := res.Record(it)
 			rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 			fmt.Printf("iter %2d seed %d: original %5.1f Mb/s, contended %5.1f Mb/s, fairness %+5.2f, rtt %5.1f ms\n",
 				it, res.Cfg.Seed, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness, rec.RTTMs)
@@ -222,7 +226,7 @@ func runScenario(path string, progress bool, runLog *obs.JSONL, cache *runcache.
 			}
 			fmt.Fprintf(os.Stderr, "gssim: scenario iter %d/%d (%s)\n", it+1, iters, src)
 		}
-	}
+	})
 }
 
 // printTrace writes a run's 0.5 s time series as CSV, the single-run
@@ -256,12 +260,12 @@ func printTrace(res *experiment.RunResult) {
 // runChaos executes a seed-derived chaos campaign, prints the per-invariant
 // verdict table, and exits non-zero when any invariant was violated.
 func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
-	var sinks experiment.Sinks
+	var sinks []obs.Progress
 	if runLog != nil {
-		sinks.RunLog = runLog
+		sinks = append(sinks, runLog)
 	}
 	if progress {
-		sinks.Progress = obs.NewPrinter(os.Stderr)
+		sinks = append(sinks, obs.NewPrinter(os.Stderr))
 	}
 	start := time.Now()
 	rep, err := scenario.RunChaos(scenario.ChaosConfig{
@@ -270,7 +274,7 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 		Scale:   scale,
 		Workers: workers,
 		Cache:   cache,
-	}, sinks)
+	}, experiment.Sinks{Progress: obs.MultiProgress(sinks...)})
 	if err != nil {
 		fatal(err)
 	}

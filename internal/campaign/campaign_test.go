@@ -86,7 +86,7 @@ func TestCampaignEndToEndMatchesSweep(t *testing.T) {
 		Iterations: 2,
 		Timeline:   metrics.PaperTimeline.Scale(0.02),
 		BaseSeed:   7,
-		RunLog:     obs.NewJSONL(&sweepLog),
+		Progress:   obs.NewJSONL(&sweepLog),
 		Workers:    2,
 	})
 	want, err := obs.ReadJSONL(&sweepLog)
@@ -245,5 +245,40 @@ func TestMergeRefusesPartialCampaign(t *testing.T) {
 	}
 	if _, err := Merge(dir, m, sp); err == nil {
 		t.Fatal("merge of an unexecuted campaign accepted")
+	}
+}
+
+// TestRunShardStopsOnFailedRenewal: a shard whose claim can no longer be
+// renewed stops between runs, returns the renewal error and publishes
+// nothing, so the shard stays missing for another worker to take.
+func TestRunShardStopsOnFailedRenewal(t *testing.T) {
+	dir := t.TempDir()
+	m, sp, err := Init(dir, parseSpec(t, tinySpecText), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimDir := filepath.Join(t.TempDir(), "claims")
+	if err := os.Mkdir(claimDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	claim, ok, err := runcache.AcquireClaim(filepath.Join(claimDir, "shard-0"), "w0", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("acquire claim: ok=%v err=%v", ok, err)
+	}
+	// Every renewal now fails: the claim's directory is gone.
+	if err := os.RemoveAll(claimDir); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Dir: dir, Manifest: m, Spec: sp, Owner: "w0"}
+	start, end := sp.ShardRange(0)
+	// A 1ns lease is due for renewal after the first run.
+	if err := w.runShard(context.Background(), 0, sp.Cells()[start:end], claim, time.Nanosecond); err == nil {
+		t.Fatal("runShard succeeded without renewing its claim")
+	}
+	if ShardDone(dir, 0) {
+		t.Fatal("shard published after a failed renewal")
+	}
+	if _, err := os.Stat(RunlogPath(dir, 0)); !os.IsNotExist(err) {
+		t.Fatalf("shard runlog written after a failed renewal (stat err %v)", err)
 	}
 }

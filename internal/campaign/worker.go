@@ -136,41 +136,42 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 // runShard executes one shard's cells in order and publishes its outputs:
 // first the runlog, then the snapshot (the done marker), both via
 // temp+rename so a crash mid-publish leaves the shard cleanly unfinished.
+// The claim is renewed between runs once half its lease has passed; a
+// failed renewal stops the shard, which then publishes nothing.
 func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *runcache.Claim, lease time.Duration) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	jobs := make([]experiment.Job, len(cells))
+	for i, cell := range cells {
+		jobs[i] = experiment.Job{Cfg: cell.RunConfig(w.Spec), Iter: cell.Iter}
+	}
 	agg := obs.NewAggregator()
+	var runlog shardLog
 	var before runcache.Stats
 	if w.Cache != nil {
 		before = w.Cache.Stats()
 	}
-	var runlog bytes.Buffer
-	agg.SweepStart(len(cells))
+	var renewErr error
 	renewAt := time.Now().Add(lease / 2)
-	for _, cell := range cells {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if claim != nil && time.Now().After(renewAt) {
-			if err := claim.Renew(lease); err != nil {
-				return err
+	const workers = 1 // a shard's runs execute in cell order
+	done := experiment.Execute(ctx, jobs, workers, w.Cache, experiment.Sinks{Progress: obs.MultiProgress(agg, &runlog)},
+		func(int, *experiment.RunResult, bool) {
+			if claim == nil || !time.Now().After(renewAt) {
+				return
+			}
+			if renewErr = claim.Renew(lease); renewErr != nil {
+				cancel()
 			}
 			renewAt = time.Now().Add(lease / 2)
-		}
-		runStart := time.Now()
-		res, hit := experiment.RunCached(w.Cache, cell.RunConfig(w.Spec))
-		rec := res.Record(cell.Iter)
-		rec.Cached = hit
-		agg.RunDone(obs.Update{
-			Cond: rec.Cond, Seed: rec.Seed, Iteration: rec.Iteration,
-			RunWall: time.Since(runStart), Record: &rec,
 		})
-		line, err := json.Marshal(canonicalRecord(rec))
-		if err != nil {
-			return fmt.Errorf("campaign: marshal record: %w", err)
-		}
-		runlog.Write(line)
-		runlog.WriteByte('\n')
+	switch {
+	case renewErr != nil:
+		return renewErr
+	case runlog.err != nil:
+		return runlog.err
+	case done < len(jobs):
+		return ctx.Err()
 	}
-	agg.SweepDone(false, 0)
 	snap := agg.Snapshot()
 	// The health point is a live-process concern and the cache stats are
 	// scoped to this shard's slice of this process's counters.
@@ -179,7 +180,7 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 		delta := w.Cache.Stats().Sub(before)
 		snap.Cache = &delta
 	}
-	if err := atomicWrite(RunlogPath(w.Dir, shard), runlog.Bytes()); err != nil {
+	if err := atomicWrite(RunlogPath(w.Dir, shard), runlog.buf.Bytes()); err != nil {
 		return err
 	}
 	data, err := json.MarshalIndent(snap, "", " ")
@@ -187,6 +188,29 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 		return fmt.Errorf("campaign: marshal snapshot: %w", err)
 	}
 	return atomicWrite(SnapPath(w.Dir, shard), append(data, '\n'))
+}
+
+// shardLog is the Progress sink that buffers a shard's runlog: one
+// canonical record per line, in completion order (cell order, with one
+// worker). The first marshal error is kept for runShard to return.
+type shardLog struct {
+	buf bytes.Buffer
+	err error
+}
+
+func (l *shardLog) SweepStart(int)                {}
+func (l *shardLog) SweepDone(bool, time.Duration) {}
+
+func (l *shardLog) RunDone(u obs.Update) {
+	line, err := json.Marshal(canonicalRecord(*u.Record))
+	if err != nil {
+		if l.err == nil {
+			l.err = fmt.Errorf("campaign: marshal record: %w", err)
+		}
+		return
+	}
+	l.buf.Write(line)
+	l.buf.WriteByte('\n')
 }
 
 // canonicalRecord scrubs the wall-clock execution fields from a record so

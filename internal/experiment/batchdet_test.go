@@ -29,7 +29,7 @@ func runlogRecords(t *testing.T, workers int) []obs.Record {
 		Timeline:   metrics.PaperTimeline.Scale(0.05),
 		BaseSeed:   7,
 		Workers:    workers,
-		RunLog:     jl,
+		Progress:   jl,
 	})
 	recs, err := obs.ReadJSONL(&buf)
 	if err != nil {

@@ -245,11 +245,13 @@ type memLog struct {
 	recs []obs.Record
 }
 
-func (m *memLog) Log(r obs.Record) error {
+func (m *memLog) SweepStart(int)                {}
+func (m *memLog) SweepDone(bool, time.Duration) {}
+
+func (m *memLog) RunDone(u obs.Update) {
 	m.mu.Lock()
-	m.recs = append(m.recs, r)
+	m.recs = append(m.recs, *u.Record)
 	m.mu.Unlock()
-	return nil
 }
 
 // cancelAfter is a Progress sink that cancels a context after n completed
@@ -319,9 +321,8 @@ func TestSweepCacheDeterminism(t *testing.T) {
 		cfg := base
 		cfg.Workers = workers
 		cfg.Cache = cache
-		cfg.Progress = prog
 		log := &memLog{}
-		cfg.RunLog = log
+		cfg.Progress = obs.MultiProgress(prog, log)
 		if ctx == nil {
 			ctx = context.Background()
 		}

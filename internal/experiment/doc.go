@@ -17,7 +17,8 @@
 //
 // Execute is the in-process executor: it runs a list of Jobs across a
 // bounded worker pool, through the run cache when one is given, reports
-// every run to optional obs.Progress and obs.RunLog sinks, and hands each
+// every run (with its obs.Record) to an optional obs.Progress sink — the
+// printer, the run log and the telemetry aggregator alike — and hands each
 // result to a caller hook on the worker goroutine. Workers defaults to
 // DefaultWorkers (runtime.NumCPU) — the single place the repository's
 // parallelism default lives.
@@ -28,7 +29,7 @@
 // or scheduling order.
 //
 // Sweeps are cancellable and observable: RunSweep takes a context.Context,
-// and SweepConfig carries optional obs.Progress and obs.RunLog sinks.
+// and SweepConfig carries an optional obs.Progress sink.
 // Cancelling the context stops new runs from starting; in-flight runs
 // complete (a full-fidelity run is seconds of wall time), workers drain
 // cleanly, and the partial SweepResult comes back with Interrupted set so

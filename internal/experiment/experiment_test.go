@@ -444,7 +444,7 @@ func TestSweepRunLogRecords(t *testing.T) {
 		Iterations: 2,
 		Timeline:   quickTL,
 		Workers:    2,
-		RunLog:     log,
+		Progress:   log,
 	}
 	sw := RunSweep(context.Background(), cfg)
 	recs, err := obs.ReadJSONL(&buf)

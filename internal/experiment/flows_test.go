@@ -220,7 +220,7 @@ func canonicalLog(t *testing.T, b []byte) string {
 	return strings.Join(lines, "\n")
 }
 
-// lockedBuffer is a RunLog sink safe for concurrent workers.
+// lockedBuffer is a run-log writer safe for concurrent workers.
 type lockedBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer
@@ -252,7 +252,7 @@ func TestPopulationSweepDeterministicAcrossWorkers(t *testing.T) {
 	sweepWith := func(workers int) ([]*RunResult, string) {
 		var sink lockedBuffer
 		runs := make([]*RunResult, len(jobs))
-		Execute(context.Background(), jobs, workers, nil, Sinks{RunLog: obs.NewJSONL(&sink)},
+		Execute(context.Background(), jobs, workers, nil, Sinks{Progress: obs.NewJSONL(&sink)},
 			func(i int, res *RunResult, _ bool) { runs[i] = res })
 		return runs, canonicalLog(t, sink.buf.Bytes())
 	}

@@ -66,7 +66,6 @@ func SaveSweep(path string, s *SweepResult) error {
 	// data; strip them so the header stays encodable and self-contained.
 	cfg := s.Cfg
 	cfg.Progress = nil
-	cfg.RunLog = nil
 	cfg.Cache = nil
 	if err := enc.Encode(header{Cfg: cfg, Conditions: len(s.Conditions)}); err != nil {
 		return fmt.Errorf("experiment: save sweep header: %w", err)

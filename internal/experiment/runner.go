@@ -47,14 +47,12 @@ type SweepConfig struct {
 	Workers int
 	// BaseSeed derives all per-run seeds deterministically.
 	BaseSeed uint64
-	// Progress, when non-nil, receives live sweep progress (see obs). It
-	// is never persisted by SaveSweep.
+	// Progress, when non-nil, receives live sweep progress and every
+	// completed run's record (see obs; obs.JSONL is the run log). It is
+	// never persisted by SaveSweep.
 	Progress obs.Progress
-	// RunLog, when non-nil, receives one structured record per completed
-	// run (see obs.JSONL). It is never persisted by SaveSweep.
-	RunLog obs.RunLog
 	// Probe, when non-nil, instruments every run (see probe.Config); the
-	// capture metadata rides along on each RunLog record.
+	// capture metadata rides along on each run's record.
 	Probe *probe.Config
 	// ProbeDir, when non-empty (and Probe is set), receives one set of
 	// probe exports per run, named <cond>__seed<seed>.{cc,queue,drops}.csv
@@ -182,8 +180,6 @@ type Sinks struct {
 	// Progress receives SweepStart, one RunDone per completed run (with the
 	// run's record attached), and SweepDone.
 	Progress obs.Progress
-	// RunLog receives one structured record per completed run.
-	RunLog obs.RunLog
 	// ProbeDir, when non-empty, receives the exports of every probed run,
 	// named <cond>__seed<seed>.{cc,queue,drops}.csv (plus .events.jsonl
 	// when the ring is on).
@@ -197,10 +193,9 @@ type Sinks struct {
 // configuration.
 //
 // each, when non-nil, receives every completed run with its index in jobs
-// and whether the cache served it. It runs on the worker goroutine —
-// after the RunLog sink, before Progress.RunDone — so per-run post-
-// processing stays parallel; it must be safe to call concurrently for
-// different indices.
+// and whether the cache served it. It runs on the worker goroutine, before
+// Progress.RunDone, so per-run post-processing stays parallel; it must be
+// safe to call concurrently for different indices.
 //
 // Cancelling ctx stops new runs from starting; in-flight runs complete.
 // Execute returns the number of runs that completed.
@@ -246,16 +241,11 @@ func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache
 					pmeta = &m
 				}
 				var rec *obs.Record
-				if sinks.RunLog != nil || sinks.Progress != nil {
+				if sinks.Progress != nil {
 					r := res.Record(j.Iter)
 					r.Probe = pmeta
 					r.Cached = hit
 					rec = &r
-				}
-				if sinks.RunLog != nil {
-					// Sinks serialise internally; errors are the sink's to
-					// surface (a broken log must not kill a campaign).
-					_ = sinks.RunLog.Log(*rec)
 				}
 				if each != nil {
 					each(i, res, hit)
@@ -292,8 +282,8 @@ func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache
 // temporal effect, and every run has a position-derived seed.
 //
 // Cancelling ctx stops new runs from starting; in-flight runs complete and
-// the partial result comes back with Interrupted set. Progress and run-log
-// sinks on cfg observe the sweep as it executes.
+// the partial result comes back with Interrupted set. cfg.Progress observes
+// the sweep as it executes.
 func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 	cfg = cfg.Defaults()
 	if ctx == nil {
@@ -330,7 +320,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 		cacheBefore = cfg.Cache.Stats()
 	}
 	results := make([]*RunResult, len(jobs))
-	sinks := Sinks{Progress: cfg.Progress, RunLog: cfg.RunLog, ProbeDir: cfg.ProbeDir}
+	sinks := Sinks{Progress: cfg.Progress, ProbeDir: cfg.ProbeDir}
 	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, sinks, func(i int, res *RunResult, _ bool) { results[i] = res })
 
 	out := &SweepResult{Cfg: cfg, Interrupted: done < len(jobs)}

@@ -62,9 +62,8 @@ func TestTelemetryMatchesRunLog(t *testing.T) {
 	cfg := telemetrySweep()
 	cfg.Workers = 4
 	ag := obs.NewAggregator()
-	cfg.Progress = ag
 	var buf bytes.Buffer
-	cfg.RunLog = obs.NewJSONL(&buf)
+	cfg.Progress = obs.MultiProgress(ag, obs.NewJSONL(&buf))
 	RunSweep(context.Background(), cfg)
 
 	recs, err := obs.ReadJSONL(&buf)

@@ -103,8 +103,8 @@ type rowStats struct {
 // seedBase+iteration, through the in-process executor with the campaign's
 // workers and cache, then folds each row's runs in iteration order, so the
 // tables are byte-identical at any worker count. These runs feed no
-// Progress or RunLog sink: their condition strings collide with the solo
-// sweep cells those sinks aggregate (every mix reads stadia/solo/B25/q2.0x).
+// Progress sink: their condition strings collide with the solo sweep cells
+// the sinks aggregate (every mix reads stadia/solo/B25/q2.0x).
 func (c *Campaign) runRows(rows []experiment.RunConfig, seedBase uint64) []rowStats {
 	tl := c.Opts.timeline()
 	iters := c.Opts.Iterations

@@ -29,12 +29,10 @@ type Options struct {
 	// AQM overrides the bottleneck discipline (default drop-tail).
 	AQM string
 	// Progress, when non-nil, observes every sweep the campaign runs; pass
-	// an obs.Aggregator (alone or through obs.MultiProgress) to fold the
-	// runs into streaming metric sketches.
+	// an obs.Aggregator to fold the runs into streaming metric sketches or
+	// an obs.JSONL to log one record per run (several through
+	// obs.MultiProgress).
 	Progress obs.Progress
-	// RunLog, when non-nil, receives one structured record per run across
-	// all of the campaign's sweeps.
-	RunLog obs.RunLog
 	// Probe, when non-nil, instruments every run of every sweep; ProbeDir,
 	// when also non-empty, receives the per-run CSV/JSONL exports.
 	Probe    *probe.Config
@@ -109,7 +107,6 @@ func (c *Campaign) sweep(cfg experiment.SweepConfig) *experiment.SweepResult {
 	cfg.Timeline = c.Opts.timeline()
 	cfg.AQM = c.Opts.AQM
 	cfg.Progress = c.Opts.Progress
-	cfg.RunLog = c.Opts.RunLog
 	cfg.Probe = c.Opts.Probe
 	cfg.ProbeDir = c.Opts.ProbeDir
 	cfg.Impairments = c.Opts.Impairments

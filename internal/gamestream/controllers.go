@@ -95,9 +95,6 @@ func (d *DelayGradient) Name() string { return "delay-gradient" }
 // Target implements Controller.
 func (d *DelayGradient) Target() units.Rate { return d.target }
 
-// QueuingDelay returns the last estimated queuing delay (for tests).
-func (d *DelayGradient) QueuingDelay() time.Duration { return d.prevQD }
-
 // Threshold returns the current adaptive overuse threshold (for tests).
 func (d *DelayGradient) Threshold() time.Duration { return d.gamma }
 

@@ -90,22 +90,6 @@ func (f *Flow) SetBinStore(buf []int64) {
 	f.rxBins = buf[:0]
 }
 
-// PresizeBins grows the goodput-bin store to cover times up to t, so the
-// per-delivery hot path never reallocates during the run. Callers that
-// know the run horizon (e.g. flow populations with hundreds of slots)
-// use it to move bin growth out of steady state entirely.
-func (f *Flow) PresizeBins(t sim.Time) {
-	if f.binDur <= 0 {
-		return
-	}
-	bins := int(t/f.binDur) + 1
-	if cap(f.rxBins) < bins {
-		nb := make([]int64, len(f.rxBins), bins)
-		copy(nb, f.rxBins)
-		f.rxBins = nb
-	}
-}
-
 // Restart rearms the flow as a fresh connection with the given congestion
 // control algorithm and begins sending immediately. It is the slot-reuse
 // path for flow populations: the tcp endpoints are reset in place (sender

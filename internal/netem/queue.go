@@ -147,9 +147,6 @@ func (d *DropTail) Len() int { return d.q.len() }
 // Bytes implements Queue.
 func (d *DropTail) Bytes() units.ByteSize { return d.q.bytes }
 
-// Limit returns the configured byte limit (0 = unlimited).
-func (d *DropTail) Limit() units.ByteSize { return d.limit }
-
 // HeadSojourn implements HeadSojourner.
 func (d *DropTail) HeadSojourn(now sim.Time) (time.Duration, bool) {
 	q, ok := d.q.peek()

@@ -23,7 +23,8 @@ const SnapshotSchema = "gs-telemetry-v1"
 // byte-comparable across worker counts and across cached/live replays.
 var PaperMetrics = []string{
 	"game_mbps", "tcp_mbps", "fairness", "rtt_ms", "fps", "loss_pct",
-	"jain", "tput_p50_mbps", "rtt_infl_p50",
+	"jain", "tput_p50_mbps", "rtt_infl_p50", "starved",
+	"loss_drops", "flap_drops", "flaps", "down_s",
 }
 
 // EngineMetrics lists the wall-clock execution metrics sketched alongside.
@@ -32,8 +33,9 @@ var PaperMetrics = []string{
 var EngineMetrics = []string{"events_per_s", "speedup", "wall_s"}
 
 // paperSamples extracts the deterministic metric vector from a record. The
-// jain / tput_p50_mbps / rtt_infl_p50 entries are only defined for N-flow
-// population runs; NaN-skipping sketches ignore the rest.
+// jain / tput_p50_mbps / rtt_infl_p50 / starved entries exist only for
+// N-flow population runs, and the impairer counters only for impaired or
+// scheduled runs, so a paper-grid snapshot carries neither group.
 func paperSamples(r *Record, f func(name string, v float64)) {
 	f("game_mbps", r.GameMbps)
 	f("tcp_mbps", r.TCPMbps)
@@ -47,6 +49,13 @@ func paperSamples(r *Record, f func(name string, v float64)) {
 		if r.Flows.RTTInflP50 > 0 {
 			f("rtt_infl_p50", r.Flows.RTTInflP50)
 		}
+		f("starved", float64(r.Flows.Starved))
+	}
+	if r.Impair != nil {
+		f("loss_drops", float64(r.Impair.LossDrops))
+		f("flap_drops", float64(r.Impair.FlapDrops))
+		f("flaps", float64(r.Impair.Flaps))
+		f("down_s", r.Impair.DownSeconds)
 	}
 }
 

@@ -4,7 +4,7 @@
 // ping, and PresentMon instrumentation.
 //
 // The package sits deliberately below internal/experiment in the import
-// graph: it defines the sink interfaces and record shapes, and experiment
+// graph: it defines the sink interface and record shapes, and experiment
 // (the producer) depends on it, never the other way round. Nothing in obs
 // touches the simulation clock; every timestamp here is wall-clock time,
 // which keeps the discrete-event engine a pure function of its inputs.
@@ -29,14 +29,15 @@
 //
 // Record is the structured form of one run: the condition coordinates,
 // the seed, the engine's execution counters, and the headline metrics the
-// paper reports (bitrates, fairness, RTT, frame rate, loss). RunLog
-// consumes one Record per run; JSONL implements it by appending one JSON
-// object per line, so campaigns can be tailed live, grepped, and diffed
-// across revisions:
+// paper reports (bitrates, fairness, RTT, frame rate, loss). Every
+// RunDone carries its run's Record, so a run log is just another Progress
+// sink: JSONL appends one JSON object per line, so campaigns can be tailed
+// live, grepped, and diffed across revisions:
 //
 //	gsbench -exp figure3 -progress -runlog runs.jsonl &
 //	tail -f runs.jsonl | grep '"cond":"stadia/bbr/B25/q0.5x"'
 //
-// ReadJSONL is the inverse, used by gsreport to re-aggregate a finished
-// (or interrupted) campaign offline.
+// ReadJSONL is the inverse: gsreport replays a finished (or interrupted)
+// campaign's records through a fresh Aggregator, which folds them into
+// the same sketches the live sweep's Aggregator kept.
 package obs

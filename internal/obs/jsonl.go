@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 )
 
-// JSONL is a RunLog that appends one JSON object per line to a writer. It
-// serialises concurrent Log calls with a mutex, so a single JSONL can be
-// shared by all of a sweep's workers. Wrap files in a bufio.Writer and
-// flush after the sweep if write volume matters; a full paper campaign is
-// 810 lines, so it rarely does.
+// JSONL is a Progress sink that appends each finished run's Record to a
+// writer as one JSON object per line. It serialises concurrent writes with
+// a mutex, so a single JSONL can be shared by all of a sweep's workers.
+// Wrap files in a bufio.Writer and flush after the sweep if write volume
+// matters; a full paper campaign is 810 lines, so it rarely does.
 type JSONL struct {
 	mu  sync.Mutex
 	enc *json.Encoder
@@ -23,6 +24,20 @@ type JSONL struct {
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{enc: json.NewEncoder(w)}
 }
+
+// SweepStart does nothing: a run log holds runs, not sweeps.
+func (l *JSONL) SweepStart(int) {}
+
+// RunDone logs the finished run's record. A write error is dropped: a
+// broken log must not kill a campaign.
+func (l *JSONL) RunDone(u Update) {
+	if u.Record != nil {
+		_ = l.Log(*u.Record)
+	}
+}
+
+// SweepDone does nothing.
+func (l *JSONL) SweepDone(bool, time.Duration) {}
 
 // Log appends one record as a single JSON line.
 func (l *JSONL) Log(r Record) error {

@@ -24,9 +24,9 @@ type Update struct {
 	// ETA is the projected remaining wall time, extrapolated from the
 	// mean per-run cost so far. Zero when Done == Total.
 	ETA time.Duration
-	// Record, when non-nil, is the finished run's structured record — the
-	// same one a RunLog sink receives. Sinks that aggregate run metrics
-	// (e.g. Aggregator) read it; plain progress printers ignore it.
+	// Record, when non-nil, is the finished run's structured record. Sinks
+	// that log or aggregate runs (JSONL, Aggregator) read it; plain
+	// progress printers ignore it.
 	Record *Record
 }
 

@@ -149,9 +149,3 @@ type Record struct {
 	NackRetx        int64 `json:"nack_retx"`
 	TCPRetransmits  int   `json:"tcp_retx"`
 }
-
-// RunLog consumes one Record per completed run. Implementations must be
-// safe for concurrent use: sweeps log from worker goroutines.
-type RunLog interface {
-	Log(Record) error
-}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/obs"
@@ -58,11 +59,13 @@ type memLog struct {
 	recs []obs.Record
 }
 
-func (m *memLog) Log(r obs.Record) error {
+func (m *memLog) SweepStart(int)                {}
+func (m *memLog) SweepDone(bool, time.Duration) {}
+
+func (m *memLog) RunDone(u obs.Update) {
 	m.mu.Lock()
-	m.recs = append(m.recs, r)
+	m.recs = append(m.recs, *u.Record)
 	m.mu.Unlock()
-	return nil
 }
 
 // canonical sorts records by seed and zeroes the wall-clock-only engine
@@ -97,7 +100,7 @@ func TestChaosCampaign(t *testing.T) {
 		Cache:       cache,
 		SampleEvery: 4,
 	}
-	rep, err := RunChaos(cc, experiment.Sinks{RunLog: log})
+	rep, err := RunChaos(cc, experiment.Sinks{Progress: log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestChaosCampaign(t *testing.T) {
 	log2 := &memLog{}
 	cc2 := cc
 	cc2.Workers = 1
-	rep2, err := RunChaos(cc2, experiment.Sinks{RunLog: log2})
+	rep2, err := RunChaos(cc2, experiment.Sinks{Progress: log2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestChaosWorkersInvariant(t *testing.T) {
 		log := &memLog{}
 		rep, err := RunChaos(ChaosConfig{
 			Seed: 9, Runs: 4, Scale: 0.05, Workers: workers, SampleEvery: -1,
-		}, experiment.Sinks{RunLog: log})
+		}, experiment.Sinks{Progress: log})
 		if err != nil {
 			t.Fatal(err)
 		}

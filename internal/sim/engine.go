@@ -667,7 +667,6 @@ func (l *Lane) fire() {
 type Timer struct {
 	eng *Engine
 	fn  func()
-	at  Time
 	ent entry
 }
 
@@ -700,7 +699,6 @@ func (t *Timer) Reset(d time.Duration) {
 
 // ResetAt (re)arms the timer to fire at the absolute time at.
 func (t *Timer) ResetAt(at Time) {
-	t.at = at
 	t.eng.scheduleEntry(&t.ent, at)
 }
 
@@ -709,9 +707,6 @@ func (t *Timer) Stop() { t.eng.cancelEntry(&t.ent) }
 
 // Armed reports whether the timer is waiting to fire.
 func (t *Timer) Armed() bool { return t.ent.slot >= 0 }
-
-// Deadline returns when the timer will fire; meaningful only when Armed.
-func (t *Timer) Deadline() Time { return t.at }
 
 // Ticker invokes fn every interval until stopped. The first tick fires one
 // interval after Start (or immediately if startNow). Like Timer, a Ticker

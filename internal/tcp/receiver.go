@@ -97,9 +97,6 @@ func (r *Receiver) SetAckPool(p *ackMetaPool) { r.metaPool = p }
 // AckPool exposes the pool type for wiring shared state; see SetAckPool.
 type AckPool = ackMetaPool
 
-// RcvNxt returns the cumulative in-order frontier.
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 // ResetAt rearms the receiver for a fresh connection whose payload starts
 // at seq (the peer Sender's post-Reset sndNxt). Data from the previous
 // lifetime still in flight ends at or below seq, so it classifies as

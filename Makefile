@@ -8,12 +8,16 @@ GO ?= go
 # target each.
 COVER_TARGETS := cover-netem cover-runcache cover-obs cover-campaign
 
-.PHONY: verify build test vet race bench probe-demo fuzz-smoke $(COVER_TARGETS) impair-demo docs-check chaos-smoke campaign-smoke
+.PHONY: verify fmt-check build test vet race bench probe-demo fuzz-smoke $(COVER_TARGETS) impair-demo docs-check chaos-smoke campaign-smoke
 
 # The benchmark under bench/ is a module of its own, so the root ./...
 # leaves it out; verify vets and tests it explicitly.
-verify: build vet test race $(COVER_TARGETS)
+verify: fmt-check build vet test race $(COVER_TARGETS)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every Go file, the bench module's included, must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -121,7 +121,7 @@ func BenchmarkSingleRun(b *testing.B) {
 			},
 			Seed: uint64(i + 1),
 		})
-		events += float64(res.EventsProcessed)
+		events += float64(res.Engine.EventsDispatched)
 		wall += res.Engine.WallTime.Seconds()
 		simTime += res.Engine.SimTime.Seconds()
 	}

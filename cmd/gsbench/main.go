@@ -14,6 +14,9 @@
 //	gsbench -exp figure3 -telemetry-out telemetry.json  # sketch snapshot
 //
 // Every -exp name is checked before the first run; an unknown one exits 2.
+// gsbench sweeps only the paper's clean-path grid: impaired paths run
+// through gssim (-loss, -jitter, -schedule, a .scn [impair] section, or
+// -chaos).
 //
 // Ctrl-C cancels the in-progress sweep: in-flight runs drain, tables
 // rendered from the partial data mark missing cells with "-", and the
@@ -37,7 +40,6 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/figures"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/runcache"
@@ -65,12 +67,6 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 100*time.Millisecond, "probe sampling interval (0 = snapshot on every ACK)")
 		events        = flag.Int("events", 0, "packet lifecycle event ring capacity per run (0 = off)")
 		probeDir      = flag.String("probe-out", "probes", "directory receiving per-run probe exports")
-
-		loss     = flag.String("loss", "", `downlink loss sweep axis, |-separated: "1%|ge:p=0.01,r=0.25"`)
-		jitter   = flag.Duration("jitter", 0, "downlink delay jitter applied to every impairment profile")
-		reorder  = flag.Bool("reorder", false, "allow jitter to reorder packets instead of clamping")
-		dup      = flag.String("dup", "", `downlink duplicate probability applied to every profile: "1%" or "0.01"`)
-		schedule = flag.String("schedule", "", `mid-run retuning program applied to every run, e.g. "60s rate=10mbit; 120s down; 121s up"`)
 	)
 	flag.Parse()
 
@@ -78,11 +74,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gsbench:", err)
 		os.Exit(2)
-	}
-	impairments, sched, err := parseImpairFlags(*loss, *jitter, *reorder, *dup, *schedule)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsbench:", err)
-		os.Exit(1)
 	}
 
 	if *cpuprofile != "" {
@@ -103,12 +94,10 @@ func main() {
 	defer stopSignals()
 
 	opts := figures.Options{
-		Iterations:  *iters,
-		TimeScale:   *scale,
-		Workers:     *workers,
-		AQM:         *aqm,
-		Impairments: impairments,
-		Schedule:    sched,
+		Iterations: *iters,
+		TimeScale:  *scale,
+		Workers:    *workers,
+		AQM:        *aqm,
 	}
 	var cache *runcache.Cache
 	if *cacheDir != "" {
@@ -251,38 +240,6 @@ func parseExps(exp string) ([]string, error) {
 		return nil, fmt.Errorf("unknown experiment %s", strings.Join(unknown, ", "))
 	}
 	return names, nil
-}
-
-// parseImpairFlags builds the impairment sweep axis from the CLI flags. The
-// -loss axis is |-separated (GE specs contain commas); -jitter/-reorder/-dup
-// apply to every profile on the axis. Jitter/dup/schedule without -loss
-// yield a single lossless impaired profile.
-func parseImpairFlags(loss string, jitter time.Duration, reorder bool, dup, schedule string) ([]netem.Impairment, []experiment.ScheduleStep, error) {
-	base := netem.Impairment{Jitter: jitter, Reorder: reorder}
-	if dup != "" {
-		p, err := experiment.ParseProb(dup)
-		if err != nil {
-			return nil, nil, fmt.Errorf("-dup: %v", err)
-		}
-		base.Duplicate = p
-	}
-	var imps []netem.Impairment
-	if loss != "" {
-		for _, spec := range strings.Split(loss, "|") {
-			im := base
-			if err := experiment.ParseLoss(strings.TrimSpace(spec), &im); err != nil {
-				return nil, nil, err
-			}
-			imps = append(imps, im)
-		}
-	} else if base.Enabled() {
-		imps = []netem.Impairment{base}
-	}
-	sched, err := experiment.ParseSchedule(schedule)
-	if err != nil {
-		return nil, nil, err
-	}
-	return imps, sched, nil
 }
 
 func writeMemProfile(path string) {

@@ -35,12 +35,11 @@ type Cell struct {
 const cellSeedStride = 0x9e3779b97f4a7c15
 
 // Cells expands the spec into its full cell list — a pure function of the
-// canonical spec text. Grid mode mirrors RunSweep's striping exactly
-// (iteration outer, then cca, capacity, queue, system inner) with
-// RunSeed-derived seeds, so a one-shard grid campaign reproduces the
-// equivalent sweep run for run. Monte-Carlo mode gives each draw its own
-// RNG (seeded from the campaign seed and the draw index) and samples in a
-// fixed order: system, cca, rate, rtt, queue.
+// canonical spec text. Grid mode maps the jobs of the spec's SweepConfig,
+// expanded by the same SweepConfig.Jobs RunSweep runs, so a one-shard grid
+// campaign reproduces the equivalent sweep run for run. Monte-Carlo mode
+// gives each draw its own RNG (seeded from the campaign seed and the draw
+// index) and samples in a fixed order: system, cca, rate, rtt, queue.
 func (sp *Spec) Cells() []Cell {
 	total := sp.Total()
 	cells := make([]Cell, 0, total)
@@ -66,26 +65,13 @@ func (sp *Spec) Cells() []Cell {
 		}
 		return cells
 	}
-	idx := 0
-	for it := 0; it < sp.Iterations; it++ {
-		for _, cca := range sp.CCAs {
-			for _, capy := range sp.Capacities {
-				for _, qm := range sp.QueueMults {
-					for _, sys := range sp.Systems {
-						cond := experiment.Condition{
-							System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: sp.AQM,
-						}
-						cells = append(cells, Cell{
-							Index: idx,
-							Cond:  cond,
-							Iter:  it,
-							Seed:  experiment.RunSeed(sp.Seed, it, cond),
-						})
-						idx++
-					}
-				}
-			}
-		}
+	// No Defaults: the spec's own seed, zero included, is the base seed.
+	grid := experiment.SweepConfig{
+		Systems: sp.Systems, CCAs: sp.CCAs, Capacities: sp.Capacities, QueueMults: sp.QueueMults,
+		AQM: sp.AQM, Iterations: sp.Iterations, BaseSeed: sp.Seed,
+	}
+	for i, j := range grid.Jobs() {
+		cells = append(cells, Cell{Index: i, Cond: j.Cfg.Condition, Iter: j.Iter, Seed: j.Cfg.Seed})
 	}
 	return cells
 }

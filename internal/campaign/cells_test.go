@@ -2,13 +2,20 @@ package campaign
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/experiment"
 )
 
 func TestGridCellsMatchSweepStriping(t *testing.T) {
-	sp := parseSpec(t, gridSpecText)
+	// Seed 0 is a seed like any other: expansion must not default it.
+	for _, text := range []string{gridSpecText, strings.Replace(gridSpecText, "seed = 7", "seed = 0", 1)} {
+		checkGridStriping(t, parseSpec(t, text))
+	}
+}
+
+func checkGridStriping(t *testing.T, sp *Spec) {
 	cells := sp.Cells()
 	if len(cells) != sp.Total() {
 		t.Fatalf("len(cells) = %d, want %d", len(cells), sp.Total())

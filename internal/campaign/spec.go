@@ -109,7 +109,7 @@ func ParseSpecFile(path string) (*Spec, error) {
 // out-of-range values are errors — a spec either compiles exactly or not at
 // all.
 func ParseSpec(r io.Reader) (*Spec, error) {
-	sp := &Spec{Mode: ModeGrid, Iterations: 15, Scale: 1}
+	sp := &Spec{Mode: ModeGrid, Iterations: experiment.PaperSweep().Iterations, Scale: 1}
 	seenSec := map[string]bool{}
 	err := ini.Lex(r, ini.Grammar{
 		Section: func(header string) (string, string, error) {
@@ -383,19 +383,20 @@ func (sp *Spec) validate() error {
 		// name the campaign (the name feeds the campaign ID).
 		sp.Name = "campaign"
 	}
+	paper := experiment.PaperSweep()
 	if len(sp.Systems) == 0 {
-		sp.Systems = append([]gamestream.System(nil), gamestream.Systems...)
+		sp.Systems = append([]gamestream.System(nil), paper.Systems...)
 	}
 	if len(sp.CCAs) == 0 {
-		sp.CCAs = []string{"cubic", "bbr"}
+		sp.CCAs = paper.CCAs
 	}
 	switch sp.Mode {
 	case ModeGrid:
 		if len(sp.Capacities) == 0 {
-			sp.Capacities = []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)}
+			sp.Capacities = paper.Capacities
 		}
 		if len(sp.QueueMults) == 0 {
-			sp.QueueMults = []float64{0.5, 2, 7}
+			sp.QueueMults = paper.QueueMults
 		}
 	case ModeMC:
 		if sp.Draws == 0 {

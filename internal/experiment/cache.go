@@ -16,7 +16,7 @@ import (
 // (a profile recalibration, a new default, a persistence format change):
 // every old entry then misses and is recomputed. See docs/ARCHITECTURE.md,
 // "Run cache: the key contract".
-const cacheSchema = "run-v4"
+const cacheSchema = "run-v5"
 
 // cacheVersion is the module-version component of every cache key: the
 // schema generation plus the main module's version and VCS revision when

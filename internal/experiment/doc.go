@@ -25,7 +25,7 @@
 //
 // RunSweep expands the paper grid into jobs, executes them, and groups the
 // results by condition. Every run's seed derives from its grid position
-// (runSeed), so the result set is deterministic regardless of worker count
+// (RunSeed), so the result set is deterministic regardless of worker count
 // or scheduling order.
 //
 // Sweeps are cancellable and observable: RunSweep takes a context.Context,

@@ -40,7 +40,7 @@ func TestRunProducesCompleteSeries(t *testing.T) {
 	if r.FramesDisplayed == 0 {
 		t.Error("no frames displayed")
 	}
-	if r.EventsProcessed == 0 {
+	if r.Engine.EventsDispatched == 0 {
 		t.Error("no events processed")
 	}
 }
@@ -97,7 +97,7 @@ func TestRunDeterminism(t *testing.T) {
 	cond := Condition{System: gamestream.Luna, CCA: "bbr", Capacity: units.Mbps(25), QueueMult: 0.5}
 	a := quickRun(t, cond, 42)
 	b := quickRun(t, cond, 42)
-	if a.FramesDisplayed != b.FramesDisplayed || a.EventsProcessed != b.EventsProcessed {
+	if a.FramesDisplayed != b.FramesDisplayed || a.Engine.EventsDispatched != b.Engine.EventsDispatched {
 		t.Error("identical configs diverged")
 	}
 	for i := range a.GameMbps {
@@ -148,7 +148,7 @@ func TestRunSeedDistinct(t *testing.T) {
 	seen := map[uint64]bool{}
 	for it := 0; it < 10; it++ {
 		for _, c := range []Condition{c1, c2} {
-			s := runSeed(7, it, c)
+			s := RunSeed(7, it, c)
 			if seen[s] {
 				t.Fatalf("duplicate seed %d", s)
 			}

@@ -149,8 +149,8 @@ func TestPopulationProducesActivity(t *testing.T) {
 // different seed → a different schedule.
 func TestPopulationDeterministicSchedule(t *testing.T) {
 	a, b := popRun(8, 1, 42), popRun(8, 1, 42)
-	if a.EventsProcessed != b.EventsProcessed {
-		t.Errorf("events diverged: %d vs %d", a.EventsProcessed, b.EventsProcessed)
+	if a.Engine.EventsDispatched != b.Engine.EventsDispatched {
+		t.Errorf("events diverged: %d vs %d", a.Engine.EventsDispatched, b.Engine.EventsDispatched)
 	}
 	for i := range a.Flows {
 		if a.Flows[i] != b.Flows[i] {
@@ -179,8 +179,8 @@ func TestPopulationCleanRunUnchanged(t *testing.T) {
 	clean1 := popRun(0, 0, 42)
 	_ = popRun(8, 1, 42) // interleave a populated run; it must not matter
 	clean2 := popRun(0, 0, 42)
-	if clean1.EventsProcessed != clean2.EventsProcessed {
-		t.Fatalf("clean runs diverged: %d vs %d events", clean1.EventsProcessed, clean2.EventsProcessed)
+	if clean1.Engine.EventsDispatched != clean2.Engine.EventsDispatched {
+		t.Fatalf("clean runs diverged: %d vs %d events", clean1.Engine.EventsDispatched, clean2.Engine.EventsDispatched)
 	}
 	for i := range clean1.GameMbps {
 		if clean1.GameMbps[i] != clean2.GameMbps[i] {
@@ -300,7 +300,7 @@ func TestManyFlowsSteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		r := Run(cfg)
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, r.EventsProcessed
+		return after.Mallocs - before.Mallocs, r.Engine.EventsDispatched
 	}
 	// Warm up once so lazily initialised globals (profiles, tables) are out
 	// of the measured numbers.
@@ -420,7 +420,7 @@ func TestSteadyStateAllocsBBRAndImpaired(t *testing.T) {
 				runtime.ReadMemStats(&before)
 				r := Run(cfg)
 				runtime.ReadMemStats(&after)
-				return after.Mallocs - before.Mallocs, r.EventsProcessed
+				return after.Mallocs - before.Mallocs, r.Engine.EventsDispatched
 			}
 			run(0.02) // warm lazily initialised globals
 			shortAllocs, shortEvents := run(0.05)

@@ -244,8 +244,8 @@ func TestImpairedRunEndToEnd(t *testing.T) {
 func TestImpairedGoldenSeed(t *testing.T) {
 	a := impairedRun(42)
 	b := impairedRun(42)
-	if a.EventsProcessed != b.EventsProcessed {
-		t.Errorf("EventsProcessed diverged: %d vs %d", a.EventsProcessed, b.EventsProcessed)
+	if a.Engine.EventsDispatched != b.Engine.EventsDispatched {
+		t.Errorf("Engine.EventsDispatched diverged: %d vs %d", a.Engine.EventsDispatched, b.Engine.EventsDispatched)
 	}
 	if a.Impair != b.Impair {
 		t.Errorf("impairment stats diverged: %+v vs %+v", a.Impair, b.Impair)
@@ -298,67 +298,68 @@ func TestImpairedGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestImpairedSweepAcrossWorkers checks that the impairment axis keeps the
-// worker-count independence guarantee: per-run RNG forks and per-run
-// impairers must make 1-, 4- and 8-worker sweeps agree run for run.
+// TestImpairedSweepAcrossWorkers checks that impaired, scheduled runs keep
+// the worker-count independence guarantee: per-run RNG forks and per-run
+// impairers must make 1-, 4- and 8-worker executions agree run for run.
 func TestImpairedSweepAcrossWorkers(t *testing.T) {
 	sched, err := ParseSchedule("10s down; 11s up")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := SweepConfig{
-		Systems:    []gamestream.System{gamestream.Stadia},
-		CCAs:       []string{"cubic", "bbr"},
-		Capacities: []units.Rate{units.Mbps(25)},
-		QueueMults: []float64{2},
-		Iterations: 2,
-		Timeline:   metrics.PaperTimeline.Scale(0.05),
-		BaseSeed:   7,
-		Impairments: []netem.Impairment{
-			{LossModel: netem.LossBernoulli, LossRate: 0.01},
-			{LossModel: netem.LossGE, GEGoodBad: 0.01, GEBadGood: 0.25, Jitter: time.Millisecond, Reorder: true},
-		},
-		Schedule: sched,
+	imps := []netem.Impairment{
+		{LossModel: netem.LossBernoulli, LossRate: 0.01},
+		{LossModel: netem.LossGE, GEGoodBad: 0.01, GEBadGood: 0.25, Jitter: time.Millisecond, Reorder: true},
 	}
-	var sweeps []*SweepResult
-	for _, w := range []int{1, 4, 8} {
-		cfg := base
-		cfg.Workers = w
-		sweeps = append(sweeps, RunSweep(context.Background(), cfg))
-	}
-	ra := sweeps[0]
-	// 1 system x 2 CCAs x 2 impairments = 4 conditions.
-	if len(ra.Conditions) != 4 {
-		t.Fatalf("got %d conditions, want 4", len(ra.Conditions))
-	}
-	for _, rb := range sweeps[1:] {
-		for _, ca := range ra.Conditions {
-			cb := rb.Find(ca.Cond)
-			if cb == nil {
-				t.Fatalf("condition %s missing", ca.Cond)
+	var jobs []Job
+	conds := map[Condition]bool{}
+	for it := 0; it < 2; it++ {
+		for _, imp := range imps {
+			for _, cca := range []string{"cubic", "bbr"} {
+				cond := Condition{System: gamestream.Stadia, CCA: cca, Capacity: units.Mbps(25), QueueMult: 2, Impair: imp}
+				conds[cond] = true
+				jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
+					Condition: cond,
+					Timeline:  metrics.PaperTimeline.Scale(0.05),
+					Seed:      RunSeed(7, it, cond),
+					Schedule:  sched,
+				}})
 			}
-			for i := range ca.Runs {
-				x, y := ca.Runs[i], cb.Runs[i]
-				if x.EventsProcessed != y.EventsProcessed || x.Impair != y.Impair {
-					t.Errorf("%s run %d diverged across worker counts: %+v vs %+v",
-						ca.Cond, i, x.Impair, y.Impair)
-				}
-				for j := range x.GameMbps {
-					if x.GameMbps[j] != y.GameMbps[j] {
-						t.Fatalf("%s run %d bin %d diverged", ca.Cond, i, j)
-					}
+		}
+	}
+	// 1 system x 2 CCAs x 2 impairments = 4 conditions.
+	if len(conds) != 4 {
+		t.Fatalf("got %d conditions, want 4", len(conds))
+	}
+	var execs [][]*RunResult
+	for _, w := range []int{1, 4, 8} {
+		runs := make([]*RunResult, len(jobs))
+		if n := Execute(context.Background(), jobs, w, nil, Sinks{}, func(i int, r *RunResult, _ bool) { runs[i] = r }); n != len(jobs) {
+			t.Fatalf("%d workers completed %d of %d runs", w, n, len(jobs))
+		}
+		execs = append(execs, runs)
+	}
+	ra := execs[0]
+	for _, rb := range execs[1:] {
+		for i, x := range ra {
+			y := rb[i]
+			cond := jobs[i].Cfg.Condition
+			if x.Engine.EventsDispatched != y.Engine.EventsDispatched || x.Impair != y.Impair {
+				t.Errorf("%s run %d diverged across worker counts: %+v vs %+v",
+					cond, jobs[i].Iter, x.Impair, y.Impair)
+			}
+			for j := range x.GameMbps {
+				if x.GameMbps[j] != y.GameMbps[j] {
+					t.Fatalf("%s run %d bin %d diverged", cond, jobs[i].Iter, j)
 				}
 			}
 		}
 	}
 	// Each impaired run must actually have flapped once (schedule applied
-	// in sweep workers too).
-	for _, ca := range ra.Conditions {
-		for i, r := range ca.Runs {
-			if r.Impair.Flaps != 1 || r.Impair.FlapDrops == 0 {
-				t.Errorf("%s run %d: Flaps=%d FlapDrops=%d, want schedule applied",
-					ca.Cond, i, r.Impair.Flaps, r.Impair.FlapDrops)
-			}
+	// in executor workers too).
+	for i, r := range ra {
+		if r.Impair.Flaps != 1 || r.Impair.FlapDrops == 0 {
+			t.Errorf("%s run %d: Flaps=%d FlapDrops=%d, want schedule applied",
+				jobs[i].Cfg.Condition, jobs[i].Iter, r.Impair.Flaps, r.Impair.FlapDrops)
 		}
 	}
 }

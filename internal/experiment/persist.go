@@ -30,7 +30,6 @@ type persistedRun struct {
 	FramesDropped    int64
 	NackRetx         int64
 	TCPRetransmits   int
-	EventsProcessed  uint64
 	Engine           sim.Stats
 	Impair           netem.ImpairStats
 	Flows            []FlowStats
@@ -151,7 +150,6 @@ func toPersisted(r *RunResult) persistedRun {
 		FramesDropped:    r.FramesDropped,
 		NackRetx:         r.NackRetx,
 		TCPRetransmits:   r.TCPRetransmits,
-		EventsProcessed:  r.EventsProcessed,
 		Engine:           r.Engine,
 		Impair:           r.Impair,
 		Flows:            r.Flows,
@@ -178,7 +176,6 @@ func fromPersisted(p *persistedRun) *RunResult {
 		FramesDropped:    p.FramesDropped,
 		NackRetx:         p.NackRetx,
 		TCPRetransmits:   p.TCPRetransmits,
-		EventsProcessed:  p.EventsProcessed,
 		Engine:           p.Engine,
 		Impair:           p.Impair,
 		Flows:            p.Flows,

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/runcache"
@@ -33,14 +32,6 @@ type SweepConfig struct {
 	Capacities []units.Rate
 	QueueMults []float64
 	AQM        string
-	// Impairments is an extra grid axis of path impairment profiles; empty
-	// means the single clean path of the paper's grid. Because an enabled
-	// impairment extends Condition.String(), each profile gets its own
-	// deterministic per-run seeds.
-	Impairments []netem.Impairment
-	// Schedule, when non-empty, applies the same mid-run retuning steps to
-	// every run of the sweep.
-	Schedule   []ScheduleStep
 	Iterations int
 	Timeline   metrics.Timeline
 	// Workers bounds run parallelism (<= 0 = DefaultWorkers, i.e. NumCPU).
@@ -67,7 +58,9 @@ type SweepConfig struct {
 }
 
 // PaperSweep returns the paper's full grid: 3 systems × {cubic, bbr} ×
-// {15, 25, 35} Mb/s × {0.5, 2, 7}×BDP × 15 iterations.
+// {15, 25, 35} Mb/s × {0.5, 2, 7}×BDP × 15 iterations. It is the one
+// definition of the grid's axes: Defaults, the campaign spec parser and the
+// figures all read them from here.
 func PaperSweep() SweepConfig {
 	return SweepConfig{
 		Systems:    gamestream.Systems,
@@ -80,33 +73,62 @@ func PaperSweep() SweepConfig {
 	}
 }
 
-// Defaults fills zero fields.
+// Defaults fills zero fields from PaperSweep.
 func (s SweepConfig) Defaults() SweepConfig {
+	p := PaperSweep()
 	if len(s.Systems) == 0 {
-		s.Systems = gamestream.Systems
+		s.Systems = p.Systems
 	}
 	if len(s.CCAs) == 0 {
-		s.CCAs = []string{"cubic", "bbr"}
+		s.CCAs = p.CCAs
 	}
 	if len(s.Capacities) == 0 {
-		s.Capacities = []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)}
+		s.Capacities = p.Capacities
 	}
 	if len(s.QueueMults) == 0 {
-		s.QueueMults = []float64{0.5, 2, 7}
+		s.QueueMults = p.QueueMults
 	}
 	if s.Iterations == 0 {
-		s.Iterations = 15
+		s.Iterations = p.Iterations
 	}
 	if s.Timeline == (metrics.Timeline{}) {
-		s.Timeline = metrics.PaperTimeline
+		s.Timeline = p.Timeline
 	}
 	if s.Workers <= 0 {
 		s.Workers = DefaultWorkers()
 	}
 	if s.BaseSeed == 0 {
-		s.BaseSeed = 20220322
+		s.BaseSeed = p.BaseSeed
 	}
 	return s
+}
+
+// Jobs expands the grid into its runs, in the paper's striping order
+// (outer: iteration; then cca, capacity, queue; inner: system), each with
+// its position-derived seed. It is the one grid expander: RunSweep and
+// campaign grid cells both read it, so a one-shard grid campaign
+// reproduces the equivalent sweep run for run. Jobs does not apply
+// Defaults; an empty axis expands to no jobs.
+func (s SweepConfig) Jobs() []Job {
+	jobs := make([]Job, 0, s.Iterations*len(s.CCAs)*len(s.Capacities)*len(s.QueueMults)*len(s.Systems))
+	for it := 0; it < s.Iterations; it++ {
+		for _, cca := range s.CCAs {
+			for _, capy := range s.Capacities {
+				for _, qm := range s.QueueMults {
+					for _, sys := range s.Systems {
+						cond := Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: s.AQM}
+						jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
+							Condition: cond,
+							Timeline:  s.Timeline,
+							Seed:      RunSeed(s.BaseSeed, it, cond),
+							Probe:     s.Probe,
+						}})
+					}
+				}
+			}
+		}
+	}
+	return jobs
 }
 
 // probeBase derives a filesystem-safe export basename from a run's grid
@@ -116,15 +138,10 @@ func probeBase(cond Condition, seed uint64) string {
 }
 
 // RunSeed derives the deterministic seed for one run from its grid
-// position, exactly as RunSweep does. External schedulers (the campaign
-// coordinator) use it so their cells reproduce sweep-built runs bit for
-// bit — same condition, same iteration, same seed, same cache key.
+// position. Jobs seeds every grid run with it; runs planned outside a
+// SweepConfig (Monte-Carlo campaign draws) use it so their seeds follow the
+// same rule.
 func RunSeed(base uint64, iter int, cond Condition) uint64 {
-	return runSeed(base, iter, cond)
-}
-
-// runSeed derives a deterministic seed for one run from its grid position.
-func runSeed(base uint64, iter int, cond Condition) uint64 {
 	h := base
 	mix := func(x uint64) {
 		h ^= x
@@ -275,11 +292,10 @@ func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache
 	return n
 }
 
-// RunSweep executes the campaign: it expands the grid into jobs, runs them
-// through Execute, and groups the results by condition. The iteration
-// order mirrors the paper's striping (outer: iteration; inner: system) to
-// document the methodology, although in simulation ordering has no
-// temporal effect, and every run has a position-derived seed.
+// RunSweep executes the campaign: it expands the grid into Jobs, runs them
+// through Execute, and groups the results by condition. The job order
+// mirrors the paper's striping to document the methodology, although in
+// simulation ordering has no temporal effect.
 //
 // Cancelling ctx stops new runs from starting; in-flight runs complete and
 // the partial result comes back with Interrupted set. cfg.Progress observes
@@ -290,31 +306,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 		ctx = context.Background()
 	}
 
-	imps := cfg.Impairments
-	if len(imps) == 0 {
-		imps = []netem.Impairment{{}}
-	}
-	var jobs []Job
-	for it := 0; it < cfg.Iterations; it++ {
-		for _, imp := range imps {
-			for _, cca := range cfg.CCAs {
-				for _, capy := range cfg.Capacities {
-					for _, qm := range cfg.QueueMults {
-						for _, sys := range cfg.Systems {
-							cond := Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: cfg.AQM, Impair: imp}
-							jobs = append(jobs, Job{Iter: it, Cfg: RunConfig{
-								Condition: cond,
-								Timeline:  cfg.Timeline,
-								Seed:      runSeed(cfg.BaseSeed, it, cond),
-								Probe:     cfg.Probe,
-								Schedule:  cfg.Schedule,
-							}})
-						}
-					}
-				}
-			}
-		}
-	}
+	jobs := cfg.Jobs()
 	var cacheBefore runcache.Stats
 	if cfg.Cache != nil {
 		cacheBefore = cfg.Cache.Stats()

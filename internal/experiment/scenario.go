@@ -205,9 +205,7 @@ type RunResult struct {
 	FramesDropped   int64
 	NackRetx        int64
 	TCPRetransmits  int
-	EventsProcessed uint64
-	// Engine is the full engine counter snapshot at the end of the run
-	// (EventsProcessed is kept alongside for older call sites).
+	// Engine is the full engine counter snapshot at the end of the run.
 	Engine sim.Stats
 
 	// Probe holds the instrumentation capture when Cfg.Probe was set; nil
@@ -524,7 +522,6 @@ func Run(cfg RunConfig) *RunResult {
 		FramesDisplayed: client.FramesDisplayed,
 		FramesDropped:   client.FramesDropped,
 		NackRetx:        server.Retransmits,
-		EventsProcessed: eng.Processed(),
 		Engine:          eng.Stats(),
 	}
 	res.GameLossBins = lossBins(capture, flowGame, nbins)

@@ -22,16 +22,13 @@ func (c *Campaign) HarmTable() *report.Table {
 	cont := c.Contended()
 	tb := report.NewTable("Harm analysis (Ware et al.): competing flow's damage to the game system",
 		"System", "CCA", "Capacity", "Queue", "Thr harm", "RTT harm", "FPS harm")
-	for _, sys := range gamestream.Systems {
-		for _, cca := range []string{"cubic", "bbr"} {
-			for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-				for _, qm := range []float64{0.5, 2, 7} {
-					sCond := solo.Find(experiment.Condition{
-						System: sys, CCA: "", Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					kCond := cont.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
+	p := experiment.PaperSweep()
+	for _, sys := range p.Systems {
+		for _, cca := range p.CCAs {
+			for _, capy := range p.Capacities {
+				for _, qm := range p.QueueMults {
+					sCond := solo.Find(c.cond(sys, "", capy, qm))
+					kCond := cont.Find(c.cond(sys, cca, capy, qm))
 					if sCond == nil || kCond == nil {
 						continue
 					}
@@ -156,43 +153,17 @@ func sharesRow(a rowStats) []string {
 // qoe package's 0–100 score per contended condition — the "assess and
 // compare QoE across systems" item from the paper's future work.
 func (c *Campaign) QoETable() *report.Table {
-	sweep := c.Contended()
 	model := qoe.DefaultModel()
-	headers := []string{"Capacity", "Queue"}
-	for _, sys := range gamestream.Systems {
-		for _, cca := range []string{"cubic", "bbr"} {
-			headers = append(headers, string(sys)+"/"+cca)
+	return c.gridTable("QoE score (0-100) during contention", vsCCAs(c.Contended()), func(cond *experiment.ConditionResult) string {
+		from, to := cond.ContentionWindow()
+		var acc stats.Accumulator
+		for _, r := range cond.Runs {
+			fps := r.FPSSeries().MeanBetween(from, to)
+			rtt := time.Duration(stats.Mean(r.RTTBetween(from, to)) * float64(time.Millisecond))
+			acc.Add(model.Score(fps, rtt, r.LossBetween(from, to)))
 		}
-	}
-	tb := report.NewTable("QoE score (0-100) during contention", headers...)
-	for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-		for _, qm := range []float64{0.5, 2, 7} {
-			row := []string{fmt.Sprintf("%.0f Mb/s", capy.Mbit()), fmt.Sprintf("%.1fx", qm)}
-			for _, sys := range gamestream.Systems {
-				for _, cca := range []string{"cubic", "bbr"} {
-					cond := sweep.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					if cond == nil {
-						row = append(row, "-")
-						continue
-					}
-					from, to := cond.ContentionWindow()
-					var acc stats.Accumulator
-					for _, r := range cond.Runs {
-						fps := r.FPSSeries().MeanBetween(from, to)
-						rtts := r.RTTBetween(from, to)
-						rtt := time.Duration(stats.Mean(rtts) * float64(time.Millisecond))
-						loss := r.LossBetween(from, to)
-						acc.Add(model.Score(fps, rtt, loss))
-					}
-					row = append(row, fmt.Sprintf("%.0f", acc.Mean()))
-				}
-			}
-			tb.AddRow(row...)
-		}
-	}
-	return tb
+		return fmt.Sprintf("%.0f", acc.Mean())
+	})
 }
 
 // ResponseRecoveryTable is the breakdown the paper defers to its technical
@@ -205,13 +176,12 @@ func (c *Campaign) ResponseRecoveryTable() *report.Table {
 	sweep := c.Contended()
 	tb := report.NewTable("Response and recovery times (s), per condition",
 		"System", "CCA", "Capacity", "Queue", "Response", "Recovery")
-	for _, sys := range gamestream.Systems {
-		for _, cca := range []string{"cubic", "bbr"} {
-			for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-				for _, qm := range []float64{0.5, 2, 7} {
-					cond := sweep.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
+	p := experiment.PaperSweep()
+	for _, sys := range p.Systems {
+		for _, cca := range p.CCAs {
+			for _, capy := range p.Capacities {
+				for _, qm := range p.QueueMults {
+					cond := sweep.Find(c.cond(sys, cca, capy, qm))
 					if cond == nil {
 						continue
 					}

@@ -3,13 +3,13 @@ package figures
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/report"
@@ -37,11 +37,6 @@ type Options struct {
 	// when also non-empty, receives the per-run CSV/JSONL exports.
 	Probe    *probe.Config
 	ProbeDir string
-	// Impairments, when non-empty, adds a path-impairment axis to every
-	// sweep the campaign runs; Schedule applies one mid-run retuning
-	// program to every run.
-	Impairments []netem.Impairment
-	Schedule    []experiment.ScheduleStep
 	// Cache, when non-nil, is shared by every sweep the campaign runs:
 	// runs whose results are already stored are served from disk, so a
 	// repeated campaign is pure cache replay and an interrupted one
@@ -51,7 +46,7 @@ type Options struct {
 
 func (o Options) defaults() Options {
 	if o.Iterations == 0 {
-		o.Iterations = 15
+		o.Iterations = experiment.PaperSweep().Iterations
 	}
 	if o.Workers <= 0 {
 		o.Workers = experiment.DefaultWorkers()
@@ -109,8 +104,6 @@ func (c *Campaign) sweep(cfg experiment.SweepConfig) *experiment.SweepResult {
 	cfg.Progress = c.Opts.Progress
 	cfg.Probe = c.Opts.Probe
 	cfg.ProbeDir = c.Opts.ProbeDir
-	cfg.Impairments = c.Opts.Impairments
-	cfg.Schedule = c.Opts.Schedule
 	cfg.Cache = c.Opts.Cache
 	sw := experiment.RunSweep(c.ctx, cfg)
 	if sw.Interrupted {
@@ -149,12 +142,6 @@ func (c *Campaign) Baseline() *experiment.SweepResult {
 	return c.baseline
 }
 
-// steadyWindow is the measurement window used for solo tables: the same
-// offsets as the contention window, for comparability.
-func steadyWindow(tl metrics.Timeline) (time.Duration, time.Duration) {
-	return tl.FairnessWindow()
-}
-
 // Table1 reproduces "Game system bitrates without capacity constraints or
 // competing traffic".
 func (c *Campaign) Table1() *report.Table {
@@ -169,8 +156,7 @@ func (c *Campaign) Table1() *report.Table {
 			if cond.Cond.System != sys {
 				continue
 			}
-			from, to := steadyWindow(cond.Runs[0].Cfg.Timeline)
-			s := cond.GameRateBins(from, to)
+			s := cond.GameRateBins(cond.ContentionWindow())
 			tb.AddRow(string(sys), report.MeanStd(s.Mean, s.StdDev), paper[sys])
 		}
 	}
@@ -182,16 +168,15 @@ func (c *Campaign) Table1() *report.Table {
 // queue size.
 func (c *Campaign) Figure2() map[string]string {
 	sweep := c.Contended()
+	p := experiment.PaperSweep()
 	out := make(map[string]string)
-	for _, sys := range gamestream.Systems {
-		for _, cca := range []string{"cubic", "bbr"} {
+	for _, sys := range p.Systems {
+		for _, cca := range p.CCAs {
 			headers := []string{"t_sec"}
 			var cols [][]float64
 			var tcol []float64
-			for _, qm := range []float64{0.5, 2, 7} {
-				cond := sweep.Find(experiment.Condition{
-					System: sys, CCA: cca, Capacity: units.Mbps(25), QueueMult: qm, AQM: c.Opts.AQM,
-				})
+			for _, qm := range p.QueueMults {
+				cond := sweep.Find(c.cond(sys, cca, units.Mbps(25), qm))
 				if cond == nil {
 					continue
 				}
@@ -214,30 +199,30 @@ func (c *Campaign) Figure2() map[string]string {
 }
 
 // Figure3 reproduces the fairness-ratio heatmaps: one per system per CCA,
-// rows are capacities, columns queue sizes.
+// rows are capacities (highest first), columns queue sizes. A cell the
+// sweep lacks (an interrupted campaign) is NaN, which renders as "-".
 func (c *Campaign) Figure3() []*report.Heatmap {
 	sweep := c.Contended()
+	p := experiment.PaperSweep()
 	var maps []*report.Heatmap
-	caps := []units.Rate{units.Mbps(35), units.Mbps(25), units.Mbps(15)}
-	queues := []float64{0.5, 2, 7}
-	for _, cca := range []string{"cubic", "bbr"} {
-		for _, sys := range gamestream.Systems {
+	for _, cca := range p.CCAs {
+		for _, sys := range p.Systems {
 			h := &report.Heatmap{
 				Title: fmt.Sprintf("Figure 3: (game - tcp)/capacity, %s vs TCP %s", sys, cca),
-				Cols:  []string{"q 0.5x", "q 2x", "q 7x"},
 			}
-			for _, capy := range caps {
+			for _, qm := range p.QueueMults {
+				h.Cols = append(h.Cols, fmt.Sprintf("q %gx", qm))
+			}
+			for i := len(p.Capacities) - 1; i >= 0; i-- {
+				capy := p.Capacities[i]
 				h.Rows = append(h.Rows, fmt.Sprintf("%.0f Mb/s", capy.Mbit()))
-				row := make([]float64, 0, len(queues))
-				for _, qm := range queues {
-					cond := sweep.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					if cond == nil {
-						row = append(row, 0)
-						continue
+				row := make([]float64, 0, len(p.QueueMults))
+				for _, qm := range p.QueueMults {
+					v := math.NaN()
+					if cond := sweep.Find(c.cond(sys, cca, capy, qm)); cond != nil {
+						v = cond.FairnessRatio()
 					}
-					row = append(row, cond.FairnessRatio())
+					row = append(row, v)
 				}
 				h.Cells = append(h.Cells, row)
 			}
@@ -265,7 +250,7 @@ type Figure4Point struct {
 func (c *Campaign) Figure4() []Figure4Point {
 	sweep := c.Contended()
 	var pts []Figure4Point
-	for _, cca := range []string{"cubic", "bbr"} {
+	for _, cca := range experiment.PaperSweep().CCAs {
 		// First pass: gather response/recovery and the maxima.
 		var raw []Figure4Point
 		var cmax, emax time.Duration
@@ -316,122 +301,96 @@ func (c *Campaign) Figure4Table() *report.Table {
 	return tb
 }
 
+// gridCol is one column group of a capacity × queue table: for every
+// system, the cells of sweep run against cca, headed system+suffix.
+type gridCol struct {
+	sweep  *experiment.SweepResult
+	cca    string
+	suffix string
+}
+
+// vsCCAs returns one column group per competing CCA of the paper grid,
+// all read from the contended sweep.
+func vsCCAs(sweep *experiment.SweepResult) []gridCol {
+	var cols []gridCol
+	for _, cca := range experiment.PaperSweep().CCAs {
+		cols = append(cols, gridCol{sweep, cca, "/" + cca})
+	}
+	return cols
+}
+
+// gridTable renders the paper grid's capacity × queue rows against one
+// column per system per group. cell renders one condition; a condition its
+// group's sweep lacks (an interrupted campaign) prints "-".
+func (c *Campaign) gridTable(title string, cols []gridCol, cell func(*experiment.ConditionResult) string) *report.Table {
+	p := experiment.PaperSweep()
+	headers := []string{"Capacity", "Queue"}
+	for _, sys := range p.Systems {
+		for _, g := range cols {
+			headers = append(headers, string(sys)+g.suffix)
+		}
+	}
+	tb := report.NewTable(title, headers...)
+	for _, capy := range p.Capacities {
+		for _, qm := range p.QueueMults {
+			row := []string{fmt.Sprintf("%.0f Mb/s", capy.Mbit()), fmt.Sprintf("%.1fx", qm)}
+			for _, sys := range p.Systems {
+				for _, g := range cols {
+					if cond := g.sweep.Find(c.cond(sys, g.cca, capy, qm)); cond != nil {
+						row = append(row, cell(cond))
+					} else {
+						row = append(row, "-")
+					}
+				}
+			}
+			tb.AddRow(row...)
+		}
+	}
+	return tb
+}
+
+// cond names one grid condition under the campaign's queue discipline.
+func (c *Campaign) cond(sys gamestream.System, cca string, capy units.Rate, qm float64) experiment.Condition {
+	return experiment.Condition{System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM}
+}
+
+// rttCell renders a condition's pooled RTT samples over its contention
+// window.
+func rttCell(cond *experiment.ConditionResult) string {
+	s := cond.RTTStats(cond.ContentionWindow())
+	return report.MeanStd(s.Mean, s.StdDev)
+}
+
 // Table3 reproduces "Round-trip time (ms) without a competing TCP flow".
 func (c *Campaign) Table3() *report.Table {
-	sweep := c.Solo()
-	return c.rttTable(sweep, []string{""},
-		"Table 3: RTT (ms) without a competing TCP flow")
+	return c.gridTable("Table 3: RTT (ms) without a competing TCP flow",
+		[]gridCol{{c.Solo(), "", ""}}, rttCell)
 }
 
 // Table4 reproduces "Round-trip time (ms) with a competing TCP flow".
 func (c *Campaign) Table4() *report.Table {
-	sweep := c.Contended()
-	return c.rttTable(sweep, []string{"cubic", "bbr"},
-		"Table 4: RTT (ms) with a competing TCP flow")
-}
-
-func (c *Campaign) rttTable(sweep *experiment.SweepResult, ccas []string, title string) *report.Table {
-	headers := []string{"Capacity", "Queue"}
-	for _, sys := range gamestream.Systems {
-		for _, cca := range ccas {
-			name := string(sys)
-			if cca != "" {
-				name += "/" + cca
-			}
-			headers = append(headers, name)
-		}
-	}
-	tb := report.NewTable(title, headers...)
-	for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-		for _, qm := range []float64{0.5, 2, 7} {
-			row := []string{fmt.Sprintf("%.0f Mb/s", capy.Mbit()), fmt.Sprintf("%.1fx", qm)}
-			for _, sys := range gamestream.Systems {
-				for _, cca := range ccas {
-					cond := sweep.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					if cond == nil {
-						row = append(row, "-")
-						continue
-					}
-					from, to := steadyWindow(cond.Runs[0].Cfg.Timeline)
-					s := cond.RTTStats(from, to)
-					row = append(row, report.MeanStd(s.Mean, s.StdDev))
-				}
-			}
-			tb.AddRow(row...)
-		}
-	}
-	return tb
+	return c.gridTable("Table 4: RTT (ms) with a competing TCP flow",
+		vsCCAs(c.Contended()), rttCell)
 }
 
 // Table5 reproduces "Frame rate (f/s) with competing TCP flow".
 func (c *Campaign) Table5() *report.Table {
-	sweep := c.Contended()
-	headers := []string{"Capacity", "Queue"}
-	for _, sys := range gamestream.Systems {
-		for _, cca := range []string{"cubic", "bbr"} {
-			headers = append(headers, string(sys)+"/"+cca)
-		}
-	}
-	tb := report.NewTable("Table 5: frame rate (f/s) with competing TCP flow", headers...)
-	for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-		for _, qm := range []float64{0.5, 2, 7} {
-			row := []string{fmt.Sprintf("%.0f Mb/s", capy.Mbit()), fmt.Sprintf("%.1fx", qm)}
-			for _, sys := range gamestream.Systems {
-				for _, cca := range []string{"cubic", "bbr"} {
-					cond := sweep.Find(experiment.Condition{
-						System: sys, CCA: cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					if cond == nil {
-						row = append(row, "-")
-						continue
-					}
-					from, to := steadyWindow(cond.Runs[0].Cfg.Timeline)
-					s := cond.FPSStats(from, to)
-					row = append(row, report.MeanStd(s.Mean, s.StdDev))
-				}
-			}
-			tb.AddRow(row...)
-		}
-	}
-	return tb
+	return c.gridTable("Table 5: frame rate (f/s) with competing TCP flow",
+		vsCCAs(c.Contended()), func(cond *experiment.ConditionResult) string {
+			s := cond.FPSStats(cond.ContentionWindow())
+			return report.MeanStd(s.Mean, s.StdDev)
+		})
 }
 
 // LossTables reproduces the loss-rate analysis (§4.3 / tech report): game
 // flow loss percentage per condition, solo and with each competing flow.
 func (c *Campaign) LossTables() *report.Table {
 	solo := c.Solo()
-	cont := c.Contended()
-	headers := []string{"Capacity", "Queue"}
-	for _, sys := range gamestream.Systems {
-		headers = append(headers, string(sys)+"/solo", string(sys)+"/cubic", string(sys)+"/bbr")
-	}
-	tb := report.NewTable("Loss rate (%) of the game flow", headers...)
-	for _, capy := range []units.Rate{units.Mbps(15), units.Mbps(25), units.Mbps(35)} {
-		for _, qm := range []float64{0.5, 2, 7} {
-			row := []string{fmt.Sprintf("%.0f Mb/s", capy.Mbit()), fmt.Sprintf("%.1fx", qm)}
-			for _, sys := range gamestream.Systems {
-				for _, src := range []struct {
-					sweep *experiment.SweepResult
-					cca   string
-				}{{solo, ""}, {cont, "cubic"}, {cont, "bbr"}} {
-					cond := src.sweep.Find(experiment.Condition{
-						System: sys, CCA: src.cca, Capacity: capy, QueueMult: qm, AQM: c.Opts.AQM,
-					})
-					if cond == nil {
-						row = append(row, "-")
-						continue
-					}
-					from, to := steadyWindow(cond.Runs[0].Cfg.Timeline)
-					s := cond.LossStats(from, to)
-					row = append(row, report.MeanStd2(s.Mean*100, s.StdDev*100))
-				}
-			}
-			tb.AddRow(row...)
-		}
-	}
-	return tb
+	cols := append([]gridCol{{solo, "", "/solo"}}, vsCCAs(c.Contended())...)
+	return c.gridTable("Loss rate (%) of the game flow", cols, func(cond *experiment.ConditionResult) string {
+		s := cond.LossStats(cond.ContentionWindow())
+		return report.MeanStd2(s.Mean*100, s.StdDev*100)
+	})
 }
 
 // Summary renders the adaptiveness/fairness per system ovals (the verbal
@@ -439,7 +398,7 @@ func (c *Campaign) LossTables() *report.Table {
 func (c *Campaign) Summary() string {
 	pts := c.Figure4()
 	var b strings.Builder
-	for _, cca := range []string{"cubic", "bbr"} {
+	for _, cca := range experiment.PaperSweep().CCAs {
 		fmt.Fprintf(&b, "vs TCP %s:\n", cca)
 		for _, sys := range gamestream.Systems {
 			var fair, adapt stats.Accumulator

@@ -1,11 +1,15 @@
 package figures
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
+	"repro/internal/obs"
 	"repro/internal/runcache"
 	"repro/internal/units"
 )
@@ -54,6 +58,45 @@ func TestFigure3Heatmaps(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("heatmap missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// cancelOnRun cancels the campaign's context when its first run completes.
+type cancelOnRun struct{ cancel context.CancelFunc }
+
+func (p cancelOnRun) SweepStart(int)                {}
+func (p cancelOnRun) RunDone(obs.Update)            { p.cancel() }
+func (p cancelOnRun) SweepDone(bool, time.Duration) {}
+
+// TestFigure3MarksMissingCells pins how an interrupted campaign renders: a
+// cell its sweep never ran prints "-", never a perfectly fair "+0.00".
+func TestFigure3MarksMissingCells(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewCampaign(Options{Iterations: 1, TimeScale: 0.05, Workers: 1, Progress: cancelOnRun{cancel}})
+	c.SetContext(ctx)
+	maps := c.Figure3()
+	if !c.Interrupted() {
+		t.Fatal("campaign not flagged interrupted")
+	}
+	present := 0
+	for _, h := range maps {
+		rows := strings.Split(strings.TrimRight(h.String(), "\n"), "\n")[2:] // title, column header
+		for i, row := range h.Cells {
+			fields := strings.Fields(rows[i])[2:] // "35 Mb/s"
+			for j, v := range row {
+				if !math.IsNaN(v) {
+					present++
+					continue
+				}
+				if fields[j] != "-" {
+					t.Errorf("%s: missing cell %s/%s renders %q, want \"-\"", h.Title, h.Rows[i], h.Cols[j], fields[j])
+				}
+			}
+		}
+	}
+	if present != 1 {
+		t.Errorf("%d cells present after one completed run, want 1", present)
 	}
 }
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -83,8 +84,12 @@ func MeanCI(mean, ci float64) string {
 
 // HeatCell renders one fairness-ratio cell with a temperature glyph, the
 // text analogue of Figure 3's colour scale: '#' hot (game dominant) through
-// '.' neutral to '~' cool (TCP dominant).
+// '.' neutral to '~' cool (TCP dominant). NaN marks a missing cell and
+// renders as "-", like a missing table cell.
 func HeatCell(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
 	glyph := "."
 	switch {
 	case v >= 0.35:

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,9 @@ func TestHeatCellGlyphs(t *testing.T) {
 		if !strings.Contains(got, c.want) {
 			t.Errorf("HeatCell(%v) = %q, want glyph %q", c.v, got, c.want)
 		}
+	}
+	if got := HeatCell(math.NaN()); got != "-" {
+		t.Errorf("HeatCell(NaN) = %q, want \"-\"", got)
 	}
 }
 

@@ -26,8 +26,8 @@ import (
 
 // InvariantOutcome is one invariant's verdict on one run.
 type InvariantOutcome struct {
-	Name     string
-	Skipped  bool
+	Name      string
+	Skipped   bool
 	Violation string // empty = pass (when not skipped)
 }
 
@@ -84,10 +84,10 @@ type Invariant struct {
 // monotonicity tolerates the frame-pipeline quantisation noise that added
 // loss can shift either way by a frame or two.
 const (
-	recoveryFrac   = 0.75             // post-departure bitrate vs pre-contention
+	recoveryFrac   = 0.75 // post-departure bitrate vs pre-contention
 	queueBoundPad  = 3 * time.Millisecond
-	monotonicSlack = 1.02             // added loss may not raise delivery by >2%
-	extraLoss      = 0.03             // monotonicity perturbation
+	monotonicSlack = 1.02 // added loss may not raise delivery by >2%
+	extraLoss      = 0.03 // monotonicity perturbation
 
 	// Controllers recover in absolute time — the ramp clock does not
 	// compress with the timeline — and the fleet has two slow families:

@@ -117,12 +117,12 @@ type Sender struct {
 	limit int64
 
 	segs        []*seg
-	segBase     []*seg // full-capacity backing array of segs (see pushSeg)
+	segBase     []*seg   // full-capacity backing array of segs (see pushSeg)
 	segFree     []*seg   // freelist of scoreboard records (per-sender, deterministic)
 	segShared   *SegPool // optional shared freelist (population senders); overrides segFree
-	pipeBytes   int64  // bytes considered in flight
-	highSacked  int64  // highest sequence+len SACKed
-	retxPending int    // segments marked lost awaiting retransmit
+	pipeBytes   int64    // bytes considered in flight
+	highSacked  int64    // highest sequence+len SACKed
+	retxPending int      // segments marked lost awaiting retransmit
 
 	// Delivery-rate estimation state (per the rate-sample algorithm used
 	// by Linux/BBR).

@@ -79,3 +79,46 @@ func TestCampaignFilesParse(t *testing.T) {
 		})
 	}
 }
+
+// TestPaperGridCampaignIsPaperSweep pins scenarios/paper_grid.campaign to
+// the Go paper grid: every cell is the matching experiment.PaperSweep run
+// (contended or solo) under the same cache key, so the campaign and gsbench
+// share one set of runs.
+func TestPaperGridCampaignIsPaperSweep(t *testing.T) {
+	sp, err := campaign.ParseSpecFile("scenarios/paper_grid.campaign")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pos struct {
+		cond experiment.Condition
+		iter int
+	}
+	want := map[pos]experiment.RunConfig{}
+	contended := experiment.PaperSweep()
+	solo := experiment.PaperSweep()
+	solo.CCAs = []string{""}
+	for _, sw := range []experiment.SweepConfig{contended, solo} {
+		for _, j := range sw.Jobs() {
+			want[pos{j.Cfg.Condition, j.Iter}] = j.Cfg
+		}
+	}
+	var nContended, nSolo int
+	for _, c := range sp.Cells() {
+		cfg, ok := want[pos{c.Cond, c.Iter}]
+		if !ok {
+			t.Fatalf("cell %d (%s, iteration %d) is not a paper-grid run", c.Index, c.Cond, c.Iter)
+		}
+		got, _ := experiment.CacheKey(c.RunConfig(sp))
+		if key, _ := experiment.CacheKey(cfg); got != key {
+			t.Fatalf("cell %d (%s, iteration %d): cache key differs from the PaperSweep run", c.Index, c.Cond, c.Iter)
+		}
+		if c.Cond.CCA == "" {
+			nSolo++
+		} else {
+			nContended++
+		}
+	}
+	if nContended != 810 || nSolo != 405 {
+		t.Errorf("paper_grid.campaign has %d contended + %d solo runs, want 810 + 405", nContended, nSolo)
+	}
+}

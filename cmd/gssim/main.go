@@ -28,6 +28,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -133,6 +134,9 @@ func main() {
 		fatal(err)
 	}
 	pop := experiment.FlowPopulation{Flows: *flows, Streams: *streams, Mix: mix, MeanOn: *flowOn, MeanOff: *flowOff}
+	if err := checkPopulation(pop); err != nil {
+		fatal(err)
+	}
 
 	var probeCfg *probe.Config
 	if *probeOn {
@@ -451,6 +455,20 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, "gssim:", err)
 	}
+}
+
+// popFlags names the gssim flag behind each population field Validate
+// checks, keyed by the field's scenario-file key.
+var popFlags = map[string]string{"flows": "flows", "streams": "streams", "mean_on": "flow-on", "mean_off": "flow-off"}
+
+// checkPopulation holds the population flags to the bounds a scenario
+// file's [population] section enforces, naming the offending flag.
+func checkPopulation(pop experiment.FlowPopulation) error {
+	var pe *experiment.PopulationError
+	if errors.As(pop.Validate(), &pe) {
+		return fmt.Errorf("-%s %s", popFlags[pe.Key], pe.Msg)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
 	"testing"
+	"time"
+
+	"repro/internal/experiment"
 )
 
 // TestUnreadFlags checks each mode rejects the flags it would otherwise
@@ -50,6 +54,30 @@ func TestEveryFlagHasAMode(t *testing.T) {
 		}
 		if !read {
 			t.Errorf("flag -%s is read by no mode", d[1])
+		}
+	}
+}
+
+// TestCheckPopulation checks out-of-range population flags are rejected
+// by name, with the bounds a scenario file's [population] section holds,
+// instead of silently running the classic or default configuration.
+func TestCheckPopulation(t *testing.T) {
+	for _, tc := range []struct {
+		pop  experiment.FlowPopulation
+		want string
+	}{
+		{experiment.FlowPopulation{}, ""},
+		{experiment.FlowPopulation{Flows: 200, Streams: 2, MeanOn: time.Second, MeanOff: 24 * time.Hour}, ""},
+		{experiment.FlowPopulation{Flows: -3}, "-flows -3 outside [0,100000]"},
+		{experiment.FlowPopulation{Flows: 100001}, "-flows 100001 outside [0,100000]"},
+		{experiment.FlowPopulation{Flows: 4, Streams: -2}, "-streams -2 outside [0,100000]"},
+		{experiment.FlowPopulation{Flows: 4, MeanOn: -2 * time.Second}, "-flow-on -2s outside [0,24h]"},
+		{experiment.FlowPopulation{Flows: 4, MeanOff: -time.Second}, "-flow-off -1s outside [0,24h]"},
+		{experiment.FlowPopulation{Flows: 4, MeanOff: 25 * time.Hour}, "-flow-off 25h0m0s outside [0,24h]"},
+	} {
+		err := checkPopulation(tc.pop)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("checkPopulation(%+v) = %v, want %q", tc.pop, err, tc.want)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -77,6 +79,45 @@ type FlowPopulation struct {
 
 // Enabled reports whether the population changes the topology at all.
 func (p FlowPopulation) Enabled() bool { return p.Flows > 0 || p.Streams > 0 }
+
+// Bounds every front end holds a population to.
+const (
+	maxPopulationFlows = 100000         // Flows and Streams
+	maxPopulationMean  = 24 * time.Hour // MeanOn and MeanOff
+)
+
+// A PopulationError names the FlowPopulation field Validate rejected by
+// its scenario-file key: flows, streams, mean_on or mean_off.
+type PopulationError struct {
+	Key string
+	// Msg is the rejected value and its bounds, e.g. "-3 outside [0,100000]".
+	Msg string
+}
+
+func (e *PopulationError) Error() string { return e.Key + " " + e.Msg }
+
+// Validate reports the first field outside its bounds, as a
+// *PopulationError. Shape is not checked: any value up to 1 selects the
+// default tail index.
+func (p FlowPopulation) Validate() error {
+	for _, c := range []struct {
+		key string
+		n   int
+	}{{"flows", p.Flows}, {"streams", p.Streams}} {
+		if c.n < 0 || c.n > maxPopulationFlows {
+			return &PopulationError{c.key, fmt.Sprintf("%d outside [0,%d]", c.n, maxPopulationFlows)}
+		}
+	}
+	for _, c := range []struct {
+		key string
+		d   time.Duration
+	}{{"mean_on", p.MeanOn}, {"mean_off", p.MeanOff}} {
+		if c.d < 0 || c.d > maxPopulationMean {
+			return &PopulationError{c.key, fmt.Sprintf("%s outside [0,24h]", c.d)}
+		}
+	}
+	return nil
+}
 
 // ParseMix parses a comma-separated population mix spec into competitors.
 // Each entry is kind[:cca] with kind one of iperf, dash, videocall — e.g.
@@ -222,19 +263,26 @@ type popSlot struct {
 	srttMS   float64
 }
 
-// popSlotStart and popSlotStop are the shared schedule callbacks: every
-// arrival/departure event across the whole population carries one of
-// these two functions plus its slot pointer, so scheduling a slot's
-// entire ON/OFF history allocates no closures at all.
-func popSlotStart(a any) { sl := a.(*popSlot); sl.start(sl.eng.Now()) }
+// popToggle is the schedule lane's callback. A slot's arrivals and
+// departures strictly alternate, so each item the lane delivers flips its
+// slot: an arrival when it is idle, a departure when it is on.
+func popToggle(a any) {
+	sl := a.(*popSlot)
+	if sl.on {
+		sl.stop(sl.eng.Now())
+	} else {
+		sl.start(sl.eng.Now())
+	}
+}
 
-func popSlotStop(a any) { sl := a.(*popSlot); sl.stop(sl.eng.Now()) }
+// popEvent is one drawn arrival or departure of a slot.
+type popEvent struct {
+	at sim.Time
+	sl *popSlot
+}
 
 // start activates the slot (an arrival).
 func (sl *popSlot) start(now sim.Time) {
-	if sl.on {
-		return
-	}
 	sl.on = true
 	sl.lastOn = now
 	sl.arrivals++
@@ -251,9 +299,6 @@ func (sl *popSlot) start(now sim.Time) {
 // stop idles the slot (a departure), sampling the TCP RTT estimator before
 // it is reset by the next arrival.
 func (sl *popSlot) stop(now sim.Time) {
-	if !sl.on {
-		return
-	}
 	sl.on = false
 	sl.active += now.Sub(sl.lastOn)
 	switch {
@@ -279,6 +324,9 @@ type population struct {
 	cfg     FlowPopulation
 	slots   []*popSlot
 	streams []packet.FlowID // extra game-stream flow IDs
+	// sched delivers every slot's arrivals and departures in time order:
+	// one heap key for the whole schedule, however many are to come.
+	sched sim.Lane
 
 	// slotStore and bulkStore are the bulk backing arrays the slot
 	// pointers index into; binStore backs every iperf slot's goodput
@@ -299,10 +347,10 @@ type popHosts struct {
 	iperfServer, iperfClient *netem.Host
 }
 
-// buildPopulation wires the population into the topology and schedules
-// every arrival and departure up front. rng must be a dedicated fork taken
-// only for the population. Extra game streams run for the whole trace;
-// slots churn inside [FlowStart, FlowStop].
+// buildPopulation wires the population into the topology and queues every
+// arrival and departure up front on one lane. rng must be a dedicated fork
+// taken only for the population. Extra game streams run for the whole
+// trace; slots churn inside [FlowStart, FlowStop].
 func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.Probe, rng *sim.RNG) *population {
 	winStart := sim.At(cfg.Timeline.FlowStart)
 	winStop := sim.At(cfg.Timeline.FlowStop)
@@ -360,6 +408,13 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 		pop.binStore = make([]int64, nIperf*binsPer)
 	}
 	pop.slots = make([]*popSlot, 0, pcfg.Flows)
+	// Presize the drawn schedule for about span/(on+off)+1 cycles per
+	// slot, capped so tiny means cannot reserve a huge array up front.
+	cycles := 1
+	if c := pcfg.MeanOn + pcfg.MeanOff; c > 0 {
+		cycles += int(min(span/c, 1<<16))
+	}
+	sched := make([]popEvent, 0, min(2*pcfg.Flows*cycles, 1<<16))
 
 	// Controllers for iperf slots come from per-algorithm bulk arrays,
 	// consumed in slot order.
@@ -407,8 +462,7 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 
 		// Draw the slot's full ON/OFF schedule now. Phases are staggered
 		// by a uniform initial offset so the population doesn't arrive in
-		// lockstep at FlowStart. The two shared callbacks serve every
-		// period, so schedule length costs events, not closures.
+		// lockstep at FlowStart.
 		t := winStart.Add(time.Duration(rng.Float64() * float64(pcfg.MeanOn+pcfg.MeanOff)))
 		for t < winStop {
 			onDur := paretoDuration(rng, pcfg.MeanOn, pcfg.Shape)
@@ -416,11 +470,26 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 			if end > winStop {
 				end = winStop
 			}
-			eng.ScheduleCallAt(t, popSlotStart, sl)
-			eng.ScheduleCallAt(end, popSlotStop, sl)
+			sched = append(sched, popEvent{t, sl}, popEvent{end, sl})
 			off := time.Duration(rng.Exp(pcfg.MeanOff.Seconds()) * float64(time.Second))
 			t = end.Add(off)
 		}
+	}
+
+	// Queue the schedule on the lane in time order. The stable sort keeps
+	// equal times in drawing order (slot order, and a departure before the
+	// same slot's arrival at that instant), and the lane numbers the items
+	// in sorted order from one block of sequence numbers, so items at one
+	// instant dispatch in drawing order, as when each was scheduled on the
+	// engine as it was drawn. Only the videocall clients' first feedback
+	// ticks, armed while the slots are built, now take their numbers
+	// before the block instead of inside it; they could only reorder
+	// against an item at the same nanosecond.
+	slices.SortStableFunc(sched, func(a, b popEvent) int { return cmp.Compare(a.at, b.at) })
+	pop.sched.Init(eng, popToggle)
+	pop.sched.Reserve(len(sched))
+	for _, ev := range sched {
+		pop.sched.ScheduleAt(ev.at, ev.sl)
 	}
 	return pop
 }

@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"runtime"
@@ -190,6 +192,44 @@ func TestPopulationCleanRunUnchanged(t *testing.T) {
 	if clean1.Flows != nil || clean1.FlowSummary != (FlowSummary{}) {
 		t.Error("clean run carries population results")
 	}
+}
+
+// TestPopulationGoldenDigest pins a mixed population run to a checked-in
+// SHA-256 of its run record (wall fields zeroed), per-flow stats, flow
+// summary and engine counters. The other population tests compare two runs
+// of one build, so only this one catches a change in how the ON/OFF
+// schedule ties with the rest of the run's events.
+// Regenerate with: go test ./internal/experiment -run PopulationGoldenDigest -update
+func TestPopulationGoldenDigest(t *testing.T) {
+	r := Run(RunConfig{
+		Condition: Condition{
+			System: gamestream.Stadia, CCA: "cubic", Capacity: units.Mbps(25), QueueMult: 2,
+		},
+		Population: FlowPopulation{
+			Flows: 40, Streams: 1,
+			Mix: []Competitor{
+				{Kind: CompIperf, CCA: "cubic"}, {Kind: CompIperf, CCA: "bbr"},
+				{Kind: CompDash, CCA: "cubic"}, {Kind: CompVideoCall},
+			},
+			MeanOn: 2 * time.Second, MeanOff: time.Second,
+		},
+		Timeline: metrics.PaperTimeline.Scale(0.1),
+		Seed:     7,
+	})
+	rec := r.Record(0)
+	rec.Engine.WallSeconds = 0
+	rec.Engine.Speedup = 0
+	rec.Engine.EventsPerSecond = 0
+	es := r.Engine
+	es.WallTime = 0
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, v := range []any{rec, r.Flows, r.FlowSummary, es} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGoldenDigest(t, "population_golden.sha256", hex.EncodeToString(h.Sum(nil)))
 }
 
 // canonicalLog parses JSONL records, zeroes the wall-clock fields (the only

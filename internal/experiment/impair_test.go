@@ -276,9 +276,14 @@ func TestImpairedGoldenDigest(t *testing.T) {
 	for _, name := range []string{"cc.csv", "queue.csv", "drops.csv", "events.jsonl"} {
 		h.Write(ex[name])
 	}
-	got := hex.EncodeToString(h.Sum(nil))
+	checkGoldenDigest(t, "impaired_golden.sha256", hex.EncodeToString(h.Sum(nil)))
+}
 
-	path := filepath.Join("testdata", "impaired_golden.sha256")
+// checkGoldenDigest compares got with the digest checked in as
+// testdata/name, or rewrites that file under -update.
+func checkGoldenDigest(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -294,7 +299,7 @@ func TestImpairedGoldenDigest(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if got != strings.TrimSpace(string(want)) {
-		t.Errorf("impaired golden digest changed:\n got %s\nwant %s\nIf the trace change is intended, regenerate with -update.", got, strings.TrimSpace(string(want)))
+		t.Errorf("golden digest %s changed:\n got %s\nwant %s\nIf the change is intended, regenerate with -update.", name, got, strings.TrimSpace(string(want)))
 	}
 }
 

@@ -38,7 +38,6 @@ const (
 	maxHops       = 64
 	maxFlows      = 64
 	maxScheduleBy = 4096 // schedule steps per spec
-	maxPopFlows   = 100000
 	maxIterations = 1000000
 )
 
@@ -404,15 +403,15 @@ func (sp *Spec) setPopulationKey(key, val string) error {
 	switch key {
 	case "flows", "streams":
 		v, err := strconv.Atoi(val)
-		if err != nil || v < 0 || v > maxPopFlows {
-			return fmt.Errorf("%s %q outside [0,%d]", key, val, maxPopFlows)
+		if err != nil {
+			return fmt.Errorf("bad %s %q", key, val)
 		}
 		if key == "flows" {
 			sp.Population.Flows = v
 		} else {
 			sp.Population.Streams = v
 		}
-		return nil
+		return sp.Population.Validate()
 	case "mix":
 		mix, err := experiment.ParseMix(val)
 		if err != nil {
@@ -422,15 +421,15 @@ func (sp *Spec) setPopulationKey(key, val string) error {
 		return nil
 	case "mean_on", "mean_off":
 		d, err := time.ParseDuration(val)
-		if err != nil || d < 0 || d > 24*time.Hour {
-			return fmt.Errorf("%s %q outside [0,24h]", key, val)
+		if err != nil {
+			return fmt.Errorf("bad %s %q", key, val)
 		}
 		if key == "mean_on" {
 			sp.Population.MeanOn = d
 		} else {
 			sp.Population.MeanOff = d
 		}
-		return nil
+		return sp.Population.Validate()
 	case "shape":
 		v, err := strconv.ParseFloat(val, 64)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 1 || v > 100 {

@@ -235,6 +235,8 @@ func TestParseRejectsHostileSpecs(t *testing.T) {
 		{"bare value", "[game]\nsystem = stadia\njunk", "key = value"},
 		{"nan loss", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[impair]\nloss = NaN", "probability"},
 		{"negative flows", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = -3", "outside"},
+		{"huge streams", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nstreams = 100001", "streams 100001 outside"},
+		{"negative mean_off", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 4\nmean_off = -1s", "mean_off -1s outside"},
 		{"huge iterations", "[run]\niterations = 99999999", "outside"},
 		{"bad schedule", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[schedule]\nstep = 10s warp=9", "step"},
 	}

@@ -53,8 +53,9 @@ func BenchmarkDeepHeap(b *testing.B) {
 // BenchmarkLaneDelivery measures per-packet delivery through a Lane: a
 // 25 Mb/s stream of 1500-byte packets (one every 480 µs) on a path that
 // keeps 30 of them in flight, the shape of the paper's bottleneck link.
-// Only the lane's head holds a heap key, so a delivery is one pop and one
-// push on a one-key heap whatever the window; allocs/op must stay 0.
+// Only the lane's head holds a heap key, so a delivery re-keys the root of
+// a one-key heap in place (one sift down) whatever the window; allocs/op
+// must stay 0.
 func BenchmarkLaneDelivery(b *testing.B) {
 	b.ReportAllocs()
 	const (
@@ -103,9 +104,9 @@ func BenchmarkScheduleDispatch(b *testing.B) {
 }
 
 // BenchmarkScheduleCall measures the prebuilt-callback flavor used for
-// deliveries that are not FIFO (a reordering impairer, population slot
-// starts and stops): a stable func(any) plus a pointer-shaped arg. Also
-// must be 0 allocs/op.
+// one-shot deliveries that are not FIFO (a reordering impairer's jittered
+// packets): a stable func(any) plus a pointer-shaped arg. Also must be 0
+// allocs/op.
 func BenchmarkScheduleCall(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -148,7 +149,8 @@ func BenchmarkTimerReset(b *testing.B) {
 
 // BenchmarkTickerSteadyState measures a free-running periodic ticker —
 // the encoder frame clock and feedback loop shape — which re-arms its own
-// entry each tick and must be allocation-free after Start.
+// entry each tick, re-keying the heap root in place, and must be
+// allocation-free after Start.
 func BenchmarkTickerSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)

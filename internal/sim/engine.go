@@ -23,16 +23,22 @@
 //     remove its key in place instead of abandoning tombstone events in
 //     the queue;
 //   - a Lane queues FIFO deliveries whose times never decrease (a link's
-//     or delay line's packets in flight) in its own ring; only its head
-//     item holds a heap key, so the heap stays a few entries deep however
-//     many packets are on the wire;
+//     or delay line's packets in flight, a flow population's pre-drawn
+//     ON/OFF schedule) in its own ring; only its head item holds a heap
+//     key, so the heap stays a few entries deep however many packets are
+//     on the wire or arrivals are still to come;
+//   - the run loop dispatches from the heap root without popping it first:
+//     a lane with another item queued, and a Timer or Ticker that re-arms
+//     from its own callback, re-key the root in place with one sift down
+//     instead of a pop plus an insert;
 //   - ScheduleCall carries a pre-built func(arg) plus a pointer-shaped
-//     argument, for deliveries that are not FIFO, with no per-event
-//     closure allocation.
+//     argument, for one-shot deliveries that are neither FIFO nor
+//     re-armed, with no per-event closure allocation.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -143,9 +149,12 @@ type Engine struct {
 	// slots and pos form the slot table, indexed by a key's slot. For an
 	// occupied slot, pos is the heap index of its key. For a free slot, pos
 	// links to the next free slot; free heads the list (-1 ends it).
-	slots   []slot
-	pos     []int32
-	free    int32
+	slots []slot
+	pos   []int32
+	free  int32
+	// firing is the slot of the Timer/Ticker entry whose callback is
+	// running while its key still sits at the heap root, or -1. See Run.
+	firing  int32
 	stopped bool
 	rng     *RNG
 	// processed counts dispatched events, for diagnostics and benchmarks.
@@ -239,7 +248,7 @@ func (e *Engine) Stats() Stats {
 // NewEngine returns an engine with its clock at zero and an RNG seeded with
 // the given seed.
 func NewEngine(seed uint64) *Engine {
-	e := &Engine{free: -1, rng: NewRNG(seed)}
+	e := &Engine{free: -1, firing: -1, rng: NewRNG(seed)}
 	e.heap = e.heap0[:0]
 	e.slots = e.slots0[:0]
 	e.pos = e.pos0[:0]
@@ -321,25 +330,23 @@ func (e *Engine) fix(i int, k key) {
 	}
 }
 
-// insert adds k to the heap without touching the counters. It is used
-// directly when a key re-enters the heap without a new event being
-// scheduled: a lane re-arming with its next item.
+// insert adds k to the heap without touching the counters, which its
+// callers book: a freshly scheduled event, a Timer or Ticker armed from
+// disarmed, or the first item of an empty Lane.
 func (e *Engine) insert(k key) {
 	e.heap = append(e.heap, k)
 	e.up(len(e.heap)-1, k)
 }
 
-// pop removes and returns the earliest key. The popped key's position is
-// left stale; the caller owns its slot from here.
-func (e *Engine) pop() key {
+// pop removes the root key. Its slot's position is left stale; the caller
+// owns the slot from here.
+func (e *Engine) pop() {
 	h := e.heap
-	k := h[0]
 	n := len(h) - 1
 	e.heap = h[:n]
 	if n > 0 {
 		e.down(0, h[n])
 	}
-	return k
 }
 
 // removeAt deletes the key at heap index i without dispatching it.
@@ -414,28 +421,6 @@ func (e *Engine) count() {
 	}
 }
 
-// dispatch runs the event behind slot s, whose key has just left the heap.
-// A one-shot or entry slot is released before its callback runs, so the
-// callback may schedule into it again; a lane re-arms with its next item
-// first, for the same reason.
-func (e *Engine) dispatch(s int32) {
-	e.processed++
-	sl := &e.slots[s]
-	if l := sl.lane; l != nil {
-		l.fire()
-		return
-	}
-	if ent := sl.ent; ent != nil {
-		ent.slot = -1
-		e.release(s)
-		ent.fire()
-		return
-	}
-	call, arg := sl.call, sl.arg
-	e.release(s)
-	call(arg)
-}
-
 // checkFuture panics on scheduling in the past: silently reordering time
 // would corrupt every queue model downstream.
 func (e *Engine) checkFuture(t Time) {
@@ -462,8 +447,10 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 // ScheduleCall runs fn(arg) after delay d (negative delays clamp to zero).
 // Unlike Schedule, the callback and its argument are stored as given, so
 // callers that reuse one prebuilt fn schedule without allocating a closure
-// per event. Deliveries whose times never decrease belong on a Lane, which
-// keeps them out of the heap.
+// per event. Deliveries whose times never decrease, such as a schedule
+// drawn up front, belong on a Lane, which keeps them out of the heap; a
+// callback that re-arms itself belongs on a Timer, which re-keys the heap
+// root in place.
 func (e *Engine) ScheduleCall(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -487,10 +474,22 @@ func (e *Engine) ScheduleCallAt(t Time, fn func(any), arg any) {
 // it receives a fresh sequence number, so a re-armed timer orders after
 // events already scheduled for the same instant, exactly as a freshly
 // scheduled event would.
+//
+// An entry re-armed from its own callback is disarmed but still holds the
+// heap root (see Run): it takes that slot back and re-keys the root with
+// one sift down. That counts as a newly scheduled event, exactly as the
+// pop plus insert it replaces did.
 func (e *Engine) scheduleEntry(ent *entry, t Time) {
 	e.checkFuture(t)
 	s := ent.slot
 	if s < 0 {
+		if f := e.firing; f >= 0 && e.slots[f].ent == ent {
+			e.firing = -1
+			ent.slot = f
+			e.down(0, key{t, e.nextOrd(f)})
+			e.count()
+			return
+		}
 		s = e.acquire()
 		e.slots[s].ent = ent
 		ent.slot = s
@@ -526,16 +525,65 @@ func (e *Engine) Stop() { e.stopped = true }
 //
 // Run clears any previous Stop before dispatching, so an engine stopped
 // mid-run can be resumed simply by calling Run again.
+//
+// The loop reads the root key without popping it. A one-shot event pops
+// and releases its slot before its callback runs, so the callback may
+// schedule into it again. A lane takes its head item and re-keys the root
+// with its next item, or pops and gives up its slot when it empties,
+// before its callback runs, so the heap again holds every lane's earliest
+// item whatever the callback schedules. A Timer or Ticker entry fires
+// disarmed with its key still at the root; if the callback re-arms it,
+// scheduleEntry re-keys the root in place, and otherwise the loop pops the
+// key and releases the slot afterwards. Leaving the firing key at the root
+// through a callback is safe on two invariants:
+//
+//   - nothing the callback schedules can order before the firing key:
+//     its time is at or after now and its sequence number is larger, so
+//     an insert's sift up stops below the root;
+//   - removing any other key (a Stop, or a Reset that moves it) never
+//     moves the root, because every key left in the heap orders after it.
+//
+// A callback must not call Run. The slot table may grow during any
+// callback, so the loop holds slot indexes across one, never pointers.
 func (e *Engine) Run(until Time) Time {
 	start := time.Now()
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
-		if e.heap[0].at > until {
+		k := e.heap[0]
+		if k.at > until {
 			break
 		}
-		k := e.pop()
 		e.now = k.at
-		e.dispatch(k.slot())
+		e.processed++
+		s := k.slot()
+		sl := &e.slots[s]
+		if l := sl.lane; l != nil {
+			arg := l.take()
+			if l.n > 0 {
+				e.down(0, l.ring[l.head].key)
+			} else {
+				e.pop()
+				e.release(s)
+				l.slot = -1
+			}
+			l.fn(arg)
+			continue
+		}
+		if ent := sl.ent; ent != nil {
+			ent.slot = -1
+			e.firing = s
+			ent.fire()
+			if e.firing == s { // not re-armed: the key is still at the root
+				e.firing = -1
+				e.pop()
+				e.release(s)
+			}
+			continue
+		}
+		call, arg := sl.call, sl.arg
+		e.pop()
+		e.release(s)
+		call(arg)
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -557,7 +605,8 @@ func (e *Engine) Pending() int { return int(e.scheduled - e.processed - e.cancel
 // when it is scheduled, exactly as ScheduleCallAt would, so dispatch order
 // and Stats are the same as scheduling each item on the engine directly;
 // but only the head item holds a heap key, and the rest wait in the lane's
-// ring. Items count as pending while they wait.
+// ring. Items count as pending while they wait. When the head item fires,
+// the run loop re-keys the lane's root key to the next item in place.
 //
 // The zero Lane is not usable until Init. Lanes must not be copied once
 // initialised.
@@ -606,7 +655,7 @@ func (l *Lane) ScheduleAt(t Time, arg any) {
 	}
 	l.tail = t
 	if l.n == len(l.ring) {
-		l.grow()
+		l.resize(2 * len(l.ring))
 	}
 	s := l.slot
 	empty := s < 0
@@ -626,34 +675,36 @@ func (l *Lane) ScheduleAt(t Time, arg any) {
 	e.count()
 }
 
-// grow doubles the ring, unrolling it so the head lands at index 0. The
-// old ring is cleared: when it is ring0, the Lane would otherwise keep its
-// copies of the queued arguments reachable.
-func (l *Lane) grow() {
-	r := make([]laneItem, 2*len(l.ring))
-	k := copy(r, l.ring[l.head:])
-	copy(r[k:], l.ring[:l.head])
+// Reserve grows the ring, if it must, to hold n queued items at once, so
+// a caller that queues a known schedule up front pays one allocation
+// instead of one per doubling.
+func (l *Lane) Reserve(n int) {
+	if n > len(l.ring) {
+		l.resize(1 << bits.Len(uint(n-1)))
+	}
+}
+
+// resize moves the ring to a new power-of-two size of at least l.n,
+// unrolling it so the head lands at index 0. The old ring is cleared: when
+// it is ring0, the Lane would otherwise keep its copies of the queued
+// arguments reachable.
+func (l *Lane) resize(size int) {
+	r := make([]laneItem, size)
+	k := copy(r[:l.n], l.ring[l.head:])
+	copy(r[k:l.n], l.ring[:l.head])
 	clear(l.ring)
 	l.ring = r
 	l.head = 0
 }
 
-// fire delivers the head item. The lane re-arms with its next item (or
-// gives up its slot) before the callback runs, so the heap again holds
-// every lane's earliest item whatever the callback schedules.
-func (l *Lane) fire() {
+// take removes the head item and returns its argument.
+func (l *Lane) take() any {
 	c := &l.ring[l.head]
 	arg := c.arg
 	c.arg = nil // delivered packets must not stay pinned by the ring
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
-	if l.n > 0 {
-		l.eng.insert(l.ring[l.head].key)
-	} else {
-		l.eng.release(l.slot)
-		l.slot = -1
-	}
-	l.fn(arg)
+	return arg
 }
 
 // Timer is a cancellable, reschedulable single-shot timer bound to an engine.

@@ -215,6 +215,45 @@ func TestLaneRingGrowth(t *testing.T) {
 	}
 }
 
+// TestLaneReserve checks Reserve sizes the ring once, to the next power of
+// two, keeps the queued items in FIFO order across a wrapped ring, and
+// leaves later scheduling up to that size allocation-free.
+func TestLaneReserve(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	ln := newLane(e, func(x any) { got = append(got, x.(int)) })
+	next := 0
+	queue := func(n int) {
+		for i := 0; i < n; i++ {
+			ln.ScheduleAt(e.Now().Add(time.Duration(next)*time.Microsecond), next)
+			next++
+		}
+	}
+	queue(laneInitCap - 4)
+	e.Run(At(time.Duration(laneInitCap/2) * time.Microsecond)) // wrap the ring
+	queue(8)
+	ln.Reserve(100)
+	if len(ln.ring) != 128 {
+		t.Fatalf("Reserve(100) left a ring of %d cells, want 128", len(ln.ring))
+	}
+	ln.Reserve(10) // never shrinks
+	if len(ln.ring) != 128 {
+		t.Fatalf("Reserve(10) resized the ring to %d cells", len(ln.ring))
+	}
+	if n := testing.AllocsPerRun(50, func() { queue(1) }); n != 0 {
+		t.Errorf("scheduling up to the reserved size: %.0f allocs, want 0", n)
+	}
+	e.Run(End)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery %d carried item %d", i, v)
+		}
+	}
+	if len(got) != next {
+		t.Fatalf("delivered %d items, want %d", len(got), next)
+	}
+}
+
 // mustPanic runs fn and fails the test unless it panics with a message
 // containing want.
 func mustPanic(t *testing.T, want string, fn func()) {

@@ -59,7 +59,7 @@ func main() {
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
 		telAddr    = flag.String("telemetry-addr", "", "serve live campaign telemetry over HTTP at this address (e.g. :9300): /metrics is Prometheus text, /snapshot JSON")
 		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this JSON file")
-		telLog     = flag.String("telemetry-log", "", "append the JSONL health timeline (progress, cache hit rate, events/sec drift) to this file")
+		telLog     = flag.String("telemetry-log", "", "append the JSONL health timeline (progress, ETA, cache hit rate) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -74,6 +74,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gsbench:", err)
 		os.Exit(2)
+	}
+	if err := experiment.CheckAQM(*aqm); err != nil {
+		fmt.Fprintln(os.Stderr, "gsbench: -aqm:", err)
+		os.Exit(1)
 	}
 
 	if *cpuprofile != "" {

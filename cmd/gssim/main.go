@@ -26,7 +26,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -44,13 +43,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/obs"
-	"repro/internal/packet"
-	"repro/internal/pcap"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/runcache"
 	"repro/internal/scenario"
-	"repro/internal/sim"
+	"repro/internal/tcp"
 	"repro/internal/units"
 )
 
@@ -63,7 +60,6 @@ func main() {
 		aqm      = flag.String("aqm", experiment.AQMDropTail, "queue discipline")
 		seed     = flag.Uint64("seed", 1, "run seed")
 		scale    = flag.Float64("scale", 1, "timeline compression")
-		pcapPath = flag.String("pcap", "", "also write the bottleneck trace as a pcap file")
 		workers  = flag.Int("workers", 0, "with -chaos: run parallelism (0 = one worker per CPU)")
 
 		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of flag-built conditions (see docs/SCENARIOS.md)")
@@ -137,6 +133,9 @@ func main() {
 	if err := checkPopulation(pop); err != nil {
 		fatal(err)
 	}
+	if err := checkNames(*system, *cca, *aqm); err != nil {
+		fatal(err)
+	}
 
 	var probeCfg *probe.Config
 	if *probeOn {
@@ -187,7 +186,7 @@ func main() {
 		runScenario(*scenarioPath, *progress, runLog, cache)
 		return
 	}
-	runSingle(*system, *cca, *capacity, *queue, *aqm, *seed, *scale, *pcapPath, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache)
+	runSingle(*system, *cca, *capacity, *queue, *aqm, *seed, *scale, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache)
 }
 
 // runScenario executes every iteration of a scenario file, one at a time in
@@ -299,7 +298,7 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 // runSingle executes one condition and prints its time series as CSV. The
 // -cca flag accepts a comma-separated list (e.g. "cubic,bbr") to put
 // several bulk flows on the bottleneck at once.
-func runSingle(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64, pcapPath string, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeOut string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache) {
+func runSingle(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeOut string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache) {
 	if cca == "none" {
 		cca = ""
 	}
@@ -323,27 +322,6 @@ func runSingle(system, cca string, capacity, queue float64, aqm string, seed uin
 		for _, c := range ccas {
 			cfg.Competitors = append(cfg.Competitors, experiment.Competitor{Kind: experiment.CompIperf, CCA: c})
 		}
-	}
-	if pcapPath != "" {
-		f, err := os.Create(pcapPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		bw := bufio.NewWriterSize(f, 1<<20)
-		defer bw.Flush()
-		pw, err := pcap.NewWriter(bw)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.OnPacket = func(at sim.Time, p *packet.Packet) {
-			if err := pw.Write(at, p); err != nil {
-				fatal(fmt.Errorf("pcap: %w", err))
-			}
-		}
-		defer func() {
-			fmt.Fprintf(os.Stderr, "gssim: wrote %d packets to %s\n", pw.Packets(), pcapPath)
-		}()
 	}
 	res, hit := experiment.RunCached(cache, cfg)
 	var pmeta *obs.ProbeMeta
@@ -416,7 +394,7 @@ func paperTimeline(scale float64) metrics.Timeline {
 var (
 	profileFlags = []string{"cpuprofile", "memprofile"}
 	modeFlags    = map[string][]string{
-		"single": {"system", "cca", "capacity", "queue", "aqm", "seed", "scale", "pcap",
+		"single": {"system", "cca", "capacity", "queue", "aqm", "seed", "scale",
 			"progress", "runlog", "cache", "probe", "probe-interval", "events", "probe-out",
 			"flows", "streams", "flow-mix", "flow-on", "flow-off",
 			"loss", "jitter", "reorder", "dup", "schedule"},
@@ -467,6 +445,25 @@ func checkPopulation(pop experiment.FlowPopulation) error {
 	var pe *experiment.PopulationError
 	if errors.As(pop.Validate(), &pe) {
 		return fmt.Errorf("-%s %s", popFlags[pe.Key], pe.Msg)
+	}
+	return nil
+}
+
+// checkNames rejects an unknown -system, -cca or -aqm name before any run,
+// naming the flag; the run itself would panic on it.
+func checkNames(system, cca, aqm string) error {
+	if _, err := gamestream.ParseSystem(system); err != nil {
+		return fmt.Errorf("-system: %w", err)
+	}
+	if cca != "" && cca != "none" {
+		for _, c := range strings.Split(cca, ",") {
+			if !tcp.Known(c) {
+				return fmt.Errorf("-cca: unknown cca %q", c)
+			}
+		}
+	}
+	if err := experiment.CheckAQM(aqm); err != nil {
+		return fmt.Errorf("-aqm: %w", err)
 	}
 	return nil
 }

@@ -81,3 +81,27 @@ func TestCheckPopulation(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckNames checks an unknown -system, -cca or -aqm name is rejected
+// by flag before any run, instead of panicking inside it.
+func TestCheckNames(t *testing.T) {
+	for _, tc := range []struct {
+		system, cca, aqm string
+		want             string
+	}{
+		{"stadia", "cubic", "droptail", ""},
+		{"luna", "cubic,bbr", "fq_codel", ""},
+		{"geforce", "none", "codel", ""},
+		{"geforce", "", "codel", ""},
+		{"nope", "cubic", "droptail", `-system: unknown system "nope" (want stadia, geforce, or luna)`},
+		{"stadia", "quic", "droptail", `-cca: unknown cca "quic"`},
+		{"stadia", "cubic,nope", "droptail", `-cca: unknown cca "nope"`},
+		{"stadia", "cubic,none", "droptail", `-cca: unknown cca "none"`},
+		{"stadia", "cubic", "nope", `-aqm: unknown aqm "nope" (want droptail, codel, or fq_codel)`},
+	} {
+		err := checkNames(tc.system, tc.cca, tc.aqm)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("checkNames(%q, %q, %q) = %v, want %q", tc.system, tc.cca, tc.aqm, err, tc.want)
+		}
+	}
+}

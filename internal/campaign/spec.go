@@ -278,30 +278,23 @@ func (sp *Spec) setMCKey(key, val string) error {
 }
 
 func (sp *Spec) setAQM(val string) error {
-	switch val {
-	case experiment.AQMDropTail, experiment.AQMCoDel, experiment.AQMFQCoDel:
-		sp.AQM = val
-		return nil
+	if err := experiment.CheckAQM(val); err != nil {
+		return err
 	}
-	return fmt.Errorf("unknown aqm %q", val)
+	sp.AQM = val
+	return nil
 }
 
 func (sp *Spec) parseSystems(val string) error {
 	for _, s := range splitList(val) {
-		var found gamestream.System
-		for _, sys := range gamestream.Systems {
-			if string(sys) == s {
-				found = sys
-				break
-			}
-		}
-		if found == "" {
-			return fmt.Errorf("unknown system %q (want stadia, geforce, or luna)", s)
+		sys, err := gamestream.ParseSystem(s)
+		if err != nil {
+			return err
 		}
 		if len(sp.Systems) >= maxAxis {
 			return fmt.Errorf("more than %d systems", maxAxis)
 		}
-		sp.Systems = append(sp.Systems, found)
+		sp.Systems = append(sp.Systems, sys)
 	}
 	return nil
 }

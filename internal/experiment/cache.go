@@ -40,14 +40,14 @@ var cacheVersion = func() string {
 }()
 
 // Cacheable reports whether a run can be served from (and stored into) a
-// run cache. Runs carrying live observers — a probe capture, a per-packet
-// tap, a profile override — are excluded: their value is exactly the part
-// of the run a stored RunResult does not round-trip. ForceImpairer runs
-// are excluded too: they exist to differentially test the impairment
-// stage, and serving them from the cache of their (equivalent) plain runs
-// would erase exactly the difference under test.
+// run cache. Runs carrying a probe capture or a profile override are
+// excluded: their value is exactly the part of the run a stored RunResult
+// does not round-trip. ForceImpairer runs are excluded too: they exist to
+// differentially test the impairment stage, and serving them from the
+// cache of their (equivalent) plain runs would erase exactly the
+// difference under test.
 func (c RunConfig) Cacheable() bool {
-	return c.Probe == nil && c.OnPacket == nil && c.Profile == nil && !c.ForceImpairer
+	return c.Probe == nil && c.Profile == nil && !c.ForceImpairer
 }
 
 // CacheKey derives the content address of cfg's result: a SHA-256 over the

@@ -135,7 +135,6 @@ func LoadSweep(path string) (*SweepResult, error) {
 func toPersisted(r *RunResult) persistedRun {
 	cfg := r.Cfg
 	cfg.Profile = nil
-	cfg.OnPacket = nil
 	p := persistedRun{
 		Cfg:              cfg,
 		Bin:              int64(r.Bin),

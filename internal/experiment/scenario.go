@@ -46,6 +46,17 @@ const (
 	AQMFQCoDel  = "fq_codel"
 )
 
+// CheckAQM returns an error unless name is one of the queue disciplines
+// above, so flag and spec parsers reject a bad name before Run would panic
+// on it.
+func CheckAQM(name string) error {
+	switch name {
+	case AQMDropTail, AQMCoDel, AQMFQCoDel:
+		return nil
+	}
+	return fmt.Errorf("unknown aqm %q (want droptail, codel, or fq_codel)", name)
+}
+
 // Condition is one cell of the experimental grid (Table 2).
 type Condition struct {
 	System gamestream.System
@@ -119,9 +130,6 @@ type RunConfig struct {
 	// Profile, when non-nil, overrides the stock profile for the game
 	// system — the hook for ablation studies on controller mechanisms.
 	Profile *gamestream.Profile
-	// OnPacket, when non-nil, observes every packet the bottleneck router
-	// forwards (e.g. a pcap writer tap).
-	OnPacket func(at sim.Time, p *packet.Packet)
 	// BaseRTT is the no-load round-trip time the paper equalised to
 	// 16.5 ms across systems.
 	BaseRTT time.Duration
@@ -361,9 +369,6 @@ func Run(cfg RunConfig) *RunResult {
 	}
 	downRouter := netem.NewRouter()
 	downRouter.Tap(capture.Tap)
-	if cfg.OnPacket != nil {
-		downRouter.Tap(func(p *packet.Packet) { cfg.OnPacket(eng.Now(), p) })
-	}
 	downRouter.Route(addrGameClient, shaper)
 	downRouter.Route(addrIperfClient, shaper)
 

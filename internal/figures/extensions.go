@@ -169,9 +169,9 @@ func (c *Campaign) QoETable() *report.Table {
 // ResponseRecoveryTable is the breakdown the paper defers to its technical
 // report: per condition, the response time C (adjusting to the arriving
 // flow) and recovery time E (returning to the original bitrate after it
-// departs), measured on the across-run mean bitrate series (§4.2). An
-// asterisk marks conditions that never settled within the window — the
-// paper's "never responds / never recovers" cases.
+// departs), measured on the across-run mean bitrate series (§4.2). A
+// condition that never settled within the window — the paper's "never
+// responds / never recovers" cases — prints the window as a bound, ">170".
 func (c *Campaign) ResponseRecoveryTable() *report.Table {
 	sweep := c.Contended()
 	tb := report.NewTable("Response and recovery times (s), per condition",
@@ -186,18 +186,11 @@ func (c *Campaign) ResponseRecoveryTable() *report.Table {
 						continue
 					}
 					rr := cond.ResponseRecovery()
-					respMark, recMark := "", ""
-					if !rr.Responded {
-						respMark = "*"
-					}
-					if !rr.Recovered {
-						recMark = "*"
-					}
 					tb.AddRow(string(sys), cca,
 						fmt.Sprintf("%.0f", capy.Mbit()),
 						fmt.Sprintf("%.1fx", qm),
-						fmt.Sprintf("%.0f%s", rr.Response.Seconds(), respMark),
-						fmt.Sprintf("%.0f%s", rr.Recovery.Seconds(), recMark))
+						settleCell(rr.Response, rr.Responded, ""),
+						settleCell(rr.Recovery, rr.Recovered, ""))
 				}
 			}
 		}

@@ -242,6 +242,9 @@ type Figure4Point struct {
 	Adaptiveness float64
 	Response     time.Duration
 	Recovery     time.Duration
+	// Responded and Recovered are false when the series never settled;
+	// the time is then the window length, a lower bound.
+	Responded, Recovered bool
 }
 
 // Figure4 reproduces the adaptiveness-versus-fairness scatter: one point
@@ -267,6 +270,8 @@ func (c *Campaign) Figure4() []Figure4Point {
 				Fairness:  cond.FairnessRatio(),
 				Response:  rr.Response,
 				Recovery:  rr.Recovery,
+				Responded: rr.Responded,
+				Recovered: rr.Recovered,
 			}
 			if rr.Response > cmax {
 				cmax = rr.Response
@@ -295,10 +300,21 @@ func (c *Campaign) Figure4Table() *report.Table {
 			fmt.Sprintf("%.1fx", p.QueueMult),
 			fmt.Sprintf("%+.2f", p.Fairness),
 			fmt.Sprintf("%.2f", p.Adaptiveness),
-			fmt.Sprintf("%.0fs", p.Response.Seconds()),
-			fmt.Sprintf("%.0fs", p.Recovery.Seconds()))
+			settleCell(p.Response, p.Responded, "s"),
+			settleCell(p.Recovery, p.Recovered, "s"))
 	}
 	return tb
+}
+
+// settleCell renders a response or recovery time in whole seconds. A
+// series that never settled prints its window length as a lower bound
+// (">170"), so it cannot be read as a measured time.
+func settleCell(d time.Duration, settled bool, unit string) string {
+	bound := ""
+	if !settled {
+		bound = ">"
+	}
+	return fmt.Sprintf("%s%.0f%s", bound, d.Seconds(), unit)
 }
 
 // gridCol is one column group of a capacity × queue table: for every

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/experiment"
 	"repro/internal/gamestream"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 	"repro/internal/units"
@@ -116,6 +117,48 @@ func TestFigure4PointsComplete(t *testing.T) {
 	}
 	if !strings.Contains(shared.Figure4Table().String(), "Adaptiveness") {
 		t.Error("Figure 4 table missing header")
+	}
+}
+
+// TestUnsettledTimesPrintAsBounds: a bitrate series that drops when the
+// competitor arrives and never climbs back has no recovery time. Its cell
+// prints the 170 s recovery window as a bound, in both the response/
+// recovery table's and Figure 4's format, while the response it did make
+// prints as a time.
+func TestUnsettledTimesPrintAsBounds(t *testing.T) {
+	tl := metrics.PaperTimeline
+	s := metrics.Series{Bin: 500 * time.Millisecond, V: make([]float64, int(tl.TraceEnd/(500*time.Millisecond)))}
+	for i := range s.V {
+		s.V[i] = 20
+		if time.Duration(i)*s.Bin >= tl.FlowStart {
+			s.V[i] = 5
+		}
+	}
+	rr := metrics.MeasureResponseRecovery(s, tl)
+	if !rr.Responded || rr.Recovered {
+		t.Fatalf("responded %v recovered %v, want a response and no recovery", rr.Responded, rr.Recovered)
+	}
+	for _, tc := range []struct {
+		d       time.Duration
+		settled bool
+		unit    string
+		want    string
+	}{
+		{rr.Recovery, rr.Recovered, "", ">170"},
+		{rr.Recovery, rr.Recovered, "s", ">170s"},
+		{rr.Response, rr.Responded, "", "1"},
+		{rr.Response, rr.Responded, "s", "1s"},
+	} {
+		if got := settleCell(tc.d, tc.settled, tc.unit); got != tc.want {
+			t.Errorf("settleCell(%v, %v, %q) = %q, want %q", tc.d, tc.settled, tc.unit, got, tc.want)
+		}
+	}
+	for _, row := range append(shared.ResponseRecoveryTable().Rows, shared.Figure4Table().Rows...) {
+		for _, cell := range row[len(row)-2:] {
+			if strings.HasSuffix(cell, "*") {
+				t.Errorf("row %v marks an unsettled time with %q, want a \">\" bound", row, cell)
+			}
+		}
 	}
 }
 

@@ -71,13 +71,6 @@ func RenderTelemetry(w io.Writer, label string, snap *obs.Snapshot) {
 	if c := snap.Cache; c != nil && c.Lookups() > 0 {
 		fmt.Fprintf(w, "run cache: %s\n", c)
 	}
-	if h := snap.Health; h != nil && h.EventsPerSRoll > 0 {
-		fmt.Fprintf(w, "engine: %.3g events/s rolling (opening %.3g)", h.EventsPerSRoll, h.EventsPerSOpen)
-		if h.Drift {
-			fmt.Fprintf(w, "  [drift warning: %.0f%% below opening window]", h.DriftPct)
-		}
-		fmt.Fprintln(w)
-	}
 	fmt.Fprintln(w)
 
 	// Campaign-wide table: one row per paper metric, quantiles + exact CI.

@@ -1,6 +1,7 @@
 package gamestream
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/units"
@@ -18,6 +19,18 @@ const (
 
 // Systems lists the studied platforms in the paper's presentation order.
 var Systems = []System{Stadia, GeForce, Luna}
+
+// ParseSystem returns the system called name, or an error naming the
+// studied platforms, so flag and spec parsers reject a bad name before
+// ProfileFor would panic on it.
+func ParseSystem(name string) (System, error) {
+	for _, sys := range Systems {
+		if string(sys) == name {
+			return sys, nil
+		}
+	}
+	return "", fmt.Errorf("unknown system %q (want stadia, geforce, or luna)", name)
+}
 
 // ProfileFor returns the calibrated behavioural profile for a system. It
 // panics on an unknown system name (a configuration error).

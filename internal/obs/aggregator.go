@@ -84,9 +84,9 @@ type condAgg struct {
 	pending map[int][]*Record
 }
 
-// HealthPoint is one line of the JSONL health timeline: campaign progress,
-// cache effectiveness, and engine throughput drift, stamped with wall time
-// since the campaign started.
+// HealthPoint is one line of the JSONL health timeline: campaign progress
+// and cache effectiveness, stamped with wall time since the campaign
+// started.
 type HealthPoint struct {
 	TimeS    float64 `json:"t_s"`
 	Done     int     `json:"done"`
@@ -99,16 +99,7 @@ type HealthPoint struct {
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheLookups uint64  `json:"cache_lookups"`
 	CacheHitPct  float64 `json:"cache_hit_pct"`
-	// EventsPerSOpen is the engine dispatch rate over the campaign's opening
-	// window, EventsPerSRoll over the most recent window. A rolling rate
-	// more than DriftFrac below the opening rate raises Drift — the early
-	// warning that the host is thermal-throttling, swapping, or being
-	// crowded by other tenants mid-campaign.
-	EventsPerSOpen float64 `json:"events_per_s_open,omitempty"`
-	EventsPerSRoll float64 `json:"events_per_s_roll,omitempty"`
-	DriftPct       float64 `json:"drift_pct,omitempty"`
-	Drift          bool    `json:"drift_warning,omitempty"`
-	Final          bool    `json:"final,omitempty"`
+	Final        bool    `json:"final,omitempty"`
 }
 
 // CondSketches is one condition's slice of a Snapshot: deterministic paper
@@ -167,10 +158,6 @@ func (s *Snapshot) DeterministicJSON() ([]byte, error) {
 	return json.Marshal(det)
 }
 
-// healthWindow is the default run count for the opening/rolling engine
-// throughput comparison.
-const healthWindow = 32
-
 // Aggregator is a Progress sink that folds every finished run's metrics into
 // per-condition and campaign-wide MetricSketches — O(conditions) memory, no
 // per-run records retained — and optionally emits a JSONL health timeline.
@@ -192,9 +179,6 @@ type Aggregator struct {
 	// CacheStats, when non-nil, is polled for run-cache counters to include
 	// in timeline lines and snapshots.
 	CacheStats func() runcache.Stats
-	// DriftFrac is the rolling-vs-opening events/sec deficit that raises a
-	// drift warning (default 0.10 — the ">10% below opening" rule).
-	DriftFrac float64
 
 	mu          sync.Mutex
 	total       int
@@ -205,18 +189,7 @@ type Aggregator struct {
 	elapsed     time.Duration
 	lastEmit    time.Time
 	conds       map[string]*condAgg
-
-	// Engine-health ring: events/wall sums over the opening window and a
-	// rolling window of the most recent completions (completion order —
-	// health is a wall-clock concern, not a deterministic one).
-	openEvents, openWall float64
-	openN                int
-	ring                 []runPerf
-	ringHead             int
-	rollEvents, rollWall float64
 }
-
-type runPerf struct{ events, wall float64 }
 
 // NewAggregator returns an Aggregator with default settings.
 func NewAggregator() *Aggregator {
@@ -267,7 +240,6 @@ func (a *Aggregator) RunDone(u Update) {
 			c.cached++
 			a.cached++
 		}
-		a.observePerf(r)
 		switch {
 		case r.Iteration == c.next:
 			c.fold(r, a.Compression)
@@ -344,32 +316,6 @@ func (c *condAgg) flushPending(compression float64) {
 	}
 }
 
-// observePerf feeds the engine-throughput drift detector. Cached runs are
-// excluded: their stored counters describe the original execution, not this
-// host right now.
-func (a *Aggregator) observePerf(r *Record) {
-	if r.Cached || r.Engine.WallSeconds <= 0 {
-		return
-	}
-	p := runPerf{events: float64(r.Engine.Events), wall: r.Engine.WallSeconds}
-	if a.openN < healthWindow {
-		a.openEvents += p.events
-		a.openWall += p.wall
-		a.openN++
-	}
-	if len(a.ring) < healthWindow {
-		a.ring = append(a.ring, p)
-	} else {
-		old := a.ring[a.ringHead]
-		a.rollEvents -= old.events
-		a.rollWall -= old.wall
-		a.ring[a.ringHead] = p
-		a.ringHead = (a.ringHead + 1) % healthWindow
-	}
-	a.rollEvents += p.events
-	a.rollWall += p.wall
-}
-
 // healthLocked assembles the current HealthPoint. Caller holds a.mu.
 func (a *Aggregator) healthLocked(final bool) HealthPoint {
 	h := HealthPoint{
@@ -390,26 +336,6 @@ func (a *Aggregator) healthLocked(final bool) HealthPoint {
 		h.CacheHits = cs.Hits
 		h.CacheLookups = cs.Lookups()
 		h.CacheHitPct = cs.HitRate()
-	}
-	if a.openWall > 0 {
-		h.EventsPerSOpen = a.openEvents / a.openWall
-	}
-	if a.rollWall > 0 {
-		h.EventsPerSRoll = a.rollEvents / a.rollWall
-	}
-	// Only flag drift once both windows are fully populated — comparing a
-	// half-filled opening window against itself would always read clean,
-	// and a two-run rolling window is noise.
-	driftFrac := a.DriftFrac
-	if driftFrac <= 0 {
-		driftFrac = 0.10
-	}
-	if a.openN == healthWindow && len(a.ring) == healthWindow && h.EventsPerSOpen > 0 {
-		deficit := 1 - h.EventsPerSRoll/h.EventsPerSOpen
-		if deficit > 0 {
-			h.DriftPct = 100 * deficit
-		}
-		h.Drift = deficit > driftFrac
 	}
 	return h
 }

@@ -214,30 +214,21 @@ func TestAggregatorFlowsMetrics(t *testing.T) {
 	}
 }
 
-// TestAggregatorHealthTimeline: timeline lines are valid JSONL, include
-// cache counters from the injected hook, and the drift warning fires when
-// the rolling engine rate sinks >10% below the opening window.
+// TestAggregatorHealthTimeline: timeline lines are valid JSONL, one per
+// completed run at a nanosecond throttle, and include cache counters from
+// the injected hook.
 func TestAggregatorHealthTimeline(t *testing.T) {
 	var buf bytes.Buffer
 	ag := NewAggregator()
 	ag.Timeline = &buf
-	ag.Every = 0 // default 10s would throttle everything but the final line
 	ag.Every = time.Nanosecond
 	ag.CacheStats = func() runcache.Stats { return runcache.Stats{Hits: 30, Misses: 10} }
 
-	const n = 3 * healthWindow
+	const n = 96
 	ag.SweepStart(n)
 	c := "h/cubic/B25/q2.0x"
 	for i := 0; i < n; i++ {
-		r := aggRecord(c, i)
-		// Opening window runs at 1M events/s; later runs collapse to half
-		// that — a 50% deficit that must trip the 10% drift rule.
-		r.Engine.WallSeconds = 1
-		r.Engine.Events = 1_000_000
-		if i >= healthWindow {
-			r.Engine.Events = 500_000
-		}
-		ag.RunDone(Update{Done: i + 1, Total: n, Cond: c, Iteration: i, Record: r})
+		ag.RunDone(Update{Done: i + 1, Total: n, Cond: c, Iteration: i, Record: aggRecord(c, i)})
 	}
 	ag.SweepDone(false, time.Second)
 
@@ -256,24 +247,6 @@ func TestAggregatorHealthTimeline(t *testing.T) {
 	}
 	if last.CacheHits != 30 || last.CacheLookups != 40 || math.Abs(last.CacheHitPct-75) > 1e-9 {
 		t.Errorf("cache fields = %d/%d/%.1f%%, want 30/40/75%%", last.CacheHits, last.CacheLookups, last.CacheHitPct)
-	}
-	if !last.Drift || last.DriftPct < 10 {
-		t.Errorf("drift warning not raised: %+v", last)
-	}
-	if last.EventsPerSRoll >= last.EventsPerSOpen {
-		t.Errorf("rolling %.0f should be below opening %.0f", last.EventsPerSRoll, last.EventsPerSOpen)
-	}
-
-	// Steady throughput must NOT warn.
-	ag2 := NewAggregator()
-	ag2.Timeline = io.Discard
-	ag2.SweepStart(n)
-	for i := 0; i < n; i++ {
-		ag2.RunDone(Update{Done: i + 1, Total: n, Cond: c, Iteration: i, Record: aggRecord(c, i)})
-	}
-	ag2.SweepDone(false, time.Second)
-	if h := ag2.Snapshot().Health; h.Drift {
-		t.Errorf("steady campaign raised a drift warning: %+v", h)
 	}
 }
 
@@ -395,7 +368,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 
 	prom := get("/metrics")
 	for _, want := range []string{
-		"gs_runs_total 10", "gs_runs_done 10", "gs_events_per_sec",
+		"gs_runs_total 10", "gs_runs_done 10", "gs_runs_per_sec",
 		"gs_cache_hit_pct 50", "gs_metric_mean{metric=\"game_mbps\"}",
 		"gs_metric_quantile{metric=\"rtt_ms\",q=\"0.50\"}",
 		"gs_cond_runs{cond=\"e/cubic/B25/q2.0x\"} 10",

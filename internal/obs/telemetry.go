@@ -15,9 +15,9 @@ import (
 var promQuantiles = []float64{0.10, 0.50, 0.90}
 
 // WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4): campaign progress gauges, cache counters, engine
-// throughput with the drift signal, campaign-wide metric means/quantiles,
-// and per-condition run counts and means.
+// format (version 0.0.4): campaign progress gauges, cache counters,
+// campaign-wide metric means/quantiles, and per-condition run counts and
+// means.
 func WritePrometheus(w io.Writer, snap *Snapshot) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
@@ -36,13 +36,6 @@ func WritePrometheus(w io.Writer, snap *Snapshot) {
 	if h := snap.Health; h != nil {
 		gauge("gs_eta_seconds", "Projected remaining wall time.", h.ETAS)
 		gauge("gs_runs_per_sec", "Campaign run completion rate.", h.RunsPerS)
-		gauge("gs_events_per_sec", "Engine dispatch rate over the rolling window.", h.EventsPerSRoll)
-		gauge("gs_events_per_sec_opening", "Engine dispatch rate over the opening window.", h.EventsPerSOpen)
-		drift := 0.0
-		if h.Drift {
-			drift = 1
-		}
-		gauge("gs_events_drift_warning", "1 when the rolling dispatch rate fell >10% below the opening window.", drift)
 	}
 	if c := snap.Cache; c != nil {
 		gauge("gs_cache_hits", "Run-cache hits.", float64(c.Hits))

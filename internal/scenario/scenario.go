@@ -274,13 +274,12 @@ func (sp *Spec) setGameKey(key, val string) error {
 	if key != "system" {
 		return fmt.Errorf("unknown key %q (want system)", key)
 	}
-	for _, sys := range gamestream.Systems {
-		if string(sys) == val {
-			sp.System = sys
-			return nil
-		}
+	sys, err := gamestream.ParseSystem(val)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("unknown system %q (want stadia, geforce, or luna)", val)
+	sp.System = sys
+	return nil
 }
 
 func (l *Link) setKey(key, val string) error {
@@ -310,12 +309,11 @@ func (l *Link) setKey(key, val string) error {
 		l.QueueMult = v
 		return nil
 	case "aqm":
-		switch val {
-		case experiment.AQMDropTail, experiment.AQMCoDel, experiment.AQMFQCoDel:
-			l.AQM = val
-			return nil
+		if err := experiment.CheckAQM(val); err != nil {
+			return err
 		}
-		return fmt.Errorf("unknown aqm %q", val)
+		l.AQM = val
+		return nil
 	}
 	return fmt.Errorf("unknown key %q", key)
 }

@@ -2,7 +2,7 @@
 // competing iperf flows: a sender with a SACK scoreboard, RFC 6298
 // retransmission timing, NewReno-style recovery, delivery-rate sampling
 // (for BBR), optional pacing, and pluggable congestion control — Cubic
-// (RFC 8312), BBR v1.0, Reno, and Vegas.
+// (RFC 8312) and BBR v1.0, plus the cross-checks Reno, BBRv2 and LEDBAT.
 //
 // The implementation purposefully skips connection establishment and
 // teardown (flows start established, as in most simulation studies); all of
@@ -93,7 +93,7 @@ type CCState struct {
 	RTProp time.Duration
 	// InflightHiBytes is BBRv2's loss-derived inflight bound (0 = unset).
 	InflightHiBytes int64
-	// BaseRTT is the delay-based floor estimate (Vegas, LEDBAT).
+	// BaseRTT is LEDBAT's delay-based floor estimate.
 	BaseRTT time.Duration
 }
 
@@ -110,7 +110,6 @@ const (
 	AlgCubic = "cubic"
 	AlgBBR   = "bbr"
 	AlgReno  = "reno"
-	AlgVegas = "vegas"
 )
 
 // constructors maps every algorithm name New accepts to its constructor.
@@ -119,7 +118,6 @@ var constructors = map[string]func() CongestionControl{
 	AlgBBR:    func() CongestionControl { return NewBBR() },
 	AlgBBR2:   func() CongestionControl { return NewBBR2() },
 	AlgReno:   func() CongestionControl { return NewReno() },
-	AlgVegas:  func() CongestionControl { return NewVegas() },
 	AlgLEDBAT: func() CongestionControl { return NewLEDBAT() },
 }
 

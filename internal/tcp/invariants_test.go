@@ -71,7 +71,7 @@ func (p *invariantProbe) check() {
 // TestInvariantsUnderRandomLoss drives every algorithm through random-loss
 // paths and asserts the core transport invariants at every probe tick.
 func TestInvariantsUnderRandomLoss(t *testing.T) {
-	for _, alg := range []string{AlgReno, AlgCubic, AlgBBR, AlgVegas} {
+	for _, alg := range []string{AlgReno, AlgCubic, AlgBBR} {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			f := func(seed uint16, dropPerMille uint8) bool {
@@ -115,7 +115,7 @@ func TestStreamIntegrityUnderLoss(t *testing.T) {
 // TestNoRetransmitsOnCleanPath: a loss-free path must deliver with zero
 // retransmissions for every algorithm.
 func TestNoRetransmitsOnCleanPath(t *testing.T) {
-	for _, alg := range []string{AlgReno, AlgCubic, AlgBBR, AlgVegas} {
+	for _, alg := range []string{AlgReno, AlgCubic, AlgBBR} {
 		eng, s, _, _ := lossyNet(7, 0, alg)
 		s.SetLimit(1_000_000)
 		s.Start()

@@ -37,7 +37,7 @@ race:
 	$(GO) test -race ./internal/experiment/... ./internal/sim/... ./internal/obs/... ./internal/netem/... ./internal/tcp/... ./internal/runcache/... ./internal/campaign/...
 
 # Short coverage-guided sessions: the receiver-reassembly target, the
-# event engine's lane-ordering proof, the three experiment-flag parsers
+# event engine's lane-ordering proof, the three scenario value parsers
 # (schedule/loss/probability), the scenario-file parser, and the
 # campaign-spec parser. Corpora are checked
 # in under internal/*/testdata/fuzz. Raise FUZZTIME (and PARSEFUZZTIME for
@@ -113,16 +113,18 @@ chaos-smoke:
 	rm -rf chaos-smoke.cache chaos-smoke.json
 
 # The EXPERIMENTS.md worked example: one probed Cubic-vs-BBR run plus the
-# terminal summaries of the exported CC and queue telemetry.
+# terminal summaries of the exported CC and queue telemetry. -probe-out is
+# the directory receiving <condition>__seed<seed>.* exports.
 probe-demo:
 	$(GO) run ./cmd/gssim -cca cubic,bbr -probe -probe-out demo > demo.trace.csv
-	$(GO) run ./cmd/gsreport -cc demo.cc.csv -queue demo.queue.csv
+	$(GO) run ./cmd/gsreport -cc demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
+		-queue demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
 
 # The EXPERIMENTS.md impairment example: Gilbert-Elliott loss plus a mid-run
-# link flap, with the loss episodes surfaced from the probe's drop log.
+# link flap (scenarios/bursty_flap.scn), with the loss episodes surfaced
+# from the probe's drop log.
 impair-demo:
-	$(GO) run ./cmd/gssim -loss "ge:p=0.01,r=0.25" -jitter 2ms \
-		-schedule "240s down; 242s up" -probe -probe-out impair \
+	$(GO) run ./cmd/gssim -scenario scenarios/bursty_flap.scn -probe -probe-out impair \
 		-runlog impair.jsonl > impair.trace.csv
-	$(GO) run ./cmd/gsreport -drops impair.drops.csv
+	$(GO) run ./cmd/gsreport -drops "impair/stadia_cubic_B25_q2.0x_geP0.01R0.25+jit2ms__seed1.drops.csv"
 	$(GO) run ./cmd/gsreport -runlog impair.jsonl

@@ -15,7 +15,7 @@
 //
 // Every -exp name is checked before the first run; an unknown one exits 2.
 // gsbench sweeps only the paper's clean-path grid: impaired paths run
-// through gssim (-loss, -jitter, -schedule, a .scn [impair] section, or
+// through gssim (a .scn file's [impair] and [schedule] sections, or
 // -chaos).
 //
 // Ctrl-C cancels the in-progress sweep: in-flight runs drain, tables
@@ -117,6 +117,11 @@ func main() {
 			opts.Probe.PerAck = true
 		}
 		opts.ProbeDir = *probeDir
+		// An unwritable export directory fails here, not after the sweep.
+		if err := os.MkdirAll(*probeDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "gsbench:", err)
+			os.Exit(1)
+		}
 	}
 	var sinks []obs.Progress
 	if *progress {

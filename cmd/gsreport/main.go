@@ -30,7 +30,8 @@
 //	gsreport -campaign camp
 //
 //	gssim -cca cubic,bbr -probe -probe-out demo
-//	gsreport -cc demo.cc.csv -queue demo.queue.csv
+//	gsreport -cc demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
+//	         -queue demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
 //
 //	gssim -chaos -invariants-out campaign.json
 //	gsreport -invariants campaign.json

@@ -1,35 +1,46 @@
-// Command gssim runs experiments directly. In its default single-run mode
-// it executes one condition and prints its 0.5 s time series (game bitrate,
+// Command gssim runs one scenario spec: a declarative .scn file
+// (-scenario, docs/SCENARIOS.md) or the paper's one-link testbed built from
+// flags. A one-iteration spec prints its 0.5 s time series (game bitrate,
 // competing-flow bitrate, RTT, frame rate, loss) as CSV — the raw data
-// behind one line of Figure 2.
+// behind one line of Figure 2 — and a run summary on stderr; a longer one
+// prints one summary line per iteration.
 //
 // Usage:
 //
 //	gssim -system stadia -cca cubic -capacity 25 -queue 2 > trace.csv
 //	gssim -scenario scenarios/paper_1v1.scn > trace.csv
-//	gssim -flows 20 -flow-mix "iperf:cubic,dash" -runlog runs.jsonl
+//	gssim -scenario scenarios/population.scn -runlog runs.jsonl
+//	gssim -cca cubic,bbr -probe -probe-out probes > trace.csv
 //	gssim -scale 0.2 -cache runs.cache -cpuprofile cpu.out
 //	gssim -chaos -chaos-runs 200 -seed 42 -scale 0.1 -cache runs.cache \
 //	      -invariants-out campaign.json
 //
-// With -scenario the condition comes from a declarative scenario file
-// (docs/SCENARIOS.md) instead of flags; the same condition built either way
-// produces byte-identical results. With -chaos the tool generates a
-// seed-derived random impairment campaign, checks every run against the
-// metamorphic invariant suite, prints the per-invariant verdict table, and
-// exits non-zero if any invariant was violated. A flag the selected mode
-// does not read is an error (exit 2), not silently ignored.
+// Without -scenario the flags build a one-link spec: a -capacity Mb/s
+// bottleneck with the paper's 8.25 ms one-way delay and a -queue BDP-multiple
+// queue under -aqm, one iperf flow per -cca entry, and -seed and -scale as
+// the spec's seed and scale. Both kinds of spec run through the same
+// experiment.Execute loop, so a flag-built run and the equivalent .scn file
+// are byte-identical. Flow populations, impairments and mid-run schedules
+// are .scn sections only. With -probe, each run's CC/queue telemetry is
+// exported into the -probe-out directory as <cond>__seed<seed>.*.
 //
-// The paper's full grid is not a gssim mode: gsbench -exp runs it in
+// With -chaos the tool generates a seed-derived random impairment
+// campaign, checks every run against the metamorphic invariant suite,
+// prints the per-invariant verdict table, and exits non-zero if any
+// invariant was violated. A flag the selected mode does not read is an
+// error (exit 2), not silently ignored; a flag value outside the bounds the
+// matching .scn key enforces exits 1 before any run.
+//
+// The paper's full grid is not a mode of gssim: gsbench -exp runs it in
 // process and renders the tables, and gscampaign -spec
 // scenarios/paper_grid.campaign runs it sharded in O(conditions) memory.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,7 +52,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/report"
@@ -54,22 +64,22 @@ import (
 func main() {
 	var (
 		system   = flag.String("system", "stadia", "game system: stadia|geforce|luna")
-		cca      = flag.String("cca", "cubic", "competing flow: cubic|bbr|none")
+		cca      = flag.String("cca", "cubic", "competing iperf flows, comma-separated: cubic|bbr|none")
 		capacity = flag.Float64("capacity", 25, "bottleneck capacity in Mb/s")
 		queue    = flag.Float64("queue", 2, "queue size in multiples of BDP")
 		aqm      = flag.String("aqm", experiment.AQMDropTail, "queue discipline")
 		seed     = flag.Uint64("seed", 1, "run seed")
-		scale    = flag.Float64("scale", 1, "timeline compression")
+		scale    = flag.Float64("scale", 1, "timeline compression (1 = the full 540 s trace)")
 		workers  = flag.Int("workers", 0, "with -chaos: run parallelism (0 = one worker per CPU)")
 
-		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of flag-built conditions (see docs/SCENARIOS.md)")
+		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of the flag-built one-link spec (see docs/SCENARIOS.md)")
 		chaos        = flag.Bool("chaos", false, "run a seed-derived chaos campaign checked against the invariant suite (-seed selects the campaign)")
 		chaosRuns    = flag.Int("chaos-runs", 200, "with -chaos: number of generated runs")
 		invOut       = flag.String("invariants-out", "", "with -chaos: write the campaign report JSON here (render with gsreport -invariants)")
 
 		cacheDir = flag.String("cache", "", "content-addressed run cache directory (created if missing); its hit/miss/store counters print to stderr on exit")
 
-		progress   = flag.Bool("progress", false, "print live progress to stderr")
+		progress   = flag.Bool("progress", false, "print per-run progress and engine stats to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -77,19 +87,7 @@ func main() {
 		probeOn       = flag.Bool("probe", false, "attach CC/queue instrumentation and export cc/queue/drops series")
 		probeInterval = flag.Duration("probe-interval", 100*time.Millisecond, "probe sampling interval (0 = snapshot on every ACK)")
 		events        = flag.Int("events", 0, "packet lifecycle event ring capacity (0 = off)")
-		probeOut      = flag.String("probe-out", "probe", "probe export basename prefix")
-
-		flows   = flag.Int("flows", 0, "competing flow slots sharing the bottleneck (0 = classic 1-vs-1)")
-		streams = flag.Int("streams", 0, "additional concurrent game streams beyond the primary")
-		flowMix = flag.String("flow-mix", "", `population traffic mix, cycled across slots: "iperf:cubic,dash,videocall"`)
-		flowOn  = flag.Duration("flow-on", 0, "mean ON duration per flow arrival (Pareto; 0 = window/6)")
-		flowOff = flag.Duration("flow-off", 0, "mean OFF gap between a flow's sessions (exponential; 0 = on/2)")
-
-		loss     = flag.String("loss", "", `downlink loss: "2%", "0.02", or "ge:p=0.01,r=0.25[,good=0,bad=1]"`)
-		jitter   = flag.Duration("jitter", 0, "downlink delay jitter (uniform 0..j per packet)")
-		reorder  = flag.Bool("reorder", false, "allow jitter to reorder packets instead of clamping")
-		dup      = flag.String("dup", "", `downlink duplicate probability: "1%" or "0.01"`)
-		schedule = flag.String("schedule", "", `mid-run retuning program, e.g. "60s rate=10mbit; 120s down; 121s up"`)
+		probeDir      = flag.String("probe-out", "probes", "directory receiving per-run probe exports")
 	)
 	flag.Parse()
 
@@ -107,41 +105,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	var impair netem.Impairment
-	if err := experiment.ParseLoss(*loss, &impair); err != nil {
-		fatal(err)
-	}
-	impair.Jitter = *jitter
-	impair.Reorder = *reorder
-	if *dup != "" {
-		p, err := experiment.ParseProb(*dup)
-		if err != nil {
-			fatal(fmt.Errorf("-dup: %w", err))
+	if mode != "scenario" {
+		// -chaos reads only -scale of the three; -capacity and -queue keep
+		// their in-bounds defaults there, since unreadFlags rejects them.
+		if err := checkBounds(*capacity, *queue, *scale); err != nil {
+			fatal(err)
 		}
-		impair.Duplicate = p
 	}
-	sched, err := experiment.ParseSchedule(*schedule)
-	if err != nil {
-		fatal(err)
-	}
-
-	mix, err := experiment.ParseMix(*flowMix)
-	if err != nil {
-		fatal(err)
-	}
-	pop := experiment.FlowPopulation{Flows: *flows, Streams: *streams, Mix: mix, MeanOn: *flowOn, MeanOff: *flowOff}
-	if err := checkPopulation(pop); err != nil {
-		fatal(err)
-	}
-	if err := checkNames(*system, *cca, *aqm); err != nil {
-		fatal(err)
+	var sp *scenario.Spec
+	switch mode {
+	case "scenario":
+		var err error
+		if sp, err = scenario.ParseFile(*scenarioPath); err != nil {
+			fatal(err)
+		}
+	case "single":
+		if err := checkNames(*system, *cca, *aqm); err != nil {
+			fatal(err)
+		}
+		sp = flagSpec(*system, *cca, *capacity, *queue, *aqm, *seed, *scale)
 	}
 
 	var probeCfg *probe.Config
 	if *probeOn {
-		probeCfg = &probe.Config{Interval: *probeInterval, Events: *events}
-		if *probeInterval == 0 {
-			probeCfg.PerAck = true
+		probeCfg = &probe.Config{Interval: *probeInterval, Events: *events, PerAck: *probeInterval == 0}
+		// An unwritable export directory fails here, not after the runs.
+		if err := os.MkdirAll(*probeDir, 0o755); err != nil {
+			fatal(err)
 		}
 	}
 
@@ -171,69 +161,123 @@ func main() {
 
 	var cache *runcache.Cache
 	if *cacheDir != "" {
-		cache, err = runcache.Open(*cacheDir)
-		if err != nil {
+		var err error
+		if cache, err = runcache.Open(*cacheDir); err != nil {
 			fatal(err)
 		}
 		defer func() { fmt.Fprintf(os.Stderr, "gssim: cache %s: %s\n", cache.Dir(), cache.Stats()) }()
 	}
 
-	switch mode {
-	case "chaos":
+	if mode == "chaos" {
 		runChaos(*seed, *chaosRuns, *scale, *workers, *invOut, *progress, runLog, cache)
 		return
-	case "scenario":
-		runScenario(*scenarioPath, *progress, runLog, cache)
-		return
 	}
-	runSingle(*system, *cca, *capacity, *queue, *aqm, *seed, *scale, *progress, runLog, probeCfg, *probeOut, impair, sched, pop, cache)
+	runSpec(sp, probeCfg, *probeDir, *progress, runLog, cache)
 }
 
-// runScenario executes every iteration of a scenario file, one at a time in
-// iteration order. A single iteration prints the same CSV time series as
-// the flag path (the scenario and flag constructions of the same condition
-// are byte-identical); multi-iteration scenarios print one summary line per
-// run.
-func runScenario(path string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
-	sp, err := scenario.ParseFile(path)
-	if err != nil {
-		fatal(err)
+// flagSpec builds the one-link spec the single-run flags describe: the
+// paper's testbed with a -capacity bottleneck of 8.25 ms one-way delay (a
+// 16.5 ms base RTT), a -queue BDP-multiple -aqm queue, and one iperf flow
+// per comma-separated -cca entry ("none" or "" for a solo run). The values
+// must already have passed checkNames and checkBounds.
+func flagSpec(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64) *scenario.Spec {
+	sp := &scenario.Spec{
+		Name:       "flags",
+		Seed:       seed,
+		Iterations: 1,
+		Scale:      scale,
+		System:     gamestream.System(system),
+		Links: []scenario.Link{{
+			Name:      "bottleneck",
+			Rate:      units.Mbps(capacity),
+			Delay:     8250 * time.Microsecond,
+			QueueMult: queue,
+			AQM:       aqm,
+		}},
+		Path: []string{"bottleneck"},
 	}
+	if cca != "" && cca != "none" {
+		for i, c := range strings.Split(cca, ",") {
+			sp.Flows = append(sp.Flows, scenario.Flow{Name: fmt.Sprintf("flow%d", i), Kind: experiment.CompIperf, CCA: c})
+		}
+	}
+	return sp
+}
+
+// runSpec executes every iteration of sp through experiment.Execute, one
+// at a time in iteration order. A single iteration prints the CSV time
+// series and a run summary on stderr; several print one summary line per
+// run. Probed runs export into probeDir.
+func runSpec(sp *scenario.Spec, probeCfg *probe.Config, probeDir string, progress bool, runLog *obs.JSONL, cache *runcache.Cache) {
 	iters := sp.Iterations
-	if iters <= 0 {
-		iters = 1
-	}
 	fmt.Fprintf(os.Stderr, "gssim: scenario %q: %d iteration(s), seed %d\n", sp.Name, iters, sp.Seed)
 	jobs := make([]experiment.Job, iters)
 	for it := range jobs {
-		jobs[it] = experiment.Job{Cfg: sp.RunConfig(it), Iter: it}
+		cfg := sp.RunConfig(it)
+		cfg.Probe = probeCfg
+		jobs[it] = experiment.Job{Cfg: cfg, Iter: it}
 	}
-	var sinks experiment.Sinks
+	sinks := experiment.Sinks{ProbeDir: probeDir}
 	if runLog != nil {
 		sinks.Progress = runLog
 	}
 	const workers = 1 // the lines below print in iteration order
 	experiment.Execute(context.Background(), jobs, workers, cache, sinks, func(it int, res *experiment.RunResult, hit bool) {
+		rec := res.Record(it)
+		rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 		if iters == 1 {
 			printTrace(res)
+			printSummary(res, rec, rr)
 		} else {
-			rec := res.Record(it)
-			rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 			fmt.Printf("iter %2d seed %d: original %5.1f Mb/s, contended %5.1f Mb/s, fairness %+5.2f, rtt %5.1f ms\n",
 				it, res.Cfg.Seed, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness, rec.RTTMs)
+		}
+		if res.Probe != nil {
+			m := res.Probe.Meta()
+			fmt.Fprintf(os.Stderr, "gssim: probe: %d cc samples, %d queue samples, %d events -> %s.{cc,queue,drops}.csv\n",
+				m.CCSamples, m.QueueSamples, m.Events,
+				filepath.Join(probeDir, experiment.ProbeBase(res.Cfg.Condition, res.Cfg.Seed)))
 		}
 		if progress {
 			src := "run"
 			if hit {
 				src = "cache hit"
 			}
-			fmt.Fprintf(os.Stderr, "gssim: scenario iter %d/%d (%s)\n", it+1, iters, src)
+			es := res.Engine
+			fmt.Fprintf(os.Stderr,
+				"gssim: iter %d/%d (%s): %d events (%d peak pending), %.0fs sim in %.2fs wall = %.0fx real time, %.2g events/s\n",
+				it+1, iters, src, es.EventsDispatched, es.PeakPending, es.SimTime.Seconds(), es.WallTime.Seconds(),
+				es.Speedup(), es.EventsPerSecond())
 		}
 	})
 }
 
-// printTrace writes a run's 0.5 s time series as CSV, the single-run
-// output contract shared by the flag and scenario paths.
+// printSummary writes a one-iteration run's summary to stderr: the flow
+// population and impairment totals when the spec has them, then the
+// paper's response/recovery metrics.
+func printSummary(res *experiment.RunResult, rec obs.Record, rr metrics.ResponseRecovery) {
+	cfg := res.Cfg
+	if cfg.Population.Enabled() {
+		fs := res.FlowSummary
+		fmt.Fprintf(os.Stderr,
+			"flows %s: %d active, jain %.3f, tput p10/p50/p90 %.2f/%.2f/%.2f Mb/s, rtt-infl p50 %.2fx, %d starved\n",
+			cfg.Population, fs.Active, fs.Jain,
+			fs.TputP10Mbps, fs.TputP50Mbps, fs.TputP90Mbps, fs.RTTInflP50, fs.Starved)
+	}
+	if cfg.Impair.Enabled() || len(cfg.Schedule) > 0 {
+		is := res.Impair
+		fmt.Fprintf(os.Stderr,
+			"impair %s: %d packets, %d loss drops, %d flap drops, %d dup, %d reordered, %d flaps (%.1fs down)\n",
+			cfg.Impair, is.Packets, is.LossDrops, is.FlapDrops, is.Duplicates, is.Reordered, is.Flaps, is.Down.Seconds())
+	}
+	fmt.Fprintf(os.Stderr,
+		"run %s: original %.1f Mb/s, contended %.1f Mb/s, fairness %+.2f, response %.0fs, recovery %.0fs, rtt %.1f ms, fps %.1f\n",
+		cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness,
+		rr.Response.Seconds(), rr.Recovery.Seconds(), rec.RTTMs, rec.FPS)
+}
+
+// printTrace writes a run's 0.5 s time series as CSV, the output contract
+// of a one-iteration spec.
 func printTrace(res *experiment.RunResult) {
 	n := len(res.GameMbps)
 	tcol := make([]float64, n)
@@ -295,110 +339,14 @@ func runChaos(seed uint64, runs int, scale float64, workers int, invOut string, 
 	}
 }
 
-// runSingle executes one condition and prints its time series as CSV. The
-// -cca flag accepts a comma-separated list (e.g. "cubic,bbr") to put
-// several bulk flows on the bottleneck at once.
-func runSingle(system, cca string, capacity, queue float64, aqm string, seed uint64, scale float64, progress bool, runLog *obs.JSONL, probeCfg *probe.Config, probeOut string, impair netem.Impairment, sched []experiment.ScheduleStep, pop experiment.FlowPopulation, cache *runcache.Cache) {
-	if cca == "none" {
-		cca = ""
-	}
-	cfg := experiment.RunConfig{
-		Condition: experiment.Condition{
-			System:    gamestream.System(system),
-			CCA:       cca,
-			Capacity:  units.Mbps(capacity),
-			QueueMult: queue,
-			AQM:       aqm,
-			Impair:    impair,
-		},
-		Timeline:   paperTimeline(scale),
-		Seed:       seed,
-		Probe:      probeCfg,
-		Schedule:   sched,
-		Population: pop,
-	}
-	if ccas := strings.Split(cca, ","); len(ccas) > 1 {
-		cfg.CCA = ccas[0] // condition label; the competitor list drives the run
-		for _, c := range ccas {
-			cfg.Competitors = append(cfg.Competitors, experiment.Competitor{Kind: experiment.CompIperf, CCA: c})
-		}
-	}
-	res, hit := experiment.RunCached(cache, cfg)
-	var pmeta *obs.ProbeMeta
-	if res.Probe != nil {
-		dir, base := filepath.Split(probeOut)
-		if dir == "" {
-			dir = "."
-		}
-		m, err := res.Probe.Export(dir, base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gssim:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "gssim: probe: %d cc samples, %d queue samples, %d events -> %s.{cc,queue,drops}.csv\n",
-				m.CCSamples, m.QueueSamples, m.Events, probeOut)
-		}
-		pmeta = &m
-	}
-	rec := res.Record(0)
-	rec.Probe = pmeta
-	rec.Cached = hit
-	if runLog != nil {
-		if err := runLog.Log(rec); err != nil {
-			fmt.Fprintln(os.Stderr, "gssim:", err)
-		}
-	}
-	if hit {
-		fmt.Fprintln(os.Stderr, "gssim: run served from cache")
-	}
-
-	printTrace(res)
-
-	if pop.Flows > 0 || pop.Streams > 0 {
-		fs := res.FlowSummary
-		fmt.Fprintf(os.Stderr,
-			"flows %s: %d active, jain %.3f, tput p10/p50/p90 %.2f/%.2f/%.2f Mb/s, rtt-infl p50 %.2fx, %d starved\n",
-			res.Cfg.Population, fs.Active, fs.Jain,
-			fs.TputP10Mbps, fs.TputP50Mbps, fs.TputP90Mbps, fs.RTTInflP50, fs.Starved)
-	}
-	if impair.Enabled() || len(sched) > 0 {
-		is := res.Impair
-		fmt.Fprintf(os.Stderr,
-			"impair %s: %d packets, %d loss drops, %d flap drops, %d dup, %d reordered, %d flaps (%.1fs down)\n",
-			impair, is.Packets, is.LossDrops, is.FlapDrops, is.Duplicates, is.Reordered, is.Flaps, is.Down.Seconds())
-	}
-	rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
-	fmt.Fprintf(os.Stderr,
-		"run %s: original %.1f Mb/s, contended %.1f Mb/s, fairness %+.2f, response %.0fs, recovery %.0fs, rtt %.1f ms, fps %.1f\n",
-		res.Cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness,
-		rr.Response.Seconds(), rr.Recovery.Seconds(), rec.RTTMs, rec.FPS)
-	if progress {
-		es := res.Engine
-		fmt.Fprintf(os.Stderr,
-			"engine: %d events (%d peak pending), %.0fs sim in %.2fs wall = %.0fx real time, %.2g events/s\n",
-			es.EventsDispatched, es.PeakPending, es.SimTime.Seconds(), es.WallTime.Seconds(),
-			es.Speedup(), es.EventsPerSecond())
-	}
-}
-
-// paperTimeline is the paper's 9-minute timeline compressed by scale (0 or
-// 1 = full fidelity).
-func paperTimeline(scale float64) metrics.Timeline {
-	if scale > 0 && scale != 1 {
-		return metrics.PaperTimeline.Scale(scale)
-	}
-	return metrics.PaperTimeline
-}
-
 // modeFlags names the flags each mode reads; profileFlags are accepted in
 // every mode.
 var (
 	profileFlags = []string{"cpuprofile", "memprofile"}
 	modeFlags    = map[string][]string{
 		"single": {"system", "cca", "capacity", "queue", "aqm", "seed", "scale",
-			"progress", "runlog", "cache", "probe", "probe-interval", "events", "probe-out",
-			"flows", "streams", "flow-mix", "flow-on", "flow-off",
-			"loss", "jitter", "reorder", "dup", "schedule"},
-		"scenario": {"scenario", "progress", "runlog", "cache"},
+			"progress", "runlog", "cache", "probe", "probe-interval", "events", "probe-out"},
+		"scenario": {"scenario", "progress", "runlog", "cache", "probe", "probe-interval", "events", "probe-out"},
 		"chaos":    {"chaos", "chaos-runs", "seed", "scale", "workers", "invariants-out", "progress", "runlog", "cache"},
 	}
 )
@@ -435,20 +383,6 @@ func writeMemProfile(path string) {
 	}
 }
 
-// popFlags names the gssim flag behind each population field Validate
-// checks, keyed by the field's scenario-file key.
-var popFlags = map[string]string{"flows": "flows", "streams": "streams", "mean_on": "flow-on", "mean_off": "flow-off"}
-
-// checkPopulation holds the population flags to the bounds a scenario
-// file's [population] section enforces, naming the offending flag.
-func checkPopulation(pop experiment.FlowPopulation) error {
-	var pe *experiment.PopulationError
-	if errors.As(pop.Validate(), &pe) {
-		return fmt.Errorf("-%s %s", popFlags[pe.Key], pe.Msg)
-	}
-	return nil
-}
-
 // checkNames rejects an unknown -system, -cca or -aqm name before any run,
 // naming the flag; the run itself would panic on it.
 func checkNames(system, cca, aqm string) error {
@@ -464,6 +398,25 @@ func checkNames(system, cca, aqm string) error {
 	}
 	if err := experiment.CheckAQM(aqm); err != nil {
 		return fmt.Errorf("-aqm: %w", err)
+	}
+	return nil
+}
+
+// checkBounds holds -capacity, -queue and -scale to the bounds a .scn
+// file's rate, queue and scale keys enforce, naming the flag: a zero rate
+// never finishes, and a negative queue or scale would run under a
+// nonsense label or silently at full fidelity.
+func checkBounds(capacity, queue, scale float64) error {
+	// NaN and ±Inf convert to an implementation-defined Rate; reject them
+	// before converting. Mbps truncates, so under 1 bit/s is zero.
+	if math.IsNaN(capacity) || math.IsInf(capacity, 0) || units.Mbps(capacity) <= 0 {
+		return fmt.Errorf("-capacity %g must be positive", capacity)
+	}
+	if !scenario.InBounds(queue, scenario.MaxQueueMult) {
+		return fmt.Errorf("-queue %g outside (0,%d] BDP multiples", queue, scenario.MaxQueueMult)
+	}
+	if !scenario.InBounds(scale, scenario.MaxScale) {
+		return fmt.Errorf("-scale %g outside (0,%d]", scale, scenario.MaxScale)
 	}
 	return nil
 }

@@ -2,13 +2,15 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/scenario"
 )
 
 // TestUnreadFlags checks each mode rejects the flags it would otherwise
@@ -19,16 +21,17 @@ func TestUnreadFlags(t *testing.T) {
 		set  []string
 		want []string
 	}{
-		{"single", []string{"cca", "loss", "scale", "seed", "system"}, nil},
+		{"single", []string{"capacity", "cca", "queue", "scale", "seed", "system"}, nil},
 		{"single", []string{"cpuprofile", "memprofile", "probe", "probe-out"}, nil},
 		{"single", []string{"chaos-runs", "scale", "workers"}, []string{"chaos-runs", "workers"}},
 		{"scenario", []string{"cache", "progress", "runlog", "scenario"}, nil},
 		{"scenario", []string{"cpuprofile", "scenario"}, nil},
-		{"scenario", []string{"loss", "scenario"}, []string{"loss"}},
+		{"scenario", []string{"events", "probe", "probe-interval", "probe-out", "scenario"}, nil},
+		{"scenario", []string{"capacity", "cca", "scenario"}, []string{"capacity", "cca"}},
 		{"scenario", []string{"scale", "scenario", "seed"}, []string{"scale", "seed"}},
 		{"chaos", []string{"cache", "chaos", "chaos-runs", "invariants-out", "scale", "seed", "workers"}, nil},
 		{"chaos", []string{"chaos", "scenario"}, []string{"scenario"}},
-		{"chaos", []string{"chaos", "flows", "loss"}, []string{"flows", "loss"}},
+		{"chaos", []string{"chaos", "probe", "queue"}, []string{"probe", "queue"}},
 	} {
 		if got := unreadFlags(tc.mode, tc.set); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s mode with %v: unread %v, want %v", tc.mode, tc.set, got, tc.want)
@@ -44,7 +47,7 @@ func TestEveryFlagHasAMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defs := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&[\w.]+, *)?"([^"]+)"`).FindAllStringSubmatch(string(src), -1)
-	if len(defs) < 30 {
+	if len(defs) < 21 {
 		t.Fatalf("found only %d flag definitions", len(defs))
 	}
 	for _, d := range defs {
@@ -54,30 +57,6 @@ func TestEveryFlagHasAMode(t *testing.T) {
 		}
 		if !read {
 			t.Errorf("flag -%s is read by no mode", d[1])
-		}
-	}
-}
-
-// TestCheckPopulation checks out-of-range population flags are rejected
-// by name, with the bounds a scenario file's [population] section holds,
-// instead of silently running the classic or default configuration.
-func TestCheckPopulation(t *testing.T) {
-	for _, tc := range []struct {
-		pop  experiment.FlowPopulation
-		want string
-	}{
-		{experiment.FlowPopulation{}, ""},
-		{experiment.FlowPopulation{Flows: 200, Streams: 2, MeanOn: time.Second, MeanOff: 24 * time.Hour}, ""},
-		{experiment.FlowPopulation{Flows: -3}, "-flows -3 outside [0,100000]"},
-		{experiment.FlowPopulation{Flows: 100001}, "-flows 100001 outside [0,100000]"},
-		{experiment.FlowPopulation{Flows: 4, Streams: -2}, "-streams -2 outside [0,100000]"},
-		{experiment.FlowPopulation{Flows: 4, MeanOn: -2 * time.Second}, "-flow-on -2s outside [0,24h]"},
-		{experiment.FlowPopulation{Flows: 4, MeanOff: -time.Second}, "-flow-off -1s outside [0,24h]"},
-		{experiment.FlowPopulation{Flows: 4, MeanOff: 25 * time.Hour}, "-flow-off 25h0m0s outside [0,24h]"},
-	} {
-		err := checkPopulation(tc.pop)
-		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
-			t.Errorf("checkPopulation(%+v) = %v, want %q", tc.pop, err, tc.want)
 		}
 	}
 }
@@ -103,5 +82,82 @@ func TestCheckNames(t *testing.T) {
 		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
 			t.Errorf("checkNames(%q, %q, %q) = %v, want %q", tc.system, tc.cca, tc.aqm, err, tc.want)
 		}
+	}
+}
+
+// TestCheckBounds checks an out-of-range -capacity, -queue or -scale is
+// rejected by flag before any run, with the bounds the .scn rate, queue
+// and scale keys enforce: a zero or NaN capacity never finished, and a
+// negative queue or scale ran under a nonsense label or at full fidelity.
+func TestCheckBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		capacity, queue, scale float64
+		want                   string
+	}{
+		{25, 2, 1, ""},
+		{0.001, 1000, 100, ""},
+		{100, 0.5, 0.05, ""},
+		{0, 2, 1, "-capacity 0 must be positive"},
+		{-5, 2, 1, "-capacity -5 must be positive"},
+		{nan, 2, 1, "-capacity NaN must be positive"},
+		{inf, 2, 1, "-capacity +Inf must be positive"},
+		{1e-7, 2, 1, "-capacity 1e-07 must be positive"},
+		{25, -1, 1, "-queue -1 outside (0,1000] BDP multiples"},
+		{25, 0, 1, "-queue 0 outside (0,1000] BDP multiples"},
+		{25, nan, 1, "-queue NaN outside (0,1000] BDP multiples"},
+		{25, 1001, 1, "-queue 1001 outside (0,1000] BDP multiples"},
+		{25, 2, -1, "-scale -1 outside (0,100]"},
+		{25, 2, 0, "-scale 0 outside (0,100]"},
+		{25, 2, nan, "-scale NaN outside (0,100]"},
+		{25, 2, 101, "-scale 101 outside (0,100]"},
+	} {
+		err := checkBounds(tc.capacity, tc.queue, tc.scale)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("checkBounds(%g, %g, %g) = %v, want %q", tc.capacity, tc.queue, tc.scale, err, tc.want)
+		}
+	}
+}
+
+// TestFlagSpecMatchesScenarioFile checks the flag-built spec of
+// -cca cubic,bbr is the one-link .scn file it stands for: the same run
+// configuration, hence the same cache key, labelled with the first flow's
+// CCA.
+func TestFlagSpecMatchesScenarioFile(t *testing.T) {
+	scn, err := scenario.Parse(strings.NewReader(`
+[run]
+seed  = 3
+scale = 0.1
+
+[game]
+system = luna
+
+[link bottleneck]
+rate  = 50mbit
+delay = 8.25ms
+queue = 0.5
+aqm   = codel
+
+[flow a]
+cca = cubic
+
+[flow b]
+cca = bbr
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := flagSpec("luna", "cubic,bbr", 50, 0.5, "codel", 3, 0.1)
+	want, got := scn.RunConfig(0), flags.RunConfig(0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flag-built run config\n%+v\nwant the .scn one\n%+v", got, want)
+	}
+	if got.CCA != "cubic" || len(got.Competitors) != 2 {
+		t.Errorf("label %q with %d competitors, want cubic with 2", got.CCA, len(got.Competitors))
+	}
+	gk, _ := experiment.CacheKey(got)
+	wk, ok := experiment.CacheKey(want)
+	if !ok || gk != wk {
+		t.Errorf("cache keys differ: %x vs %x", gk, wk)
 	}
 }

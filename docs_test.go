@@ -72,11 +72,12 @@ func TestDocsLinksResolve(t *testing.T) {
 // TestDocsFlagsExist checks that every flag the documentation passes to
 // one of the four commands is still defined by that command: each `-flag`
 // following gssim, gsbench, gscampaign or gsreport in the reference docs
-// (README, EXPERIMENTS, DESIGN, docs/*), the Makefile or the CI workflow
-// must match a flag.*("name", …) call in cmd/<command>/*.go. The change
-// log and roadmap are left out: they name flags that no longer, or do not
-// yet, exist. This is the `make docs-check` gate against stale flag
-// references after pruning.
+// (README, EXPERIMENTS, DESIGN, docs/*), the verify skill notes, the
+// Makefile, the CI workflow or a `//` comment in cmd/*/main.go must match
+// a flag.*("name", …) call in cmd/<command>/*.go. The change log and
+// roadmap are left out: they name flags that no longer, or do not yet,
+// exist. This is the `make docs-check` gate against stale flag references
+// after pruning.
 func TestDocsFlagsExist(t *testing.T) {
 	defRe := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&[\w.]+, *)?"([^"]+)"`)
 	defined := make(map[string]map[string]bool)
@@ -108,7 +109,13 @@ func TestDocsFlagsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	files = append(files, "README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile",
-		filepath.Join(".github", "workflows", "ci.yml"))
+		filepath.Join(".github", "workflows", "ci.yml"),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"))
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, mains...)
 
 	cmdRe := regexp.MustCompile(`\b(gssim|gsbench|gscampaign|gsreport)[ \t]+(.*)`)
 	flagRe := regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
@@ -117,6 +124,9 @@ func TestDocsFlagsExist(t *testing.T) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if strings.HasSuffix(f, ".go") {
+			data = goComments(data)
 		}
 		text := regexp.MustCompile(`\\\n[ \t]*`).ReplaceAllString(string(data), " ")
 		for _, line := range strings.Split(text, "\n") {
@@ -146,4 +156,16 @@ func TestDocsFlagsExist(t *testing.T) {
 	if checked < 50 {
 		t.Fatalf("checked only %d documented flags — scanner looking in the wrong place?", checked)
 	}
+}
+
+// goComments keeps the text of a Go file's `//` comment lines, one per
+// line, so usage examples in package docs are checked and code is not.
+func goComments(src []byte) []byte {
+	var out []string
+	for _, line := range strings.Split(string(src), "\n") {
+		if c, ok := strings.CutPrefix(strings.TrimSpace(line), "//"); ok {
+			out = append(out, c)
+		}
+	}
+	return []byte(strings.Join(out, "\n"))
 }

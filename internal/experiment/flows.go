@@ -86,26 +86,16 @@ const (
 	maxPopulationMean  = 24 * time.Hour // MeanOn and MeanOff
 )
 
-// A PopulationError names the FlowPopulation field Validate rejected by
-// its scenario-file key: flows, streams, mean_on or mean_off.
-type PopulationError struct {
-	Key string
-	// Msg is the rejected value and its bounds, e.g. "-3 outside [0,100000]".
-	Msg string
-}
-
-func (e *PopulationError) Error() string { return e.Key + " " + e.Msg }
-
-// Validate reports the first field outside its bounds, as a
-// *PopulationError. Shape is not checked: any value up to 1 selects the
-// default tail index.
+// Validate reports the first field outside its bounds, naming it by its
+// scenario-file key, e.g. "flows -3 outside [0,100000]". Shape is not
+// checked: any value up to 1 selects the default tail index.
 func (p FlowPopulation) Validate() error {
 	for _, c := range []struct {
 		key string
 		n   int
 	}{{"flows", p.Flows}, {"streams", p.Streams}} {
 		if c.n < 0 || c.n > maxPopulationFlows {
-			return &PopulationError{c.key, fmt.Sprintf("%d outside [0,%d]", c.n, maxPopulationFlows)}
+			return fmt.Errorf("%s %d outside [0,%d]", c.key, c.n, maxPopulationFlows)
 		}
 	}
 	for _, c := range []struct {
@@ -113,7 +103,7 @@ func (p FlowPopulation) Validate() error {
 		d   time.Duration
 	}{{"mean_on", p.MeanOn}, {"mean_off", p.MeanOff}} {
 		if c.d < 0 || c.d > maxPopulationMean {
-			return &PopulationError{c.key, fmt.Sprintf("%s outside [0,24h]", c.d)}
+			return fmt.Errorf("%s %s outside [0,24h]", c.key, c.d)
 		}
 	}
 	return nil

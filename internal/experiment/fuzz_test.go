@@ -8,7 +8,7 @@ import (
 	"repro/internal/netem"
 )
 
-// FuzzParseProb feeds the probability parser arbitrary flag strings: any
+// FuzzParseProb feeds the probability parser arbitrary key values: any
 // accepted value must be a real number in [0,1], and its shortest decimal
 // rendering must parse back to exactly the same value.
 func FuzzParseProb(f *testing.F) {
@@ -36,7 +36,7 @@ func FuzzParseProb(f *testing.F) {
 	})
 }
 
-// FuzzParseLoss feeds the loss-spec parser arbitrary flag strings: any
+// FuzzParseLoss feeds the loss-spec parser arbitrary key values: any
 // accepted spec must leave the impairment in a consistent state — a known
 // loss model with all probabilities in [0,1] — and parsing must be
 // deterministic.
@@ -84,8 +84,8 @@ func FuzzParseLoss(f *testing.F) {
 	})
 }
 
-// FuzzParseSchedule feeds the retuning-program parser arbitrary flag
-// strings: any accepted program must come back sorted by offset with only
+// FuzzParseSchedule feeds the retuning-program parser arbitrary key
+// values: any accepted program must come back sorted by offset with only
 // known step kinds and in-range values, and its ScheduleString rendering
 // must re-parse to a program of the same shape.
 func FuzzParseSchedule(f *testing.F) {

@@ -96,7 +96,7 @@ func parseRate(s string) (units.Rate, error) {
 	return toRate(v), nil
 }
 
-// ParseLoss fills the loss-model fields of an Impairment from a -loss flag
+// ParseLoss fills the loss-model fields of an Impairment from a .scn loss
 // value: "" or "none" (no loss), a Bernoulli probability ("2%", "0.02"), or
 // a Gilbert-Elliott spec "ge:p=0.01,r=0.25[,good=0.001][,bad=0.9]" with the
 // classic Gilbert per-state defaults when good/bad are omitted. Non-loss
@@ -145,8 +145,9 @@ func ParseLoss(spec string, im *netem.Impairment) error {
 	return nil
 }
 
-// ParseSchedule reads a -schedule flag value: semicolon-separated steps of
-// the form "<offset> <kind>[=<value>]", e.g.
+// ParseSchedule reads a retuning program (a .scn file's [schedule] steps,
+// joined): semicolon-separated steps of the form
+// "<offset> <kind>[=<value>]", e.g.
 //
 //	"15s rate=10mbit; 30s loss=2%; 45s down; 50s up; 60s jitter=3ms"
 //

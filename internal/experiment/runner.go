@@ -131,9 +131,9 @@ func (s SweepConfig) Jobs() []Job {
 	return jobs
 }
 
-// probeBase derives a filesystem-safe export basename from a run's grid
+// ProbeBase derives a filesystem-safe export basename from a run's grid
 // position, e.g. "stadia_cubic_B25_q2.0x__seed123".
-func probeBase(cond Condition, seed uint64) string {
+func ProbeBase(cond Condition, seed uint64) string {
 	return fmt.Sprintf("%s__seed%d", strings.ReplaceAll(cond.String(), "/", "_"), seed)
 }
 
@@ -251,7 +251,7 @@ func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache
 					if sinks.ProbeDir != "" {
 						// An export failure must not kill a campaign; the
 						// meta then carries counts without filenames.
-						if em, err := res.Probe.Export(sinks.ProbeDir, probeBase(j.Cfg.Condition, j.Cfg.Seed)); err == nil {
+						if em, err := res.Probe.Export(sinks.ProbeDir, ProbeBase(j.Cfg.Condition, j.Cfg.Seed)); err == nil {
 							m = em
 						}
 					}

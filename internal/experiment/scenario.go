@@ -368,7 +368,7 @@ func Run(cfg RunConfig) *RunResult {
 		shaper.SetQueueTap(prb.LogTap(probe.EvEnqueue), prb.LogTap(probe.EvDequeue))
 	}
 	downRouter := netem.NewRouter()
-	downRouter.Tap(capture.Tap)
+	downRouter.Tap = capture.Tap
 	downRouter.Route(addrGameClient, shaper)
 	downRouter.Route(addrIperfClient, shaper)
 

@@ -116,7 +116,9 @@ func SettleTime(s Series, event, deadline time.Duration, target, tolerance float
 
 // settleSmoothed is SettleTime on an already-smoothed series, so callers
 // scanning the same series for several events (response and recovery)
-// smooth it once instead of once per scan.
+// smooth it once instead of once per scan. The scan starts at the bin
+// holding event; when event falls inside that bin (a scaled timeline) and
+// the bin already settles, the time is 0, never negative.
 func settleSmoothed(sm Series, event, deadline time.Duration, target, tolerance float64) (time.Duration, bool) {
 	lo, hi := sm.idx(event), sm.idx(deadline)
 	for i := lo; i < hi; i++ {
@@ -125,7 +127,7 @@ func settleSmoothed(sm Series, event, deadline time.Duration, target, tolerance 
 			diff = -diff
 		}
 		if diff <= tolerance {
-			return time.Duration(i)*sm.Bin - event, true
+			return max(time.Duration(i)*sm.Bin-event, 0), true
 		}
 	}
 	return deadline - event, false

@@ -250,6 +250,27 @@ func TestSettleTimeImmediate(t *testing.T) {
 	}
 }
 
+// TestSettleTimesNonNegativeOnScaledTimeline checks a 0.05-scaled
+// timeline, whose flow arrival (9.25 s) falls inside a 0.5 s bin, never
+// yields a negative response or recovery time: a series already settled
+// at an event settles in 0, not in minus the event's offset into its bin.
+func TestSettleTimesNonNegativeOnScaledTimeline(t *testing.T) {
+	tl := PaperTimeline.Scale(0.05)
+	if tl.FlowStart%(500*time.Millisecond) == 0 {
+		t.Fatalf("flow start %v is bin-aligned; the case needs an unaligned one", tl.FlowStart)
+	}
+	flat := MeasureResponseRecovery(mkSeries(tl.TraceEnd, func(time.Duration) float64 { return 20 }), tl)
+	if !flat.Responded || flat.Response != 0 || !flat.Recovered || flat.Recovery != 0 {
+		t.Errorf("flat series: response %v (%v), recovery %v (%v), want 0 and 0, both settled",
+			flat.Response, flat.Responded, flat.Recovery, flat.Recovered)
+	}
+	step := MeasureResponseRecovery(stepSeries(tl, time.Second, 2*time.Second), tl)
+	if !step.Responded || step.Response < 0 || !step.Recovered || step.Recovery < 0 {
+		t.Errorf("step series: response %v (%v), recovery %v (%v), want settled non-negative times",
+			step.Response, step.Responded, step.Recovery, step.Recovered)
+	}
+}
+
 func TestWindowOKSignal(t *testing.T) {
 	s := Series{Bin: time.Second, V: []float64{1, 2, 3, 4}}
 

@@ -261,7 +261,7 @@ func (s *Shaper) drain() {
 const maxDenseAddr = 1 << 10
 
 // Router forwards packets by destination address through per-destination
-// egress pipelines, with optional taps invoked on every forwarded packet
+// egress pipelines, with an optional tap invoked on every forwarded packet
 // (the simulator's Wireshark capture point).
 type Router struct {
 	// routes is a dense table indexed by Addr: per-packet forwarding is a
@@ -269,8 +269,9 @@ type Router struct {
 	// (or negative) spill into routesHi.
 	routes   []packet.Handler
 	routesHi map[packet.Addr]packet.Handler
-	taps     []func(*packet.Packet)
-	Stats    Stats
+	// Tap, when non-nil, observes every packet the router handles.
+	Tap   func(*packet.Packet)
+	Stats Stats
 }
 
 // NewRouter returns an empty router.
@@ -295,17 +296,12 @@ func (r *Router) Route(dst packet.Addr, next packet.Handler) {
 	r.routesHi[dst] = next
 }
 
-// Tap registers fn to observe every packet the router forwards.
-func (r *Router) Tap(fn func(*packet.Packet)) {
-	r.taps = append(r.taps, fn)
-}
-
 // Handle implements packet.Handler. Packets with no route are dropped and
 // counted, which in a correctly wired scenario indicates a configuration
 // bug; tests assert the drop counter stays zero.
 func (r *Router) Handle(p *packet.Packet) {
-	for _, tap := range r.taps {
-		tap(p)
+	if r.Tap != nil {
+		r.Tap(p)
 	}
 	var next packet.Handler
 	if d := p.Dst; d >= 0 && int(d) < len(r.routes) {

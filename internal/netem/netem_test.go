@@ -277,13 +277,19 @@ func TestRouterTap(t *testing.T) {
 	sink := &collector{eng: eng}
 	r := NewRouter()
 	r.Route(1, sink)
-	seen := 0
-	r.Tap(func(p *packet.Packet) { seen++ })
 	p := mkpkt(100, 1)
 	p.Dst = 1
+	r.Handle(p) // no tap set: forwards without one
+	seen := 0
+	r.Tap = func(p *packet.Packet) { seen++ }
+	p = mkpkt(100, 1)
+	p.Dst = 99
+	r.Handle(p) // the tap sees unrouted packets too
+	p = mkpkt(100, 1)
+	p.Dst = 1
 	r.Handle(p)
-	if seen != 1 {
-		t.Errorf("tap saw %d packets, want 1", seen)
+	if seen != 2 || len(sink.pkts) != 2 || r.Stats.Drops != 1 {
+		t.Errorf("tap saw %d packets, sink got %d, %d drops; want 2, 2, 1", seen, len(sink.pkts), r.Stats.Drops)
 	}
 }
 

@@ -41,6 +41,16 @@ const (
 	maxIterations = 1000000
 )
 
+// Bounds of the queue and scale keys: each value lies in (0, max]. gssim
+// holds its -queue and -scale flags, which set the same fields, to them.
+const (
+	MaxQueueMult = 1000
+	MaxScale     = 100
+)
+
+// InBounds reports whether v lies in (0, max]; NaN never does.
+func InBounds(v, max float64) bool { return v > 0 && v <= max }
+
 // Link is one named hop of the topology: a shaped, delayed segment. The
 // bottleneck hop (minimum rate along the path) contributes the queue
 // sizing and AQM discipline; every hop contributes its propagation delay.
@@ -261,8 +271,8 @@ func (sp *Spec) setRunKey(key, val string) error {
 		return nil
 	case "scale":
 		v, err := strconv.ParseFloat(val, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > 100 {
-			return fmt.Errorf("scale %q outside (0,100]", val)
+		if err != nil || !InBounds(v, MaxScale) {
+			return fmt.Errorf("scale %q outside (0,%d]", val, MaxScale)
 		}
 		sp.Scale = v
 		return nil
@@ -303,8 +313,8 @@ func (l *Link) setKey(key, val string) error {
 		return nil
 	case "queue":
 		v, err := strconv.ParseFloat(strings.TrimSuffix(strings.ToLower(val), "xbdp"), 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > 1000 {
-			return fmt.Errorf("queue %q outside (0,1000] BDP multiples", val)
+		if err != nil || !InBounds(v, MaxQueueMult) {
+			return fmt.Errorf("queue %q outside (0,%d] BDP multiples", val, MaxQueueMult)
 		}
 		l.QueueMult = v
 		return nil
@@ -549,8 +559,7 @@ func (sp *Spec) bottleneck() *Link {
 
 // RunConfig compiles the spec into the run configuration for iteration
 // iter (0-based): the same mapping for every iteration except the seed,
-// which is derived exactly like sweep position seeds so a one-iteration
-// spec reproduces the equivalent flag-built run bit for bit.
+// which is the spec's seed plus iter.
 func (sp *Spec) RunConfig(iter int) experiment.RunConfig {
 	bn := sp.bottleneck()
 	cond := experiment.Condition{
@@ -570,15 +579,19 @@ func (sp *Spec) RunConfig(iter int) experiment.RunConfig {
 		Schedule:  sp.Schedule,
 		BaseRTT:   sp.BaseRTT(),
 	}
-	// A single iperf flow maps onto the paper's Condition.CCA slot (so
-	// the condition string, seeds, and runlog match the flag-built
-	// equivalent); anything else becomes an explicit competitor mix.
+	// A single iperf flow is the paper's Condition.CCA slot; anything else
+	// becomes an explicit competitor mix, labelled (condition string,
+	// record, cache key) with its first TCP flow's CCA, which is also the
+	// CCA of a population without a mix.
 	if len(sp.Flows) == 1 && sp.Flows[0].Kind == experiment.CompIperf {
 		cfg.CCA = sp.Flows[0].CCA
 	} else if len(sp.Flows) > 0 {
 		comps := make([]experiment.Competitor, len(sp.Flows))
 		for i, f := range sp.Flows {
 			comps[i] = experiment.Competitor{Kind: f.Kind, CCA: f.CCA}
+			if cfg.CCA == "" {
+				cfg.CCA = f.CCA // videocall flows carry none
+			}
 		}
 		cfg.Competitors = comps
 	}

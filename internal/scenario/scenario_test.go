@@ -48,8 +48,8 @@ func parseSpec(t *testing.T, text string) *Spec {
 func TestHeadlineSpecMatchesFlagConfig(t *testing.T) {
 	sp := parseSpec(t, headlineSpec)
 
-	// The flag path: what cmd/gssim -system stadia -cca cubic -capacity 25
-	// -queue 2 -seed 1 constructs (core.Run's mapping).
+	// The paper's headline condition built as a plain RunConfig, the way
+	// the paper grid builds its cells.
 	flagCfg := experiment.RunConfig{
 		Condition: experiment.Condition{
 			System:    gamestream.Stadia,
@@ -77,9 +77,8 @@ func TestHeadlineSpecMatchesFlagConfig(t *testing.T) {
 }
 
 // TestHeadlineSpecRunByteIdentical runs both constructions end-to-end and
-// requires bit-identical results — the acceptance criterion that a
-// scenario file can replace the flag path without changing a single byte
-// of output.
+// requires bit-identical results: a scenario file stands for a plain
+// RunConfig without changing a single byte of output.
 func TestHeadlineSpecRunByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full runs")
@@ -190,6 +189,27 @@ shape   = 1.5
 	}
 }
 
+// TestMultiFlowSpecLabel checks a spec with several flows is labelled
+// with its first TCP flow's CCA (a videocall flow carries none), so its
+// condition string, record and cache key name a competitor instead of
+// "solo"; a single non-iperf flow is labelled the same way.
+func TestMultiFlowSpecLabel(t *testing.T) {
+	for _, tc := range []struct {
+		flows string
+		want  string
+	}{
+		{"[flow a]\ncca = bbr\n[flow b]\ncca = cubic\n", "bbr"},
+		{"[flow call]\nkind = videocall\n[flow video]\nkind = dash\ncca = bbr\n[flow bulk]\ncca = cubic\n", "bbr"},
+		{"[flow video]\nkind = dash\n", "cubic"},
+		{"[flow call]\nkind = videocall\n", ""},
+	} {
+		cfg := parseSpec(t, "[game]\nsystem = stadia\n[link b]\nrate = 25mbit\ndelay = 8.25ms\n"+tc.flows).RunConfig(0)
+		if cfg.CCA != tc.want || len(cfg.Competitors) == 0 {
+			t.Errorf("%q: label %q with %d competitors, want %q", tc.flows, cfg.CCA, len(cfg.Competitors), tc.want)
+		}
+	}
+}
+
 func TestFlowWindowOverridesTimeline(t *testing.T) {
 	sp := parseSpec(t, `
 [game]
@@ -234,7 +254,10 @@ func TestParseRejectsHostileSpecs(t *testing.T) {
 		{"inverted window", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[flow f]\nkind = iperf\nstart = 100s\nstop = 50s", "not before"},
 		{"bare value", "[game]\nsystem = stadia\njunk", "key = value"},
 		{"nan loss", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[impair]\nloss = NaN", "probability"},
-		{"negative flows", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = -3", "outside"},
+		{"negative flows", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = -3", "flows -3 outside [0,100000]"},
+		{"huge flows", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 100001", "flows 100001 outside [0,100000]"},
+		{"negative mean_on", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 4\nmean_on = -2s", "mean_on -2s outside [0,24h]"},
+		{"huge mean_off", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 4\nmean_off = 25h", "mean_off 25h0m0s outside [0,24h]"},
 		{"huge streams", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nstreams = 100001", "streams 100001 outside"},
 		{"negative mean_off", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 4\nmean_off = -1s", "mean_off -1s outside"},
 		{"huge iterations", "[run]\niterations = 99999999", "outside"},

@@ -38,8 +38,8 @@ race:
 
 # Short coverage-guided sessions: the receiver-reassembly target, the
 # event engine's lane-ordering proof, the three scenario value parsers
-# (schedule/loss/probability), the scenario-file parser, and the
-# campaign-spec parser. Corpora are checked
+# (schedule/loss/probability), the run-cache entry decoder, the
+# scenario-file parser, and the campaign-spec parser. Corpora are checked
 # in under internal/*/testdata/fuzz. Raise FUZZTIME (and PARSEFUZZTIME for
 # the cheap string parsers) for a real local campaign.
 FUZZTIME ?= 30s
@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseSchedule -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseLoss -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseProb -fuzztime $(PARSEFUZZTIME)
+	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzDecodeRun -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParseScenario -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseCampaign -fuzztime $(PARSEFUZZTIME)
 
@@ -79,7 +80,7 @@ bench:
 # it, and every shipped scenario and campaign file must parse to a
 # cacheable configuration.
 docs-check:
-	$(GO) test -run 'TestDocsLinksResolve|TestDocsFlagsExist|TestScenarioFilesParse|TestCampaignFilesParse' -count=1 .
+	$(GO) test -run 'TestDocsLinksResolve|TestDocsFlagsExist|TestDocFlagRefs|TestScenarioFilesParse|TestCampaignFilesParse' -count=1 .
 
 # A sharded campaign end to end at CI size: the coordinator spawns two
 # gscampaign worker processes over a throwaway directory, sweeps up and

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -117,8 +118,6 @@ func TestDocsFlagsExist(t *testing.T) {
 	}
 	files = append(files, mains...)
 
-	cmdRe := regexp.MustCompile(`\b(gssim|gsbench|gscampaign|gsreport)[ \t]+(.*)`)
-	flagRe := regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 	checked := 0
 	for _, f := range files {
 		data, err := os.ReadFile(f)
@@ -130,31 +129,81 @@ func TestDocsFlagsExist(t *testing.T) {
 		}
 		text := regexp.MustCompile(`\\\n[ \t]*`).ReplaceAllString(string(data), " ")
 		for _, line := range strings.Split(text, "\n") {
-			for _, m := range cmdRe.FindAllStringSubmatch(line, -1) {
-				bin := m[1]
-				for _, tok := range strings.Fields(m[2]) {
-					if strings.ContainsAny(tok[:1], "|;&<>#)") {
-						break // the command ends at a shell separator
-					}
-					quoted := strings.IndexByte(tok, '`')
-					if quoted >= 0 {
-						tok = tok[:quoted]
-					}
-					if fm := flagRe.FindStringSubmatch(tok); fm != nil {
-						checked++
-						if !defined[bin][fm[1]] {
-							t.Errorf("%s: %s -%s is not a flag of cmd/%s", f, bin, fm[1], bin)
-						}
-					}
-					if quoted >= 0 {
-						break // the command ends with its code span
-					}
+			for _, ref := range docFlagRefs(line) {
+				checked++
+				if !defined[ref.bin][ref.flag] {
+					t.Errorf("%s: %s -%s is not a flag of cmd/%s", f, ref.bin, ref.flag, ref.bin)
 				}
 			}
 		}
 	}
 	if checked < 50 {
 		t.Fatalf("checked only %d documented flags — scanner looking in the wrong place?", checked)
+	}
+}
+
+// flagRef is one `-flag` a document passes to one of the commands.
+type flagRef struct{ bin, flag string }
+
+var (
+	docCmdRe  = regexp.MustCompile(`\b(gssim|gsbench|gscampaign|gsreport)[ \t]+`)
+	docFlagRe = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+)
+
+// docFlagRefs returns the flags one line of documentation passes to the
+// commands it names. The line is split at every command name, so each
+// command's flags run up to the next command at most; within that, a
+// command ends at a shell separator or with the code span it sits in.
+func docFlagRefs(line string) []flagRef {
+	var refs []flagRef
+	cmds := docCmdRe.FindAllStringSubmatchIndex(line, -1)
+	for i, m := range cmds {
+		bin, args := line[m[2]:m[3]], line[m[1]:]
+		if i+1 < len(cmds) {
+			args = line[m[1]:cmds[i+1][0]]
+		}
+		for _, tok := range strings.Fields(args) {
+			if strings.ContainsAny(tok[:1], "|;&<>#)") {
+				break // the command ends at a shell separator
+			}
+			quoted := strings.IndexByte(tok, '`')
+			if quoted >= 0 {
+				tok = tok[:quoted]
+			}
+			if fm := docFlagRe.FindStringSubmatch(tok); fm != nil {
+				refs = append(refs, flagRef{bin, fm[1]})
+			}
+			if quoted >= 0 {
+				break // the command ends with its code span
+			}
+		}
+	}
+	return refs
+}
+
+// TestDocFlagRefs pins how docFlagRefs attributes flags to commands, a
+// line naming two commands included: each command's flags are checked
+// against its own binary.
+func TestDocFlagRefs(t *testing.T) {
+	cases := []struct {
+		line string
+		want []flagRef
+	}{
+		{"gssim -scale 0.1 -progress", []flagRef{{"gssim", "scale"}, {"gssim", "progress"}}},
+		{"not a gssim mode: gsbench -exp runs it", []flagRef{{"gsbench", "exp"}}},
+		{"gssim -chaos -seed 4 > a; gsreport -invariants a.json",
+			[]flagRef{{"gssim", "chaos"}, {"gssim", "seed"}, {"gsreport", "invariants"}}},
+		{"`gsbench -exp table1` then `gsreport -runlog x`",
+			[]flagRef{{"gsbench", "exp"}, {"gsreport", "runlog"}}},
+		{"run gscampaign -spec s -dir d, then gsreport -campaign d",
+			[]flagRef{{"gscampaign", "spec"}, {"gscampaign", "dir"}, {"gsreport", "campaign"}}},
+		{"gssim | gsreport -runlog -", []flagRef{{"gsreport", "runlog"}}},
+		{"no command here -flag", nil},
+	}
+	for _, c := range cases {
+		if got := docFlagRefs(c.line); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("docFlagRefs(%q) = %v, want %v", c.line, got, c.want)
+		}
 	}
 }
 

@@ -1,22 +1,24 @@
 package experiment
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/gob"
-	"fmt"
-	"io"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"runtime/debug"
+	"time"
 
+	"repro/internal/ping"
 	"repro/internal/runcache"
+	"repro/internal/sim"
 )
 
 // cacheSchema versions the cache key layout and the stored run encoding.
 // Bump it whenever run semantics change in a way the key fields cannot see
-// (a profile recalibration, a new default, a persistence format change):
-// every old entry then misses and is recomputed. See docs/ARCHITECTURE.md,
-// "Run cache: the key contract".
-const cacheSchema = "run-v5"
+// (a profile recalibration, a new default, a change to the encodeRun
+// layout): every old entry then misses and is recomputed. See
+// docs/ARCHITECTURE.md, "Run cache: the key contract".
+const cacheSchema = "run-v6"
 
 // cacheVersion is the module-version component of every cache key: the
 // schema generation plus the main module's version and VCS revision when
@@ -108,6 +110,10 @@ func CacheKey(cfg RunConfig) (key runcache.Key, ok bool) {
 // simulator is a pure function of cfg), a miss runs and stores. A nil
 // cache, or an uncacheable cfg, degrades to a plain Run. hit reports
 // whether the result came from the store.
+//
+// An entry does not store the run's config: a hit's Cfg is cfg.Defaults(),
+// exactly what Run records. Nothing is lost, because a cacheable config
+// carries no Profile and no Probe.
 func RunCached(c *runcache.Cache, cfg RunConfig) (res *RunResult, hit bool) {
 	if c == nil {
 		return Run(cfg), false
@@ -119,48 +125,303 @@ func RunCached(c *runcache.Cache, cfg RunConfig) (res *RunResult, hit bool) {
 	}
 	if data, found := c.Get(key); found {
 		if r, err := decodeRun(data); err == nil {
+			r.Cfg = cfg.Defaults()
 			return r, true
 		}
 		// A torn or stale-format entry: drop it and recompute below.
 		c.Discard(key)
 	}
 	r := Run(cfg)
-	if data, err := encodeRun(r); err == nil {
-		// A full store failing (disk full, permissions) must not kill the
-		// campaign; the run result is still good, the entry just stays
-		// cold. The cache's Errors counter records the failure.
-		_ = c.Put(key, data)
-	}
+	// A full store failing (disk full, permissions) must not kill the
+	// campaign; the run result is still good, the entry just stays cold.
+	// The cache's Errors counter records the failure.
+	_ = c.Put(key, encodeRun(r))
 	return r, false
 }
 
-// encodeRun renders a run result as the cache entry payload: gzipped gob of
-// the same persisted form SaveSweep uses.
-func encodeRun(r *RunResult) ([]byte, error) {
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := gob.NewEncoder(gz).Encode(toPersisted(r)); err != nil {
-		return nil, fmt.Errorf("experiment: encode run: %w", err)
+// runMagic opens every cache entry: the codec's name and the schema
+// version, so a payload in any other format fails on its first bytes.
+const runMagic = "gs" + cacheSchema + "\n"
+
+// runCRC is the table of the CRC-32C that closes every entry.
+var runCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// errBadRun is what decodeRun returns for any entry it does not accept.
+var errBadRun = errors.New("experiment: decode run: malformed cache entry")
+
+// encodeRun renders the persisted part of a run result (everything but Cfg
+// and Probe) as a cache entry: runMagic, then the fields in a fixed order,
+// then a little-endian CRC-32C of everything before it. Integers are
+// varints, floats their raw IEEE-754 bits (8 bytes, little-endian), and
+// strings and slices a uvarint length followed by their elements. The
+// layout is fixed by this function and decodeRun alone; change both
+// together and bump cacheSchema.
+func encodeRun(r *RunResult) []byte {
+	// Size the buffer once: 8 bytes a float, and generous guesses for a
+	// varint pair, a flow record and a trace's two names.
+	size := 256 + 8*(len(r.GameMbps)+len(r.TCPMbps)+len(r.FPSBins)+len(r.GameLossBins)+len(r.TCPLossBins)) +
+		12*len(r.RTT) + 48*len(r.Flows)
+	for _, ct := range r.CompetitorTraces {
+		size += 32 + 8*len(ct.Mbps)
 	}
-	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("experiment: encode run: %w", err)
+	b := make([]byte, 0, size)
+	b = append(b, runMagic...)
+	b = binary.AppendVarint(b, int64(r.Bin))
+	b = appendFloats(b, r.GameMbps)
+	b = appendFloats(b, r.TCPMbps)
+	b = appendFloats(b, r.FPSBins)
+	b = appendFloats(b, r.GameLossBins)
+	b = appendFloats(b, r.TCPLossBins)
+	b = binary.AppendUvarint(b, uint64(len(r.RTT)))
+	for _, s := range r.RTT {
+		b = binary.AppendVarint(b, int64(s.At))
+		b = binary.AppendVarint(b, int64(s.RTT))
 	}
-	return buf.Bytes(), nil
+	b = binary.AppendUvarint(b, uint64(len(r.CompetitorTraces)))
+	for _, ct := range r.CompetitorTraces {
+		b = appendString(b, ct.Kind)
+		b = appendString(b, ct.CCA)
+		b = appendFloats(b, ct.Mbps)
+	}
+	b = binary.AppendVarint(b, r.FramesSent)
+	b = binary.AppendVarint(b, r.FramesDisplayed)
+	b = binary.AppendVarint(b, r.FramesDropped)
+	b = binary.AppendVarint(b, r.NackRetx)
+	b = binary.AppendVarint(b, int64(r.TCPRetransmits))
+
+	e := &r.Engine
+	b = binary.AppendUvarint(b, e.EventsDispatched)
+	b = binary.AppendUvarint(b, e.EventsScheduled)
+	b = binary.AppendUvarint(b, e.EventsCancelled)
+	b = binary.AppendUvarint(b, e.TimerMoves)
+	b = binary.AppendVarint(b, int64(e.Pending))
+	b = binary.AppendVarint(b, int64(e.PeakPending))
+	b = binary.AppendVarint(b, int64(e.SimTime))
+	b = binary.AppendVarint(b, int64(e.WallTime))
+
+	im := &r.Impair
+	b = binary.AppendVarint(b, int64(im.Packets))
+	b = binary.AppendVarint(b, int64(im.LossDrops))
+	b = binary.AppendVarint(b, int64(im.FlapDrops))
+	b = binary.AppendVarint(b, int64(im.Duplicates))
+	b = binary.AppendVarint(b, int64(im.Reordered))
+	b = binary.AppendVarint(b, int64(im.Flaps))
+	b = binary.AppendVarint(b, int64(im.Down))
+
+	b = binary.AppendUvarint(b, uint64(len(r.Flows)))
+	for i := range r.Flows {
+		f := &r.Flows[i]
+		b = appendString(b, f.Kind)
+		b = appendString(b, f.CCA)
+		b = binary.AppendVarint(b, int64(f.Flow))
+		b = binary.AppendVarint(b, int64(f.Arrivals))
+		b = appendFloat(b, f.ActiveSec)
+		b = appendFloat(b, f.MeanMbps)
+		b = appendFloat(b, f.SRTTms)
+	}
+
+	fs := &r.FlowSummary
+	b = binary.AppendVarint(b, int64(fs.Flows))
+	b = binary.AppendVarint(b, int64(fs.Streams))
+	b = binary.AppendVarint(b, int64(fs.Active))
+	for _, v := range [...]float64{
+		fs.Jain, fs.TputP10Mbps, fs.TputP50Mbps, fs.TputP90Mbps,
+		fs.RTTInflP10, fs.RTTInflP50, fs.RTTInflP90,
+	} {
+		b = appendFloat(b, v)
+	}
+	b = binary.AppendVarint(b, int64(fs.Starved))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, runCRC))
 }
 
-// decodeRun parses a cache entry payload back into a run result.
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendFloats(b []byte, vs []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = appendFloat(b, v)
+	}
+	return b
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// decodeRun parses a cache entry written by encodeRun back into a run
+// result, with a zero Cfg (RunCached fills it in). It rejects a bad magic,
+// a bad CRC, a non-minimal varint, a length prefix larger than the bytes
+// left could hold, a truncated field, and trailing bytes, so a torn or
+// hostile entry can neither decode nor force a large allocation. A
+// zero-length slice decodes as nil.
 func decodeRun(data []byte) (*RunResult, error) {
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: decode run: %w", err)
+	n := len(data) - 4
+	if n < len(runMagic) || string(data[:len(runMagic)]) != runMagic ||
+		crc32.Checksum(data[:n], runCRC) != binary.LittleEndian.Uint32(data[n:]) {
+		return nil, errBadRun
 	}
-	var p persistedRun
-	if err := gob.NewDecoder(gz).Decode(&p); err != nil {
-		return nil, fmt.Errorf("experiment: decode run: %w", err)
+	d := runDecoder{b: data[len(runMagic):n]}
+	r := &RunResult{Bin: time.Duration(d.varint())}
+	r.GameMbps = d.floats()
+	r.TCPMbps = d.floats()
+	r.FPSBins = d.floats()
+	r.GameLossBins = d.floats()
+	r.TCPLossBins = d.floats()
+	if k := d.count(2); k > 0 {
+		r.RTT = make([]ping.Sample, k)
+		for i := range r.RTT {
+			r.RTT[i] = ping.Sample{At: sim.Time(d.varint()), RTT: time.Duration(d.varint())}
+		}
 	}
-	// Require a clean gzip tail so a truncated entry cannot decode.
-	if _, err := io.Copy(io.Discard, gz); err != nil {
-		return nil, fmt.Errorf("experiment: decode run: %w", err)
+	if k := d.count(3); k > 0 {
+		r.CompetitorTraces = make([]CompetitorTrace, k)
+		for i := range r.CompetitorTraces {
+			ct := &r.CompetitorTraces[i]
+			ct.Kind = d.str()
+			ct.CCA = d.str()
+			ct.Mbps = d.floats()
+		}
 	}
-	return fromPersisted(&p), nil
+	r.FramesSent = d.varint()
+	r.FramesDisplayed = d.varint()
+	r.FramesDropped = d.varint()
+	r.NackRetx = d.varint()
+	r.TCPRetransmits = d.int()
+
+	e := &r.Engine
+	e.EventsDispatched = d.uvarint()
+	e.EventsScheduled = d.uvarint()
+	e.EventsCancelled = d.uvarint()
+	e.TimerMoves = d.uvarint()
+	e.Pending = d.int()
+	e.PeakPending = d.int()
+	e.SimTime = sim.Time(d.varint())
+	e.WallTime = time.Duration(d.varint())
+
+	im := &r.Impair
+	im.Packets = d.int()
+	im.LossDrops = d.int()
+	im.FlapDrops = d.int()
+	im.Duplicates = d.int()
+	im.Reordered = d.int()
+	im.Flaps = d.int()
+	im.Down = time.Duration(d.varint())
+
+	// A flow record is at least two empty strings, two one-byte varints
+	// and three floats.
+	if k := d.count(2 + 2 + 3*8); k > 0 {
+		r.Flows = make([]FlowStats, k)
+		for i := range r.Flows {
+			f := &r.Flows[i]
+			f.Kind = d.str()
+			f.CCA = d.str()
+			f.Flow = d.int()
+			f.Arrivals = d.int()
+			f.ActiveSec = d.float()
+			f.MeanMbps = d.float()
+			f.SRTTms = d.float()
+		}
+	}
+
+	fs := &r.FlowSummary
+	fs.Flows = d.int()
+	fs.Streams = d.int()
+	fs.Active = d.int()
+	for _, v := range [...]*float64{
+		&fs.Jain, &fs.TputP10Mbps, &fs.TputP50Mbps, &fs.TputP90Mbps,
+		&fs.RTTInflP10, &fs.RTTInflP50, &fs.RTTInflP90,
+	} {
+		*v = d.float()
+	}
+	fs.Starved = d.int()
+
+	if d.bad || len(d.b) != 0 {
+		return nil, errBadRun
+	}
+	return r, nil
+}
+
+// runDecoder reads encodeRun's fields off the front of b. The first
+// malformed field sets bad; every read after it returns zero, so
+// decodeRun checks once at the end.
+type runDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *runDecoder) fail() {
+	d.bad = true
+	d.b = nil
+}
+
+// uvarint reads one minimally encoded uvarint: a longer encoding of the
+// same value would decode but not re-encode to the same bytes.
+func (d *runDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// varint reads a zigzag varint, as binary.AppendVarint writes it.
+func (d *runDecoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// int reads a varint that must fit the platform's int.
+func (d *runDecoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail()
+		return 0
+	}
+	return int(v)
+}
+
+func (d *runDecoder) float() float64 {
+	if len(d.b) < 8 {
+		d.fail()
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
+	d.b = d.b[8:]
+	return v
+}
+
+// count reads a length prefix for elements of at least minSize bytes
+// each, failing when the bytes left cannot hold that many.
+func (d *runDecoder) count(minSize int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minSize) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (d *runDecoder) floats() []float64 {
+	n := d.count(8)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]float64, n)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
+	}
+	d.b = d.b[8*n:]
+	return vs
+}
+
+func (d *runDecoder) str() string {
+	n := d.count(1)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }

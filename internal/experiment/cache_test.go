@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
+	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/runcache"
@@ -105,38 +106,61 @@ func TestCacheKeyStabilityAndSensitivity(t *testing.T) {
 }
 
 func TestRunCachedHitMatchesFreshRun(t *testing.T) {
-	cache, err := runcache.Open(t.TempDir())
+	population := cacheCfg(42)
+	population.Population = FlowPopulation{
+		Flows: 6, Streams: 1,
+		Mix: []Competitor{{Kind: CompIperf, CCA: "bbr"}, {Kind: CompDash, CCA: "cubic"}, {Kind: CompVideoCall}},
+	}
+	impaired := cacheCfg(42)
+	impaired.Impair = netem.Impairment{
+		LossModel: netem.LossGE, GEGoodBad: 0.01, GEBadGood: 0.25, Jitter: 2 * time.Millisecond,
+	}
+	sched, err := ParseSchedule("5s rate=10mbit; 8s loss=2%; 10s down; 11s up")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cacheCfg(42)
+	impaired.Schedule = sched
 
-	fresh := Run(cfg)
-	miss, hit := RunCached(cache, cfg)
-	if hit {
-		t.Fatal("first RunCached reported a hit on an empty cache")
-	}
-	replay, hit := RunCached(cache, cfg)
-	if !hit {
-		t.Fatal("second RunCached missed")
-	}
+	for name, cfg := range map[string]RunConfig{
+		"plain": cacheCfg(42), "population": population, "impaired": impaired,
+	} {
+		t.Run(name, func(t *testing.T) {
+			cache, err := runcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := Run(cfg)
+			if name == "population" && len(fresh.Flows) == 0 || name == "impaired" && fresh.Impair.Packets == 0 {
+				t.Fatal("config left the fields it is here to cover at zero")
+			}
+			miss, hit := RunCached(cache, cfg)
+			if hit {
+				t.Fatal("first RunCached reported a hit on an empty cache")
+			}
+			replay, hit := RunCached(cache, cfg)
+			if !hit {
+				t.Fatal("second RunCached missed")
+			}
 
-	// The persisted form is the contract: the replayed result must carry
-	// exactly what a fresh execution persists, field for field. Only the
-	// engine's wall-clock differs legitimately between executions.
-	strip := func(r *RunResult) persistedRun {
-		p := toPersisted(r)
-		p.Engine.WallTime = 0
-		return p
-	}
-	want := strip(fresh)
-	for name, r := range map[string]*RunResult{"missed": miss, "replayed": replay} {
-		if got := strip(r); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s result diverges from fresh run", name)
-		}
-	}
-	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 || s.Stored != 1 {
-		t.Fatalf("Stats = %+v; want 1 hit, 1 miss, 1 stored", s)
+			// The persisted form is the contract: the replayed result must
+			// carry exactly what a fresh execution persists, field for
+			// field. Only the engine's wall-clock differs legitimately
+			// between executions.
+			strip := func(r *RunResult) persistedRun {
+				p := toPersisted(r)
+				p.Engine.WallTime = 0
+				return p
+			}
+			want := strip(fresh)
+			for name, r := range map[string]*RunResult{"missed": miss, "replayed": replay} {
+				if got := strip(r); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s result diverges from fresh run", name)
+				}
+			}
+			if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 || s.Stored != 1 {
+				t.Fatalf("Stats = %+v; want 1 hit, 1 miss, 1 stored", s)
+			}
+		})
 	}
 }
 

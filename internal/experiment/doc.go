@@ -39,8 +39,9 @@
 //
 // RunCached serves a run from the content-addressed run cache when its
 // result is stored, so a repeated or interrupted campaign re-renders from
-// disk and executes only the missing runs. SaveSweep/LoadSweep round-trip
-// a whole SweepResult through gzipped gob, each run in the same persisted
-// form a cache entry holds; RunResult.Record renders a run as an
-// obs.Record for JSONL run logs.
+// disk and executes only the missing runs. A cache entry is a fixed
+// binary layout of the run's persisted fields closed by a CRC-32C
+// (encodeRun/decodeRun); a hit takes its Cfg from the request.
+// SaveSweep/LoadSweep round-trip a whole SweepResult through gzipped gob;
+// RunResult.Record renders a run as an obs.Record for JSONL run logs.
 package experiment

@@ -45,8 +45,8 @@ func init() {
 	gob.Register(persistedRun{})
 }
 
-// SaveSweep writes the sweep to path as gzipped gob, each run in the same
-// persisted form the run cache stores.
+// SaveSweep writes the sweep to path as gzipped gob, each run as a
+// persistedRun. The run cache has its own binary entry layout (encodeRun).
 func SaveSweep(path string, s *SweepResult) error {
 	f, err := os.Create(path)
 	if err != nil {

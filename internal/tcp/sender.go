@@ -665,8 +665,8 @@ func (s *Sender) Handle(p *packet.Packet) {
 	// SACK processing.
 	if meta, ok := p.App.(*ackMeta); ok {
 		for _, blk := range meta.sack {
-			for _, sg := range s.segs {
-				if sg.sacked || sg.seq < blk[0] {
+			for _, sg := range s.segs[s.segFrom(blk[0]):] {
+				if sg.sacked {
 					continue
 				}
 				if sg.seq+sg.len > blk[1] {
@@ -702,29 +702,11 @@ func (s *Sender) Handle(p *packet.Packet) {
 		}
 	}
 
-	// Loss detection. Two rules, as in Linux v5.4:
-	//  - SACK: a hole is lost once the SACK frontier is dupThresh
-	//    segments beyond it (first transmissions only);
-	//  - RACK: any segment (retransmissions included) sent a reordering
-	//    window before the most recently delivered segment is lost.
 	reoWnd := s.srtt / 4
 	if reoWnd < time.Millisecond {
 		reoWnd = time.Millisecond
 	}
-	lossDetected := false
-	for _, sg := range s.segs {
-		if sg.sacked || sg.lost {
-			continue
-		}
-		sackLost := !sg.retx && sg.seq+dupThresh*s.mss <= s.highSacked
-		rackLost := s.rackTime > 0 && sg.sentAt.Add(reoWnd) < s.rackTime
-		if sackLost || rackLost {
-			sg.lost = true
-			s.pipeBytes -= sg.len
-			s.retxPending++
-			lossDetected = true
-		}
-	}
+	lossDetected := s.markLost(reoWnd)
 	if lossDetected && !s.inRecovery {
 		s.inRecovery = true
 		s.recoveryEnd = s.sndNxt
@@ -795,6 +777,57 @@ func (s *Sender) Handle(p *packet.Packet) {
 	}
 
 	s.trySend()
+}
+
+// segFrom returns the index of the first scoreboard segment starting at or
+// after seq. The scoreboard is sorted by seq, so a binary search finds it.
+func (s *Sender) segFrom(seq int64) int {
+	lo, hi := 0, len(s.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.segs[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// markLost runs loss detection over the scoreboard and reports whether it
+// marked any segment lost. Two rules, as in Linux v5.4:
+//   - SACK: a hole is lost once the SACK frontier is dupThresh segments
+//     beyond it (first transmissions only);
+//   - RACK: any segment (retransmissions included) sent a reordering
+//     window before the most recently delivered segment is lost.
+//
+// The scan stops at the first outstanding first transmission that neither
+// rule marks. That is exact: first transmissions go out in seq order, so
+// every later one has a higher seq and a sentAt no earlier, and a
+// retransmission is sent after its own first transmission, so every later
+// segment fails both rules too. A segment that is neither lost nor sacked
+// and has retx clear has never been retransmitted (onRTO clears retx only
+// on segments it marks lost), so its sentAt is its first transmission's.
+func (s *Sender) markLost(reoWnd time.Duration) bool {
+	lossDetected := false
+	for _, sg := range s.segs {
+		if sg.sacked || sg.lost {
+			continue
+		}
+		sackLost := !sg.retx && sg.seq+dupThresh*s.mss <= s.highSacked
+		rackLost := s.rackTime > 0 && sg.sentAt.Add(reoWnd) < s.rackTime
+		if !sackLost && !rackLost {
+			if !sg.retx {
+				break
+			}
+			continue
+		}
+		sg.lost = true
+		s.pipeBytes -= sg.len
+		s.retxPending++
+		lossDetected = true
+	}
+	return lossDetected
 }
 
 // accountDelivered updates connection-level delivery state for a segment

@@ -38,10 +38,13 @@ race:
 
 # Short coverage-guided sessions: the receiver-reassembly target, the
 # event engine's lane-ordering proof, the three scenario value parsers
-# (schedule/loss/probability), the run-cache entry decoder, the
-# scenario-file parser, and the campaign-spec parser. Corpora are checked
+# (schedule/loss/probability), the run-cache entry decoder, the telemetry
+# snapshot decoder, the scenario-file parser, and the campaign-spec parser. Corpora are checked
 # in under internal/*/testdata/fuzz. Raise FUZZTIME (and PARSEFUZZTIME for
-# the cheap string parsers) for a real local campaign.
+# the cheap string parsers) for a real local campaign. The snapshot
+# decoder's minimisation is capped at 1s: at the default 60s, minimising
+# its first new input (the obs test binary is large, so each try is slow)
+# would eat the whole session.
 FUZZTIME ?= 30s
 PARSEFUZZTIME ?= 10s
 fuzz-smoke:
@@ -51,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseLoss -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzParseProb -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/experiment -run '^$$' -fuzz FuzzDecodeRun -fuzztime $(PARSEFUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(PARSEFUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzParseScenario -fuzztime $(PARSEFUZZTIME)
 	$(GO) test ./internal/campaign -run '^$$' -fuzz FuzzParseCampaign -fuzztime $(PARSEFUZZTIME)
 

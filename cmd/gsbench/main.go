@@ -11,7 +11,7 @@
 //	gsbench -exp figure3 -aqm fq_codel   # future-work AQM variant
 //	gsbench -exp all -progress -runlog runs.jsonl
 //	gsbench -exp all -cache runs.cache   # incremental: re-runs replay hits
-//	gsbench -exp figure3 -telemetry-out telemetry.json  # sketch snapshot
+//	gsbench -exp figure3 -telemetry-out telemetry.snap  # sketch snapshot
 //
 // Every -exp name is checked before the first run; an unknown one exits 2.
 // gsbench sweeps only the paper's clean-path grid: impaired paths run
@@ -58,7 +58,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "print live sweep progress to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
 		telAddr    = flag.String("telemetry-addr", "", "serve live campaign telemetry over HTTP at this address (e.g. :9300): /metrics is Prometheus text, /snapshot JSON")
-		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this JSON file")
+		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this file, for gsreport -telemetry")
 		telLog     = flag.String("telemetry-log", "", "append the JSONL health timeline (progress, ETA, cache hit rate) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

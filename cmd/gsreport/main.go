@@ -23,8 +23,8 @@
 //	gsbench -exp figure3 -runlog runs.jsonl
 //	gsreport -runlog runs.jsonl
 //
-//	gsbench -exp figure3 -telemetry-out telemetry.json
-//	gsreport -telemetry telemetry.json
+//	gsbench -exp figure3 -telemetry-out telemetry.snap
+//	gsreport -telemetry telemetry.snap
 //
 //	gscampaign -spec paper.campaign -dir camp -workers 4
 //	gsreport -campaign camp

@@ -48,8 +48,8 @@ func foldRunLog(path string) (*obs.Snapshot, error) {
 	return snap, nil
 }
 
-// reportTelemetry renders a persisted telemetry snapshot (gssim/gsbench
-// -telemetry-out, or a saved /snapshot body): quantiles-with-CI tables for
+// reportTelemetry renders a persisted telemetry snapshot (gsbench
+// -telemetry-out, or a campaign's merged.snap): quantiles-with-CI tables for
 // every paper metric, computed from the sketches alone — no runlog needed.
 func reportTelemetry(path string) error {
 	snap, err := obs.ReadSnapshot(path)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/runcache"
 )
 
 // ManifestSchema versions the campaign directory layout.
@@ -59,13 +61,16 @@ func RunlogPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.runs.jsonl", i))
 }
 
-// SnapPath is shard i's telemetry snapshot — and its done marker.
+// SnapPath is shard i's telemetry snapshot (obs.WriteSnapshot's binary
+// layout) — and its done marker. A directory written before snapshots
+// were binary holds shard-NNNN.snap.json files instead: this name ignores
+// them, so a resume re-publishes those shards from the run cache.
 func SnapPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.snap.json", i))
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.snap", i))
 }
 
 // Merged output paths.
-func MergedSnapPath(dir string) string   { return filepath.Join(dir, "merged.snap.json") }
+func MergedSnapPath(dir string) string   { return filepath.Join(dir, "merged.snap") }
 func MergedDetPath(dir string) string    { return filepath.Join(dir, "merged.det.json") }
 func MergedRunlogPath(dir string) string { return filepath.Join(dir, "merged.runs.jsonl") }
 
@@ -126,24 +131,9 @@ func Status(dir string, m *Manifest) (done []bool, n int) {
 	return done, n
 }
 
-// atomicWrite writes data to path via a temp file + rename in the same
-// directory, so readers never observe a torn file.
+// atomicWrite publishes data at path with runcache.WriteFileAtomic.
 func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := runcache.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil

@@ -183,11 +183,7 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 	if err := atomicWrite(RunlogPath(w.Dir, shard), runlog.buf.Bytes()); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("campaign: marshal snapshot: %w", err)
-	}
-	return atomicWrite(SnapPath(w.Dir, shard), append(data, '\n'))
+	return obs.WriteSnapshot(SnapPath(w.Dir, shard), snap)
 }
 
 // shardLog is the Progress sink that buffers a shard's runlog: one

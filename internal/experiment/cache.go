@@ -3,14 +3,13 @@ package experiment
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"math"
 	"runtime/debug"
 	"time"
 
 	"repro/internal/ping"
 	"repro/internal/runcache"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // cacheSchema versions the cache key layout and the stored run encoding.
@@ -143,17 +142,12 @@ func RunCached(c *runcache.Cache, cfg RunConfig) (res *RunResult, hit bool) {
 // version, so a payload in any other format fails on its first bytes.
 const runMagic = "gs" + cacheSchema + "\n"
 
-// runCRC is the table of the CRC-32C that closes every entry.
-var runCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // errBadRun is what decodeRun returns for any entry it does not accept.
 var errBadRun = errors.New("experiment: decode run: malformed cache entry")
 
 // encodeRun renders the persisted part of a run result (everything but Cfg
-// and Probe) as a cache entry: runMagic, then the fields in a fixed order,
-// then a little-endian CRC-32C of everything before it. Integers are
-// varints, floats their raw IEEE-754 bits (8 bytes, little-endian), and
-// strings and slices a uvarint length followed by their elements. The
+// and Probe) as a cache entry in the internal/wire frame: runMagic, then
+// the fields in a fixed order, then a CRC-32C of everything before it. The
 // layout is fixed by this function and decodeRun alone; change both
 // together and bump cacheSchema.
 func encodeRun(r *RunResult) []byte {
@@ -167,11 +161,11 @@ func encodeRun(r *RunResult) []byte {
 	b := make([]byte, 0, size)
 	b = append(b, runMagic...)
 	b = binary.AppendVarint(b, int64(r.Bin))
-	b = appendFloats(b, r.GameMbps)
-	b = appendFloats(b, r.TCPMbps)
-	b = appendFloats(b, r.FPSBins)
-	b = appendFloats(b, r.GameLossBins)
-	b = appendFloats(b, r.TCPLossBins)
+	b = wire.AppendFloats(b, r.GameMbps)
+	b = wire.AppendFloats(b, r.TCPMbps)
+	b = wire.AppendFloats(b, r.FPSBins)
+	b = wire.AppendFloats(b, r.GameLossBins)
+	b = wire.AppendFloats(b, r.TCPLossBins)
 	b = binary.AppendUvarint(b, uint64(len(r.RTT)))
 	for _, s := range r.RTT {
 		b = binary.AppendVarint(b, int64(s.At))
@@ -179,9 +173,9 @@ func encodeRun(r *RunResult) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(r.CompetitorTraces)))
 	for _, ct := range r.CompetitorTraces {
-		b = appendString(b, ct.Kind)
-		b = appendString(b, ct.CCA)
-		b = appendFloats(b, ct.Mbps)
+		b = wire.AppendString(b, ct.Kind)
+		b = wire.AppendString(b, ct.CCA)
+		b = wire.AppendFloats(b, ct.Mbps)
 	}
 	b = binary.AppendVarint(b, r.FramesSent)
 	b = binary.AppendVarint(b, r.FramesDisplayed)
@@ -211,13 +205,13 @@ func encodeRun(r *RunResult) []byte {
 	b = binary.AppendUvarint(b, uint64(len(r.Flows)))
 	for i := range r.Flows {
 		f := &r.Flows[i]
-		b = appendString(b, f.Kind)
-		b = appendString(b, f.CCA)
+		b = wire.AppendString(b, f.Kind)
+		b = wire.AppendString(b, f.CCA)
 		b = binary.AppendVarint(b, int64(f.Flow))
 		b = binary.AppendVarint(b, int64(f.Arrivals))
-		b = appendFloat(b, f.ActiveSec)
-		b = appendFloat(b, f.MeanMbps)
-		b = appendFloat(b, f.SRTTms)
+		b = wire.AppendFloat(b, f.ActiveSec)
+		b = wire.AppendFloat(b, f.MeanMbps)
+		b = wire.AppendFloat(b, f.SRTTms)
 	}
 
 	fs := &r.FlowSummary
@@ -228,27 +222,10 @@ func encodeRun(r *RunResult) []byte {
 		fs.Jain, fs.TputP10Mbps, fs.TputP50Mbps, fs.TputP90Mbps,
 		fs.RTTInflP10, fs.RTTInflP50, fs.RTTInflP90,
 	} {
-		b = appendFloat(b, v)
+		b = wire.AppendFloat(b, v)
 	}
 	b = binary.AppendVarint(b, int64(fs.Starved))
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, runCRC))
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendFloats(b []byte, vs []float64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = appendFloat(b, v)
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return wire.Seal(b)
 }
 
 // decodeRun parses a cache entry written by encodeRun back into a run
@@ -258,170 +235,86 @@ func appendString(b []byte, s string) []byte {
 // hostile entry can neither decode nor force a large allocation. A
 // zero-length slice decodes as nil.
 func decodeRun(data []byte) (*RunResult, error) {
-	n := len(data) - 4
-	if n < len(runMagic) || string(data[:len(runMagic)]) != runMagic ||
-		crc32.Checksum(data[:n], runCRC) != binary.LittleEndian.Uint32(data[n:]) {
+	d, ok := wire.Open(data, runMagic)
+	if !ok {
 		return nil, errBadRun
 	}
-	d := runDecoder{b: data[len(runMagic):n]}
-	r := &RunResult{Bin: time.Duration(d.varint())}
-	r.GameMbps = d.floats()
-	r.TCPMbps = d.floats()
-	r.FPSBins = d.floats()
-	r.GameLossBins = d.floats()
-	r.TCPLossBins = d.floats()
-	if k := d.count(2); k > 0 {
+	r := &RunResult{Bin: time.Duration(d.Varint())}
+	r.GameMbps = d.Floats()
+	r.TCPMbps = d.Floats()
+	r.FPSBins = d.Floats()
+	r.GameLossBins = d.Floats()
+	r.TCPLossBins = d.Floats()
+	if k := d.Count(2); k > 0 {
 		r.RTT = make([]ping.Sample, k)
 		for i := range r.RTT {
-			r.RTT[i] = ping.Sample{At: sim.Time(d.varint()), RTT: time.Duration(d.varint())}
+			r.RTT[i] = ping.Sample{At: sim.Time(d.Varint()), RTT: time.Duration(d.Varint())}
 		}
 	}
-	if k := d.count(3); k > 0 {
+	if k := d.Count(3); k > 0 {
 		r.CompetitorTraces = make([]CompetitorTrace, k)
 		for i := range r.CompetitorTraces {
 			ct := &r.CompetitorTraces[i]
-			ct.Kind = d.str()
-			ct.CCA = d.str()
-			ct.Mbps = d.floats()
+			ct.Kind = d.Str()
+			ct.CCA = d.Str()
+			ct.Mbps = d.Floats()
 		}
 	}
-	r.FramesSent = d.varint()
-	r.FramesDisplayed = d.varint()
-	r.FramesDropped = d.varint()
-	r.NackRetx = d.varint()
-	r.TCPRetransmits = d.int()
+	r.FramesSent = d.Varint()
+	r.FramesDisplayed = d.Varint()
+	r.FramesDropped = d.Varint()
+	r.NackRetx = d.Varint()
+	r.TCPRetransmits = d.Int()
 
 	e := &r.Engine
-	e.EventsDispatched = d.uvarint()
-	e.EventsScheduled = d.uvarint()
-	e.EventsCancelled = d.uvarint()
-	e.TimerMoves = d.uvarint()
-	e.Pending = d.int()
-	e.PeakPending = d.int()
-	e.SimTime = sim.Time(d.varint())
-	e.WallTime = time.Duration(d.varint())
+	e.EventsDispatched = d.Uvarint()
+	e.EventsScheduled = d.Uvarint()
+	e.EventsCancelled = d.Uvarint()
+	e.TimerMoves = d.Uvarint()
+	e.Pending = d.Int()
+	e.PeakPending = d.Int()
+	e.SimTime = sim.Time(d.Varint())
+	e.WallTime = time.Duration(d.Varint())
 
 	im := &r.Impair
-	im.Packets = d.int()
-	im.LossDrops = d.int()
-	im.FlapDrops = d.int()
-	im.Duplicates = d.int()
-	im.Reordered = d.int()
-	im.Flaps = d.int()
-	im.Down = time.Duration(d.varint())
+	im.Packets = d.Int()
+	im.LossDrops = d.Int()
+	im.FlapDrops = d.Int()
+	im.Duplicates = d.Int()
+	im.Reordered = d.Int()
+	im.Flaps = d.Int()
+	im.Down = time.Duration(d.Varint())
 
 	// A flow record is at least two empty strings, two one-byte varints
 	// and three floats.
-	if k := d.count(2 + 2 + 3*8); k > 0 {
+	if k := d.Count(2 + 2 + 3*8); k > 0 {
 		r.Flows = make([]FlowStats, k)
 		for i := range r.Flows {
 			f := &r.Flows[i]
-			f.Kind = d.str()
-			f.CCA = d.str()
-			f.Flow = d.int()
-			f.Arrivals = d.int()
-			f.ActiveSec = d.float()
-			f.MeanMbps = d.float()
-			f.SRTTms = d.float()
+			f.Kind = d.Str()
+			f.CCA = d.Str()
+			f.Flow = d.Int()
+			f.Arrivals = d.Int()
+			f.ActiveSec = d.Float()
+			f.MeanMbps = d.Float()
+			f.SRTTms = d.Float()
 		}
 	}
 
 	fs := &r.FlowSummary
-	fs.Flows = d.int()
-	fs.Streams = d.int()
-	fs.Active = d.int()
+	fs.Flows = d.Int()
+	fs.Streams = d.Int()
+	fs.Active = d.Int()
 	for _, v := range [...]*float64{
 		&fs.Jain, &fs.TputP10Mbps, &fs.TputP50Mbps, &fs.TputP90Mbps,
 		&fs.RTTInflP10, &fs.RTTInflP50, &fs.RTTInflP90,
 	} {
-		*v = d.float()
+		*v = d.Float()
 	}
-	fs.Starved = d.int()
+	fs.Starved = d.Int()
 
-	if d.bad || len(d.b) != 0 {
+	if !d.Done() {
 		return nil, errBadRun
 	}
 	return r, nil
-}
-
-// runDecoder reads encodeRun's fields off the front of b. The first
-// malformed field sets bad; every read after it returns zero, so
-// decodeRun checks once at the end.
-type runDecoder struct {
-	b   []byte
-	bad bool
-}
-
-func (d *runDecoder) fail() {
-	d.bad = true
-	d.b = nil
-}
-
-// uvarint reads one minimally encoded uvarint: a longer encoding of the
-// same value would decode but not re-encode to the same bytes.
-func (d *runDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// varint reads a zigzag varint, as binary.AppendVarint writes it.
-func (d *runDecoder) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// int reads a varint that must fit the platform's int.
-func (d *runDecoder) int() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (d *runDecoder) float() float64 {
-	if len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-// count reads a length prefix for elements of at least minSize bytes
-// each, failing when the bytes left cannot hold that many.
-func (d *runDecoder) count(minSize int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/minSize) {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *runDecoder) floats() []float64 {
-	n := d.count(8)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.b[8*i:]))
-	}
-	d.b = d.b[8*n:]
-	return vs
-}
-
-func (d *runDecoder) str() string {
-	n := d.count(1)
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
 }

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // fillDistinct sets every exported field reachable from v to a non-zero
@@ -92,8 +93,7 @@ func reseal(data []byte) []byte {
 	if len(data) < 4 {
 		return data
 	}
-	out := append([]byte(nil), data[:len(data)-4]...)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, runCRC))
+	return wire.Seal(append([]byte(nil), data[:len(data)-4]...))
 }
 
 func TestDecodeRunRejectsMalformed(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -169,8 +168,6 @@ func (s *Snapshot) DeterministicJSON() ([]byte, error) {
 // deterministic snapshot section is byte-identical however many workers the
 // sweep used. Configure the exported knobs before the first sweep starts.
 type Aggregator struct {
-	// Compression is the t-digest δ for every sketch (0 = stats default).
-	Compression float64
 	// Timeline, when non-nil, receives JSONL HealthPoint lines. Every
 	// throttles them (default 10s); a final line is always written at
 	// SweepDone. Timeline writes are serialised under the Aggregator lock.
@@ -221,7 +218,7 @@ func (a *Aggregator) SweepStart(total int) {
 		a.start = time.Now()
 	}
 	for _, c := range a.conds {
-		c.flushPending(a.Compression)
+		c.flushPending()
 		c.next = 0
 	}
 }
@@ -242,7 +239,7 @@ func (a *Aggregator) RunDone(u Update) {
 		}
 		switch {
 		case r.Iteration == c.next:
-			c.fold(r, a.Compression)
+			c.fold(r)
 			c.next++
 			for {
 				parked, ok := c.pending[c.next]
@@ -251,13 +248,13 @@ func (a *Aggregator) RunDone(u Update) {
 				}
 				delete(c.pending, c.next)
 				for _, p := range parked {
-					c.fold(p, a.Compression)
+					c.fold(p)
 				}
 				c.next++
 			}
 		case r.Iteration < c.next:
 			// Can't happen for a well-formed sweep; fold rather than drop.
-			c.fold(r, a.Compression)
+			c.fold(r)
 		default:
 			c.pending[r.Iteration] = append(c.pending[r.Iteration], r)
 		}
@@ -277,18 +274,18 @@ func (a *Aggregator) SweepDone(interrupted bool, elapsed time.Duration) {
 	}
 	a.elapsed = time.Since(a.start)
 	for _, c := range a.conds {
-		c.flushPending(a.Compression)
+		c.flushPending()
 	}
 	a.maybeEmitLocked(Update{}, true)
 }
 
 // fold adds one record's samples to the condition sketches.
-func (c *condAgg) fold(r *Record, compression float64) {
+func (c *condAgg) fold(r *Record) {
 	add := func(group map[string]*stats.MetricSketch) func(string, float64) {
 		return func(name string, v float64) {
 			ms, ok := group[name]
 			if !ok {
-				ms = stats.NewMetricSketch(compression)
+				ms = stats.NewMetricSketch(0)
 				group[name] = ms
 			}
 			ms.Add(v)
@@ -299,7 +296,7 @@ func (c *condAgg) fold(r *Record, compression float64) {
 }
 
 // flushPending folds parked records in ascending iteration order.
-func (c *condAgg) flushPending(compression float64) {
+func (c *condAgg) flushPending() {
 	if len(c.pending) == 0 {
 		return
 	}
@@ -310,7 +307,7 @@ func (c *condAgg) flushPending(compression float64) {
 	sort.Ints(iters)
 	for _, it := range iters {
 		for _, r := range c.pending[it] {
-			c.fold(r, compression)
+			c.fold(r)
 		}
 		delete(c.pending, it)
 	}
@@ -428,29 +425,13 @@ func (a *Aggregator) Snapshot() *Snapshot {
 			sort.Ints(iters)
 			for _, it := range iters {
 				for _, r := range c.pending[it] {
-					tmp.fold(r, a.Compression)
+					tmp.fold(r)
 				}
 			}
 		}
 		snap.Conditions = append(snap.Conditions, cs)
-
-		mergeInto := func(dst map[string]*stats.MetricSketch, src map[string]*stats.MetricSketch) {
-			ks := make([]string, 0, len(src))
-			for k := range src {
-				ks = append(ks, k)
-			}
-			sort.Strings(ks)
-			for _, k := range ks {
-				ms, ok := dst[k]
-				if !ok {
-					ms = stats.NewMetricSketch(a.Compression)
-					dst[k] = ms
-				}
-				ms.Merge(src[k])
-			}
-		}
-		mergeInto(snap.Campaign, cs.Metrics)
-		mergeInto(snap.Engine, cs.Engine)
+		mergeSketchGroup(snap.Campaign, cs.Metrics)
+		mergeSketchGroup(snap.Engine, cs.Engine)
 	}
 
 	h := a.healthLocked(a.done == a.total && a.total > 0)
@@ -460,29 +441,4 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		snap.Cache = &cs
 	}
 	return snap
-}
-
-// WriteSnapshot persists a snapshot as indented JSON at path.
-func WriteSnapshot(path string, snap *Snapshot) error {
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal snapshot: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadSnapshot loads a snapshot written by WriteSnapshot.
-func ReadSnapshot(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: read snapshot: %w", err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("obs: decode snapshot %s: %w", path, err)
-	}
-	if snap.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("obs: snapshot %s has schema %q, want %q", path, snap.Schema, SnapshotSchema)
-	}
-	return &snap, nil
 }

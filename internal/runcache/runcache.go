@@ -219,21 +219,7 @@ func (c *Cache) Put(k Key, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return c.putErr(err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "put-*.tmp")
-	if err != nil {
-		return c.putErr(err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return c.putErr(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return c.putErr(err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(dst, data); err != nil {
 		return c.putErr(err)
 	}
 	c.mu.Lock()
@@ -241,6 +227,33 @@ func (c *Cache) Put(k Key, data []byte) error {
 	c.stats.BytesWritten += uint64(len(data))
 	c.mu.Unlock()
 	return nil
+}
+
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory that is then renamed over path, so a reader sees the old file
+// or the new one, never a torn one. The file gets mode 0644, as
+// os.WriteFile would give it. A failed write removes its temp file. It is
+// the one publish step of the cache, the campaign directory and telemetry
+// snapshots.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func (c *Cache) putErr(err error) error {

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // MetricSketch is the streaming summary of one metric across an unbounded
@@ -106,4 +109,24 @@ func (m *MetricSketch) UnmarshalJSON(data []byte) error {
 	}
 	m.digest = j.Digest
 	return nil
+}
+
+// AppendWire appends the sketch's binary form (see internal/wire) to b:
+// the Welford moments n, mean and m2, then the digest (TDigest.AppendWire).
+func (m *MetricSketch) AppendWire(b []byte) []byte {
+	b = binary.AppendVarint(b, m.acc.n)
+	b = wire.AppendFloat(b, m.acc.mean)
+	b = wire.AppendFloat(b, m.acc.m2)
+	return m.digest.AppendWire(b)
+}
+
+// ReadMetricSketch reads one sketch written by AppendWire off d, refusing a
+// negative sample count.
+func ReadMetricSketch(d *wire.Decoder) *MetricSketch {
+	m := &MetricSketch{acc: Accumulator{n: d.Varint(), mean: d.Float(), m2: d.Float()}}
+	if m.acc.n < 0 {
+		d.Fail()
+	}
+	m.digest = ReadTDigest(d)
+	return m
 }

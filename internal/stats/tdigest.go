@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // DefaultCompression is the t-digest δ used when NewTDigest is given zero:
@@ -120,18 +123,27 @@ func (t *TDigest) compress() {
 	if len(t.buf) == 0 {
 		return
 	}
-	// Gather centroids + buffered points into one (mean, weight) list.
+	t.means, t.weights = t.folded()
+	t.buf = t.buf[:0]
+}
+
+// folded returns the centroids the digest holds once its buffer is
+// merged in — the canonical form compress stores and queries and
+// serialisation read — without changing the digest.
+func (t *TDigest) folded() (means, weights []float64) {
+	if len(t.buf) == 0 {
+		return t.means, t.weights
+	}
 	n := len(t.means) + len(t.buf)
-	means := make([]float64, 0, n)
-	weights := make([]float64, 0, n)
+	means = make([]float64, 0, n)
+	weights = make([]float64, 0, n)
 	means = append(means, t.means...)
 	weights = append(weights, t.weights...)
 	for _, x := range t.buf {
 		means = append(means, x)
 		weights = append(weights, 1)
 	}
-	t.buf = t.buf[:0]
-	t.means, t.weights = mergeCentroids(t, means, weights)
+	return mergeCentroids(t, means, weights)
 }
 
 // mergeCentroids sorts the given centroid set and greedily merges neighbours
@@ -254,20 +266,7 @@ func (t *TDigest) Quantile(p float64) float64 {
 	if p >= 1 {
 		return t.max
 	}
-	means, weights := t.means, t.weights
-	if len(t.buf) > 0 {
-		// Query-time fold on a copy; Add/Merge remain the only mutators.
-		n := len(means) + len(t.buf)
-		ms := make([]float64, 0, n)
-		ws := make([]float64, 0, n)
-		ms = append(ms, means...)
-		ws = append(ws, weights...)
-		for _, x := range t.buf {
-			ms = append(ms, x)
-			ws = append(ws, 1)
-		}
-		means, weights = mergeCentroids(t, ms, ws)
-	}
+	means, weights := t.folded()
 	if len(means) == 1 {
 		return means[0]
 	}
@@ -348,19 +347,10 @@ type tdigestJSON struct {
 // (on a copy) so two digests with equal insertion sequences marshal to
 // identical bytes regardless of when they were serialised.
 func (t *TDigest) MarshalJSON() ([]byte, error) {
-	c := t
-	if len(t.buf) > 0 {
-		c = t.Clone()
-		c.compress()
-	}
-	j := tdigestJSON{
-		Compression: c.compression,
-		Count:       c.count,
-		Means:       c.means,
-		Weights:     c.weights,
-	}
-	if c.count > 0 {
-		j.Min, j.Max = c.min, c.max
+	j := tdigestJSON{Compression: t.compression, Count: t.count}
+	j.Means, j.Weights = t.folded()
+	if t.count > 0 {
+		j.Min, j.Max = t.min, t.max
 	}
 	if j.Means == nil {
 		j.Means = []float64{}
@@ -394,4 +384,46 @@ func (t *TDigest) UnmarshalJSON(data []byte) error {
 		t.min, t.max = math.Inf(1), math.Inf(-1)
 	}
 	return nil
+}
+
+// AppendWire appends the digest's binary form (see internal/wire) to b:
+// compression, count, min and max, then the centroid count and each
+// centroid's mean and weight. Like MarshalJSON it writes the canonical
+// form, with the buffer folded on a copy, so a digest read back by
+// ReadTDigest holds exactly the state one read back from JSON holds.
+func (t *TDigest) AppendWire(b []byte) []byte {
+	means, weights := t.folded()
+	b = wire.AppendFloat(b, t.compression)
+	b = binary.AppendVarint(b, t.count)
+	b = wire.AppendFloat(b, t.min)
+	b = wire.AppendFloat(b, t.max)
+	b = binary.AppendUvarint(b, uint64(len(means)))
+	for i, m := range means {
+		b = wire.AppendFloat(b, m)
+		b = wire.AppendFloat(b, weights[i])
+	}
+	return b
+}
+
+// ReadTDigest reads one digest written by AppendWire off d. Besides the
+// byte layout it refuses states no digest can reach and queries could
+// trip on: a compression that is not a finite positive number, a
+// negative count, samples without centroids (or centroids without
+// samples), and an empty digest whose extremes are not ±Inf.
+func ReadTDigest(d *wire.Decoder) *TDigest {
+	t := &TDigest{compression: d.Float(), count: d.Varint(), min: d.Float(), max: d.Float()}
+	if n := d.Count(16); n > 0 {
+		t.means = make([]float64, n)
+		t.weights = make([]float64, n)
+		for i := range t.means {
+			t.means[i] = d.Float()
+			t.weights[i] = d.Float()
+		}
+	}
+	if !(t.compression > 0) || math.IsInf(t.compression, 1) || t.count < 0 ||
+		(t.count == 0) != (len(t.means) == 0) ||
+		(t.count == 0 && (!math.IsInf(t.min, 1) || !math.IsInf(t.max, -1))) {
+		d.Fail()
+	}
+	return t
 }

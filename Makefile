@@ -62,7 +62,7 @@ fuzz-smoke:
 # everything downstream: netem is the loss model under every CC validation
 # claim; runcache substitutes stored bytes for executions; obs folds every
 # campaign's metrics into the sketches the live endpoint and gsreport
-# -telemetry serve; campaign turns a spec into the merged telemetry every
+# serve; campaign turns a spec into the merged telemetry every
 # report consumes (-short skips its multi-process integration tests).
 cover-campaign: COVER_FLAGS = -short
 $(COVER_TARGETS): cover-%:
@@ -101,7 +101,7 @@ campaign-smoke:
 	cp campaign-smoke.dir/merged.det.json campaign-smoke.det1.json
 	$(GO) run ./cmd/gscampaign -dir campaign-smoke.dir -resume > /dev/null
 	cmp campaign-smoke.det1.json campaign-smoke.dir/merged.det.json
-	$(GO) run ./cmd/gsreport -campaign campaign-smoke.dir
+	$(GO) run ./cmd/gsreport campaign-smoke.dir
 	rm -rf campaign-smoke.dir campaign-smoke.campaign campaign-smoke.det1.json
 
 # The EXPERIMENTS.md chaos example at CI size: a seeded campaign through a
@@ -114,7 +114,7 @@ chaos-smoke:
 		-cache chaos-smoke.cache -invariants-out chaos-smoke.json
 	$(GO) run ./cmd/gssim -chaos -chaos-runs 40 -seed 42 -scale 0.05 \
 		-cache chaos-smoke.cache
-	$(GO) run ./cmd/gsreport -invariants chaos-smoke.json
+	$(GO) run ./cmd/gsreport chaos-smoke.json
 	rm -rf chaos-smoke.cache chaos-smoke.json
 
 # The EXPERIMENTS.md worked example: one probed Cubic-vs-BBR run plus the
@@ -122,8 +122,8 @@ chaos-smoke:
 # the directory receiving <condition>__seed<seed>.* exports.
 probe-demo:
 	$(GO) run ./cmd/gssim -cca cubic,bbr -probe -probe-out demo > demo.trace.csv
-	$(GO) run ./cmd/gsreport -cc demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
-		-queue demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
+	$(GO) run ./cmd/gsreport demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
+		demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
 
 # The EXPERIMENTS.md impairment example: Gilbert-Elliott loss plus a mid-run
 # link flap (scenarios/bursty_flap.scn), with the loss episodes surfaced
@@ -131,5 +131,5 @@ probe-demo:
 impair-demo:
 	$(GO) run ./cmd/gssim -scenario scenarios/bursty_flap.scn -probe -probe-out impair \
 		-runlog impair.jsonl > impair.trace.csv
-	$(GO) run ./cmd/gsreport -drops "impair/stadia_cubic_B25_q2.0x_geP0.01R0.25+jit2ms__seed1.drops.csv"
-	$(GO) run ./cmd/gsreport -runlog impair.jsonl
+	$(GO) run ./cmd/gsreport "impair/stadia_cubic_B25_q2.0x_geP0.01R0.25+jit2ms__seed1.drops.csv" \
+		impair.jsonl

@@ -14,9 +14,11 @@
 //	gsbench -exp figure3 -telemetry-out telemetry.snap  # sketch snapshot
 //
 // Every -exp name is checked before the first run; an unknown one exits 2.
+// An -iters or -scale outside the bounds of a .scn file's iterations and
+// scale keys, or an unknown -aqm, exits 1 before the first run.
 // gsbench sweeps only the paper's clean-path grid: impaired paths run
 // through gssim (a .scn file's [impair] and [schedule] sections, or
-// -chaos).
+// -chaos), and so do probed runs (gssim -probe).
 //
 // Ctrl-C cancels the in-progress sweep: in-flight runs drain, tables
 // rendered from the partial data mark missing cells with "-", and the
@@ -41,8 +43,8 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/figures"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/runcache"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -58,15 +60,10 @@ func main() {
 		progress   = flag.Bool("progress", false, "print live sweep progress to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
 		telAddr    = flag.String("telemetry-addr", "", "serve live campaign telemetry over HTTP at this address (e.g. :9300): /metrics is Prometheus text, /snapshot JSON")
-		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this file, for gsreport -telemetry")
+		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this file, for gsreport")
 		telLog     = flag.String("telemetry-log", "", "append the JSONL health timeline (progress, ETA, cache hit rate) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		probeOn       = flag.Bool("probe", false, "attach CC/queue instrumentation to every run")
-		probeInterval = flag.Duration("probe-interval", 100*time.Millisecond, "probe sampling interval (0 = snapshot on every ACK)")
-		events        = flag.Int("events", 0, "packet lifecycle event ring capacity per run (0 = off)")
-		probeDir      = flag.String("probe-out", "probes", "directory receiving per-run probe exports")
 	)
 	flag.Parse()
 
@@ -77,6 +74,10 @@ func main() {
 	}
 	if err := experiment.CheckAQM(*aqm); err != nil {
 		fmt.Fprintln(os.Stderr, "gsbench: -aqm:", err)
+		os.Exit(1)
+	}
+	if err := checkBounds(*iters, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "gsbench:", err)
 		os.Exit(1)
 	}
 
@@ -110,18 +111,6 @@ func main() {
 			os.Exit(1)
 		}
 		opts.Cache = cache
-	}
-	if *probeOn {
-		opts.Probe = &probe.Config{Interval: *probeInterval, Events: *events}
-		if *probeInterval == 0 {
-			opts.Probe.PerAck = true
-		}
-		opts.ProbeDir = *probeDir
-		// An unwritable export directory fails here, not after the sweep.
-		if err := os.MkdirAll(*probeDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "gsbench:", err)
-			os.Exit(1)
-		}
 	}
 	var sinks []obs.Progress
 	if *progress {
@@ -249,6 +238,20 @@ func parseExps(exp string) ([]string, error) {
 		return nil, fmt.Errorf("unknown experiment %s", strings.Join(unknown, ", "))
 	}
 	return names, nil
+}
+
+// checkBounds holds -iters and -scale to the bounds a .scn file's
+// iterations and scale keys enforce, naming the flag: a negative -iters
+// panicked making the job list, and a zero or negative -scale silently
+// ran full 540 s traces.
+func checkBounds(iters int, scale float64) error {
+	if iters < 1 || iters > scenario.MaxIterations {
+		return fmt.Errorf("-iters %d outside [1,%d]", iters, scenario.MaxIterations)
+	}
+	if !scenario.InBounds(scale, scenario.MaxScale) {
+		return fmt.Errorf("-scale %g outside (0,%d]", scale, scenario.MaxScale)
+	}
+	return nil
 }
 
 func writeMemProfile(path string) {

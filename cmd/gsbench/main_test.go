@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,6 +40,36 @@ func TestParseExps(t *testing.T) {
 	for _, name := range strings.Split("table1,figure2,figure3,figure4,table3,table4,table5,loss,harm,mix,flowcount,aqmcmp,ablation,responserecovery,qoe,summary", ",") {
 		if _, err := parseExps(name); err != nil {
 			t.Errorf("documented experiment %q rejected: %v", name, err)
+		}
+	}
+}
+
+// TestCheckBounds checks an out-of-range -iters or -scale is rejected by
+// flag before any run, with the bounds of the .scn iterations and scale
+// keys: a negative -iters panicked making the job list, and a zero or
+// negative -scale silently ran full-length traces.
+func TestCheckBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		iters int
+		scale float64
+		want  string
+	}{
+		{15, 1, ""},
+		{1, 0.05, ""},
+		{1000000, 100, ""},
+		{-1, 1, "-iters -1 outside [1,1000000]"},
+		{0, 1, "-iters 0 outside [1,1000000]"},
+		{1000001, 1, "-iters 1000001 outside [1,1000000]"},
+		{15, -1, "-scale -1 outside (0,100]"},
+		{15, 0, "-scale 0 outside (0,100]"},
+		{15, nan, "-scale NaN outside (0,100]"},
+		{15, inf, "-scale +Inf outside (0,100]"},
+		{15, 101, "-scale 101 outside (0,100]"},
+	} {
+		err := checkBounds(tc.iters, tc.scale)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("checkBounds(%d, %g) = %v, want %q", tc.iters, tc.scale, err, tc.want)
 		}
 	}
 }

@@ -16,9 +16,11 @@
 // Usage:
 //
 //	gscampaign -spec paper.campaign -dir camp -workers 4
-//	gscampaign -dir camp -status
 //	gscampaign -dir camp -resume
-//	gsreport -campaign camp
+//	gsreport camp
+//
+// gsreport camp is the one status view: per-shard completion and claims,
+// then the merged tables once every shard has published.
 package main
 
 import (
@@ -39,14 +41,13 @@ import (
 
 func main() {
 	var (
-		specPath = flag.String("spec", "", "campaign spec file; omit with -resume/-status/-worker to adopt the directory's campaign")
+		specPath = flag.String("spec", "", "campaign spec file; omit with -resume/-worker to adopt the directory's campaign")
 		dir      = flag.String("dir", "", "campaign directory: manifest, shard claims/outputs, merged artefacts (required)")
 		cacheDir = flag.String("cache", "", "shared run cache directory (default <dir>/cache); all workers must use the same one")
 		workers  = flag.Int("workers", 0, "worker processes to spawn; 0 executes every shard in-process")
 		lease    = flag.Duration("lease", campaign.DefaultLease, "shard claim lease; a crashed worker's shard is re-claimed after this expires")
 		poll     = flag.Duration("poll", campaign.DefaultPoll, "idle wait between shard scans when all unfinished shards are claimed")
 		resume   = flag.Bool("resume", false, "resume an initialised campaign directory, executing only missing shards")
-		status   = flag.Bool("status", false, "print shard completion for the campaign directory and exit")
 		worker   = flag.Bool("worker", false, "run as a single worker over an initialised directory (what -workers children execute)")
 		owner    = flag.String("owner", "", "worker claim owner name (default w-<pid>)")
 		ignore   = flag.Bool("ignore-claims", false, "skip claim files so this worker races others on every shard (cache-contention testing)")
@@ -58,17 +59,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gscampaign: -dir is required")
 		os.Exit(2)
 	}
-	if err := run(*specPath, *dir, *cacheDir, *workers, *lease, *poll, *resume, *status, *worker, *owner, *ignore, *quiet); err != nil {
+	if err := run(*specPath, *dir, *cacheDir, *workers, *lease, *poll, *resume, *worker, *owner, *ignore, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "gscampaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath, dir, cacheDir string, workers int, lease, poll time.Duration, resume, status, worker bool, owner string, ignore, quiet bool) error {
-	if status {
-		return printStatus(dir)
-	}
-
+func run(specPath, dir, cacheDir string, workers int, lease, poll time.Duration, resume, worker bool, owner string, ignore, quiet bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -156,29 +153,5 @@ func run(specPath, dir, cacheDir string, workers int, lease, poll time.Duration,
 	fmt.Fprintf(log, "campaign %s (%s) merged: %s\n", res.Manifest.Name, res.Manifest.ID, res.SnapPath)
 	fmt.Fprintf(log, "deterministic telemetry: %s\nmerged runlog: %s\n", res.DetPath, res.RunlogPath)
 	figures.RenderTelemetry(os.Stdout, dir, res.Snapshot)
-	return nil
-}
-
-// printStatus reports per-shard completion without touching any claims.
-func printStatus(dir string) error {
-	m, _, err := campaign.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	done, n := campaign.Status(dir, m)
-	fmt.Printf("campaign %s (%s): %d runs in %d shards of ≤%d\n", m.Name, m.ID, m.Total, m.Shards, m.ShardSize)
-	fmt.Printf("done: %d/%d\n", n, m.Shards)
-	for i, d := range done {
-		mark := "missing"
-		if d {
-			mark = "done"
-		} else if info, ok, err := runcache.ReadClaim(campaign.ClaimPath(dir, i)); err == nil && ok {
-			mark = "claimed by " + info.Owner
-			if info.Expired(time.Now()) {
-				mark += fmt.Sprintf(" (lease expired %.0fs ago)", time.Since(time.Unix(0, info.Expires)).Seconds())
-			}
-		}
-		fmt.Printf("  shard %04d  %s\n", i, mark)
-	}
 	return nil
 }

@@ -1,181 +1,152 @@
 // Command gsreport reads artefacts produced by gssim, gsbench and
-// gscampaign and recomputes the paper's derived measures offline. In its
-// default mode it parses a trace CSV and reports original/adjusted
-// bitrates, response and recovery times, adaptiveness inputs, fairness
-// ratio, and RTT/frame rate summaries. With -telemetry it renders
-// quantiles-with-CI tables for every paper metric from a persisted sketch
-// snapshot (gsbench -telemetry-out) alone — no per-run data needed, however
-// large the campaign was. With -runlog it folds a JSONL run log (written by
-// gssim, gsbench or gscampaign) into the same sketches the live sweep kept
-// and prints the same tables — including interrupted, partial campaigns.
-// With -campaign it reports a gscampaign directory: shard completion from
-// the manifest, then the merged campaign's telemetry tables.
-// With -cc / -queue it summarises probe exports (gssim -probe): per-flow
-// cwnd-vs-time and per-queue depth-vs-time with terminal sparklines.
+// gscampaign and renders them offline. It takes paths, not mode flags: the
+// kind of each path comes from its content, never from its name.
+//
+//   - A campaign directory (one holding a gscampaign manifest): shard
+//     completion, with the claim or absence of every unfinished shard, then
+//     the merged campaign's telemetry tables.
+//   - A telemetry snapshot (gsbench -telemetry-out, a campaign's
+//     merged.snap): quantiles-with-CI tables for every paper metric from
+//     the sketches alone — no per-run data needed, however large the
+//     campaign was.
+//   - A run log (JSONL records from gssim, gsbench or gscampaign): folded
+//     into the sketches the live sweep kept and rendered as the same tables
+//     — including interrupted, partial campaigns.
+//   - A chaos report (gssim -chaos -invariants-out): the per-invariant
+//     verdict table.
+//   - A probe export (gssim -probe): per-flow cwnd-vs-time from a cc CSV,
+//     per-queue depth-vs-time from a queue CSV, both with terminal
+//     sparklines, and loss episodes from a drops CSV.
+//
 // This separates data collection from analysis the way the paper's
-// Wireshark-then-scripts pipeline did.
+// Wireshark-then-scripts pipeline did. gssim prints a run's own summary;
+// gsreport does not re-read its trace CSV.
 //
 // Usage:
 //
-//	gssim -system luna -cca bbr > trace.csv
-//	gsreport -capacity 25 trace.csv
-//
 //	gsbench -exp figure3 -runlog runs.jsonl
-//	gsreport -runlog runs.jsonl
+//	gsreport runs.jsonl
 //
 //	gsbench -exp figure3 -telemetry-out telemetry.snap
-//	gsreport -telemetry telemetry.snap
+//	gsreport telemetry.snap
 //
 //	gscampaign -spec paper.campaign -dir camp -workers 4
-//	gsreport -campaign camp
+//	gsreport camp
 //
 //	gssim -cca cubic,bbr -probe -probe-out demo
-//	gsreport -cc demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
-//	         -queue demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
+//	gsreport demo/stadia_cubic_B25_q2.0x__seed1.cc.csv \
+//	         demo/stadia_cubic_B25_q2.0x__seed1.queue.csv
 //
 //	gssim -chaos -invariants-out campaign.json
-//	gsreport -invariants campaign.json
+//	gsreport campaign.json
+//
+// Paths render in order. A path of any other kind, or one that cannot be
+// read, exits 1.
 package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/metrics"
-	"repro/internal/stats"
+	"repro/internal/campaign"
+	"repro/internal/obs"
+	"repro/internal/probe"
 )
 
 func main() {
-	capacity := flag.Float64("capacity", 25, "bottleneck capacity in Mb/s (for the fairness ratio)")
-	flowStart := flag.Float64("flow-start", 185, "competing flow arrival (s)")
-	flowStop := flag.Float64("flow-stop", 370, "competing flow departure (s)")
-	runlog := flag.String("runlog", "", "fold a JSONL run log through the telemetry sketches and render the -telemetry tables")
-	telemetry := flag.String("telemetry", "", "render quantiles-with-CI tables from a telemetry snapshot (gsbench -telemetry-out)")
-	campaignDir := flag.String("campaign", "", "render a gscampaign directory: shard status plus the merged telemetry tables")
-	ccPath := flag.String("cc", "", "summarise a probe cc.csv export (cwnd-vs-time per flow)")
-	queuePath := flag.String("queue", "", "summarise a probe queue.csv export (depth-vs-time per queue)")
-	dropsPath := flag.String("drops", "", "summarise a probe drops.csv export as loss episodes")
-	dropsGap := flag.Duration("drops-gap", 100*time.Millisecond, "gap that separates two loss episodes in -drops mode")
-	invariants := flag.String("invariants", "", "render a chaos campaign report (gssim -chaos -invariants-out) as a per-invariant verdict table")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: gsreport PATH...\n\n"+
+			"Renders each path by its content: "+kinds+".")
+	}
 	flag.Parse()
-
-	if *invariants != "" {
-		if err := reportInvariants(*invariants); err != nil {
-			fmt.Fprintln(os.Stderr, "gsreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *campaignDir != "" {
-		if err := reportCampaign(*campaignDir); err != nil {
-			fmt.Fprintln(os.Stderr, "gsreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *telemetry != "" {
-		if err := reportTelemetry(*telemetry); err != nil {
-			fmt.Fprintln(os.Stderr, "gsreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *runlog != "" {
-		if err := reportRunLog(*runlog); err != nil {
-			fmt.Fprintln(os.Stderr, "gsreport:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ccPath != "" || *queuePath != "" || *dropsPath != "" {
-		if *ccPath != "" {
-			if err := reportCC(*ccPath); err != nil {
-				fmt.Fprintln(os.Stderr, "gsreport:", err)
-				os.Exit(1)
-			}
-		}
-		if *queuePath != "" {
-			if err := reportQueue(*queuePath); err != nil {
-				fmt.Fprintln(os.Stderr, "gsreport:", err)
-				os.Exit(1)
-			}
-		}
-		if *dropsPath != "" {
-			if err := reportDrops(*dropsPath, *dropsGap); err != nil {
-				fmt.Fprintln(os.Stderr, "gsreport:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gsreport [flags] trace.csv  |  gsreport -runlog runs.jsonl")
+	if flag.NArg() == 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gsreport:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-
-	cols, err := readCSV(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsreport: %s: %v\n", flag.Arg(0), err)
-		os.Exit(1)
-	}
-	tcol, ok := cols["t_sec"]
-	if !ok || len(tcol) < 2 {
-		fmt.Fprintln(os.Stderr, "gsreport: trace has no t_sec column")
-		os.Exit(1)
-	}
-	bin := time.Duration((tcol[1] - tcol[0]) * float64(time.Second))
-	tl := metrics.Timeline{
-		FlowStart: time.Duration(*flowStart * float64(time.Second)),
-		FlowStop:  time.Duration(*flowStop * float64(time.Second)),
-		TraceEnd:  time.Duration(tcol[len(tcol)-1]*float64(time.Second)) + bin,
-	}
-
-	game := metrics.Series{Bin: bin, V: cols["game_mbps"]}
-	tcp := metrics.Series{Bin: bin, V: cols["tcp_mbps"]}
-
-	rr := metrics.MeasureResponseRecovery(game, tl)
-	ff, ft := tl.FairnessWindow()
-	g := game.MeanBetween(ff, ft)
-	t := tcp.MeanBetween(ff, ft)
-
-	fmt.Printf("trace: %s (%d bins of %v)\n", flag.Arg(0), len(tcol), bin)
-	fmt.Printf("original bitrate:   %6.1f Mb/s\n", rr.OriginalMbs)
-	fmt.Printf("contended bitrate:  %6.1f Mb/s (tcp %.1f Mb/s)\n", rr.AdjustedMbs, t)
-	fmt.Printf("fairness ratio:     %+6.2f\n", metrics.FairnessRatio(g, t, *capacity))
-	fmt.Printf("response time:      %6.1f s (settled=%v)\n", rr.Response.Seconds(), rr.Responded)
-	fmt.Printf("recovery time:      %6.1f s (settled=%v)\n", rr.Recovery.Seconds(), rr.Recovered)
-
-	transient := (*flowStop - *flowStart) / 5
-	if rtt := window(cols["rtt_ms"], tcol, *flowStart+transient, *flowStop); len(rtt) > 0 {
-		s := stats.Summarize(nonzero(rtt))
-		fmt.Printf("RTT (contention):   %6.1f ms (sd %.1f)\n", s.Mean, s.StdDev)
-	}
-	if fps := window(cols["fps"], tcol, *flowStart+transient, *flowStop); len(fps) > 0 {
-		s := stats.Summarize(fps)
-		fmt.Printf("frame rate:         %6.1f f/s (sd %.1f)\n", s.Mean, s.StdDev)
-	}
-	if loss := window(cols["game_loss"], tcol, *flowStart+transient, *flowStop); len(loss) > 0 {
-		fmt.Printf("game loss:          %6.3f %%\n", 100*stats.Mean(loss))
+	for _, path := range flag.Args() {
+		kind, err := sniff(path)
+		if err == nil {
+			err = reports[kind](path)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gsreport:", err)
+			os.Exit(1)
+		}
 	}
 }
 
+// kinds names what gsreport reads, for the usage line and the error on
+// anything else.
+const kinds = "a campaign directory, a telemetry snapshot, a run log, a chaos report, or a probe cc, queue or drops CSV"
+
+// reports renders each artefact kind sniff names.
+var reports = map[string]func(path string) error{
+	"campaign":   reportCampaign,
+	"telemetry":  reportTelemetry,
+	"runlog":     reportRunLog,
+	"invariants": reportInvariants,
+	"cc":         reportCC,
+	"queue":      reportQueue,
+	"drops":      reportDrops,
+}
+
+// sniff names the kind of artefact at path from its content: a directory
+// holding a campaign manifest, the snapshot magic, a probe export's header
+// line, or a first JSON object carrying a chaos report's "invariants" or
+// a run record's "cond".
+func sniff(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", err
+	}
+	if fi.IsDir() {
+		if _, err := os.Stat(campaign.ManifestPath(path)); err == nil {
+			return "campaign", nil
+		}
+		return "", fmt.Errorf("%s: directory without a campaign manifest; gsreport reads %s", path, kinds)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	head, _ := br.Peek(br.Size())
+	if obs.IsSnapshot(head) {
+		return "telemetry", nil
+	}
+	line, _, _ := bytes.Cut(head, []byte("\n"))
+	switch strings.TrimSpace(string(line)) {
+	case probe.CCHeader:
+		return "cc", nil
+	case probe.QueueHeader:
+		return "queue", nil
+	case probe.DropsHeader:
+		return "drops", nil
+	}
+	var first map[string]json.RawMessage
+	if json.NewDecoder(br).Decode(&first) == nil {
+		switch {
+		case first["invariants"] != nil:
+			return "invariants", nil
+		case first["cond"] != nil:
+			return "runlog", nil
+		}
+	}
+	return "", fmt.Errorf("%s: not an artefact gsreport reads (%s)", path, kinds)
+}
+
 // table is a headered CSV kept as string cells: the one reader behind the
-// trace CSV and the probe exports, which mix numeric and categorical
-// columns (flow names, CC modes). Blank lines are skipped; a row whose
-// field count differs from the header's is an error naming its line.
+// probe exports, which mix numeric and categorical columns (flow names, CC
+// modes). Blank lines are skipped; a row whose field count differs from
+// the header's is an error naming its line.
 type table struct {
 	headers []string
 	col     map[string]int
@@ -220,9 +191,9 @@ func (t *table) field(row []string, name string) string {
 }
 
 // floats parses the named columns, one slice per name. An empty cell reads
-// as 0: report.CSV leaves the cells of a column shorter than the others
-// empty. A missing column, or a cell that is not a number, is an error
-// naming where it is — the first one in file order.
+// as 0: the probe leaves optional cells empty. A missing column, or a cell
+// that is not a number, is an error naming where it is — the first one in
+// file order.
 func (t *table) floats(names ...string) ([][]float64, error) {
 	idx := make([]int, len(names))
 	for k, name := range names {
@@ -246,43 +217,4 @@ func (t *table) floats(names ...string) ([][]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// readCSV parses a headered numeric CSV (a gssim trace) into named columns.
-func readCSV(r io.Reader) (map[string][]float64, error) {
-	t, err := readTable(r)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := t.floats(t.headers...)
-	if err != nil {
-		return nil, err
-	}
-	cols := make(map[string][]float64, len(t.headers))
-	for k, h := range t.headers {
-		cols[h] = vals[k]
-	}
-	return cols, nil
-}
-
-// window selects vals whose timestamps fall in [from, to) seconds.
-func window(vals, tcol []float64, from, to float64) []float64 {
-	var out []float64
-	for i, v := range vals {
-		if i < len(tcol) && tcol[i] >= from && tcol[i] < to {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// nonzero filters zero placeholders (bins with no RTT sample).
-func nonzero(xs []float64) []float64 {
-	var out []float64
-	for _, x := range xs {
-		if x != 0 {
-			out = append(out, x)
-		}
-	}
-	return out
 }

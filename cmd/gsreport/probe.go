@@ -104,7 +104,9 @@ func reportCC(path string) error {
 		fa.t = append(fa.t, ts[r])
 		fa.cwnd = append(fa.cwnd, cwnd[r])
 		fa.infl = append(fa.infl, infl[r])
-		fa.srttMS = append(fa.srttMS, srtt[r]/1000)
+		if srtt[r] != 0 { // 0 is a sample taken before the first RTT estimate
+			fa.srttMS = append(fa.srttMS, srtt[r]/1000)
+		}
 		if m := p.field(row, "mode"); m != "" {
 			fa.modes[m]++
 		}
@@ -118,7 +120,7 @@ func reportCC(path string) error {
 		}
 		cw := stats.Summarize(fa.cwnd)
 		in := stats.Summarize(fa.infl)
-		rt := stats.Summarize(nonzero(fa.srttMS))
+		rt := stats.Summarize(fa.srttMS)
 		fmt.Printf("\nflow %s (%s): %d samples over %.1f s\n", name, fa.alg, len(fa.t), span)
 		cq := stats.Percentiles(fa.cwnd, 0.50, 0.90)
 		fmt.Printf("  cwnd:     mean %7.1f kB  p50 %7.1f kB  p90 %7.1f kB  max %7.1f kB\n",
@@ -205,12 +207,15 @@ func reportQueue(path string) error {
 	return nil
 }
 
+// dropsGap separates two loss episodes in reportDrops.
+const dropsGap = 100 * time.Millisecond
+
 // reportDrops summarises a probe drops.csv as loss episodes: consecutive
-// drops on the same queue closer than gap are one episode (a GE bad-state
-// burst or a link-flap window), reported with their span, drop count, and
-// bytes lost. Singleton episodes are summarised in aggregate so Bernoulli
-// noise does not swamp the genuine bursts.
-func reportDrops(path string, gap time.Duration) error {
+// drops on the same queue closer than dropsGap are one episode (a GE
+// bad-state burst or a link-flap window), reported with their span, drop
+// count, and bytes lost. Singleton episodes are summarised in aggregate so
+// Bernoulli noise does not swamp the genuine bursts.
+func reportDrops(path string) error {
 	p, err := readProbeCSV(path)
 	if err != nil {
 		return err
@@ -234,7 +239,7 @@ func reportDrops(path string, gap time.Duration) error {
 	ts, sizes := cols[0], cols[1]
 	queues := map[string]*qAgg{}
 	var order []string
-	gapS := gap.Seconds()
+	gapS := dropsGap.Seconds()
 	for r, row := range p.rows {
 		name := p.field(row, "queue")
 		qa := queues[name]
@@ -255,7 +260,7 @@ func reportDrops(path string, gap time.Duration) error {
 			qa.episodes = append(qa.episodes, episode{from: t, to: t, drops: 1, bytes: size})
 		}
 	}
-	fmt.Printf("drops probe: %s (%d drops, %d queues, episode gap %v)\n", path, len(p.rows), len(queues), gap)
+	fmt.Printf("drops probe: %s (%d drops, %d queues, episode gap %v)\n", path, len(p.rows), len(queues), dropsGap)
 	for _, name := range order {
 		qa := queues[name]
 		singles, singleDrops := 0, 0

@@ -4,15 +4,17 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/figures"
 	"repro/internal/obs"
+	"repro/internal/runcache"
 )
 
 // reportRunLog renders a JSONL run log (gssim/gsbench -runlog, or a
-// gscampaign merged.runs.jsonl) as the report -telemetry prints for the
-// live snapshot of the same runs — partial (interrupted) logs included.
+// gscampaign merged.runs.jsonl) as the report a snapshot of the same runs
+// renders to — partial (interrupted) logs included.
 func reportRunLog(path string) error {
 	snap, err := foldRunLog(path)
 	if err != nil {
@@ -61,8 +63,11 @@ func reportTelemetry(path string) error {
 }
 
 // reportCampaign renders a gscampaign directory: shard completion status
-// from the manifest, then the merged telemetry tables if the campaign has
-// been merged (every table RenderTelemetry prints for a live snapshot).
+// from the manifest, with one line per unfinished shard naming its claim
+// owner (and how long ago an expired lease ran out) or saying it is
+// missing; then the merged telemetry tables if the campaign has been
+// merged (every table RenderTelemetry prints for a live snapshot). It
+// reads claims without touching them.
 func reportCampaign(dir string) error {
 	m, _, err := campaign.ReadManifest(dir)
 	if err != nil {
@@ -73,9 +78,18 @@ func reportCampaign(dir string) error {
 	if n < m.Shards {
 		missing := make([]int, 0, m.Shards-n)
 		for i, d := range done {
-			if !d {
-				missing = append(missing, i)
+			if d {
+				continue
 			}
+			missing = append(missing, i)
+			mark := "missing"
+			if info, ok, err := runcache.ReadClaim(campaign.ClaimPath(dir, i)); err == nil && ok {
+				mark = "claimed by " + info.Owner
+				if info.Expired(time.Now()) {
+					mark += fmt.Sprintf(" (lease expired %.0fs ago)", time.Since(time.Unix(0, info.Expires)).Seconds())
+				}
+			}
+			fmt.Printf("  shard %04d  %s\n", i, mark)
 		}
 		fmt.Printf("missing shards: %v (resume with gscampaign -dir %s -resume)\n", missing, dir)
 		return nil

@@ -40,6 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -75,7 +76,7 @@ func main() {
 		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of the flag-built one-link spec (see docs/SCENARIOS.md)")
 		chaos        = flag.Bool("chaos", false, "run a seed-derived chaos campaign checked against the invariant suite (-seed selects the campaign)")
 		chaosRuns    = flag.Int("chaos-runs", 200, "with -chaos: number of generated runs")
-		invOut       = flag.String("invariants-out", "", "with -chaos: write the campaign report JSON here (render with gsreport -invariants)")
+		invOut       = flag.String("invariants-out", "", "with -chaos: write the campaign report JSON here (render with gsreport)")
 
 		cacheDir = flag.String("cache", "", "content-addressed run cache directory (created if missing); its hit/miss/store counters print to stderr on exit")
 
@@ -227,7 +228,7 @@ func runSpec(sp *scenario.Spec, probeCfg *probe.Config, probeDir string, progres
 		rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
 		if iters == 1 {
 			printTrace(res)
-			printSummary(res, rec, rr)
+			printSummary(os.Stderr, res, rec, rr)
 		} else {
 			fmt.Printf("iter %2d seed %d: original %5.1f Mb/s, contended %5.1f Mb/s, fairness %+5.2f, rtt %5.1f ms\n",
 				it, res.Cfg.Seed, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness, rec.RTTMs)
@@ -252,28 +253,30 @@ func runSpec(sp *scenario.Spec, probeCfg *probe.Config, probeDir string, progres
 	})
 }
 
-// printSummary writes a one-iteration run's summary to stderr: the flow
+// printSummary writes a one-iteration run's summary to w: the flow
 // population and impairment totals when the spec has them, then the
-// paper's response/recovery metrics.
-func printSummary(res *experiment.RunResult, rec obs.Record, rr metrics.ResponseRecovery) {
+// paper's measures on the run's own timeline. A response or recovery that
+// never settled prints as a bound (">17s"), not as a measured time.
+func printSummary(w io.Writer, res *experiment.RunResult, rec obs.Record, rr metrics.ResponseRecovery) {
 	cfg := res.Cfg
 	if cfg.Population.Enabled() {
 		fs := res.FlowSummary
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(w,
 			"flows %s: %d active, jain %.3f, tput p10/p50/p90 %.2f/%.2f/%.2f Mb/s, rtt-infl p50 %.2fx, %d starved\n",
 			cfg.Population, fs.Active, fs.Jain,
 			fs.TputP10Mbps, fs.TputP50Mbps, fs.TputP90Mbps, fs.RTTInflP50, fs.Starved)
 	}
 	if cfg.Impair.Enabled() || len(cfg.Schedule) > 0 {
 		is := res.Impair
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(w,
 			"impair %s: %d packets, %d loss drops, %d flap drops, %d dup, %d reordered, %d flaps (%.1fs down)\n",
 			cfg.Impair, is.Packets, is.LossDrops, is.FlapDrops, is.Duplicates, is.Reordered, is.Flaps, is.Down.Seconds())
 	}
-	fmt.Fprintf(os.Stderr,
-		"run %s: original %.1f Mb/s, contended %.1f Mb/s, fairness %+.2f, response %.0fs, recovery %.0fs, rtt %.1f ms, fps %.1f\n",
-		cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, rec.Fairness,
-		rr.Response.Seconds(), rr.Recovery.Seconds(), rec.RTTMs, rec.FPS)
+	fmt.Fprintf(w,
+		"run %s: original %.1f Mb/s, contended %.1f Mb/s, tcp %.1f Mb/s, fairness %+.2f, response %s, recovery %s, rtt %.1f ms, fps %.1f, loss %.2f%%\n",
+		cfg.Condition, rr.OriginalMbs, rr.AdjustedMbs, rec.TCPMbps, rec.Fairness,
+		metrics.FormatSettle(rr.Response, rr.Responded, "s"), metrics.FormatSettle(rr.Recovery, rr.Recovered, "s"),
+		rec.RTTMs, rec.FPS, rec.LossPct)
 }
 
 // printTrace writes a run's 0.5 s time series as CSV, the output contract

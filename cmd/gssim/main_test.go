@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
 
@@ -159,5 +161,36 @@ cca = bbr
 	wk, ok := experiment.CacheKey(want)
 	if !ok || gk != wk {
 		t.Errorf("cache keys differ: %x vs %x", gk, wk)
+	}
+}
+
+// TestSummaryPrintsUnsettledRecoveryAsBound runs -system stadia -cca cubic
+// -capacity 15 -queue 7 -scale 0.1, whose game flow never settles back
+// after the competitor leaves: the summary prints the recovery window as a
+// bound (">17s"), not as a measured time, and carries the record's TCP
+// throughput and loss.
+func TestSummaryPrintsUnsettledRecoveryAsBound(t *testing.T) {
+	sp := flagSpec("stadia", "cubic", 15, 7, experiment.AQMDropTail, 1, 0.1)
+	res := experiment.Run(sp.RunConfig(0))
+	rec := res.Record(0)
+	rr := metrics.MeasureResponseRecovery(res.GameSeries(), res.Cfg.Timeline)
+	if rr.Recovered || !rr.Responded {
+		t.Fatalf("responded %v recovered %v, want a response and no recovery", rr.Responded, rr.Recovered)
+	}
+	var b bytes.Buffer
+	printSummary(&b, res, rec, rr)
+	out := b.String()
+	for _, want := range []string{
+		"response 2s,",
+		"recovery >17s,",
+		fmt.Sprintf("tcp %.1f Mb/s,", rec.TCPMbps),
+		fmt.Sprintf("loss %.2f%%\n", rec.LossPct),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary lacks %q:\n%s", want, out)
+		}
+	}
+	if rec.TCPMbps <= 0 {
+		t.Errorf("record tcp %.2f Mb/s, want the competitor's throughput", rec.TCPMbps)
 	}
 }

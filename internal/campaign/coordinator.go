@@ -74,7 +74,7 @@ func Init(dir string, sp *Spec, resume bool) (*Manifest, *Spec, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("campaign: %w", err)
 	}
-	if _, err := os.Stat(manifestPath(dir)); err == nil {
+	if _, err := os.Stat(ManifestPath(dir)); err == nil {
 		m, msp, err := ReadManifest(dir)
 		if err != nil {
 			return nil, nil, err

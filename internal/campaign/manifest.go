@@ -47,8 +47,9 @@ func NewManifest(sp *Spec) *Manifest {
 
 // Campaign directory layout. The snapshot file doubles as the shard's done
 // marker: it is renamed into place only after the shard's runlog is, so its
-// presence implies the whole shard published.
-func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
+// presence implies the whole shard published. The manifest is what makes a
+// directory a campaign directory.
+func ManifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
 // ClaimPath is shard i's lease file.
 func ClaimPath(dir string, i int) string {
@@ -80,14 +81,14 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("campaign: marshal manifest: %w", err)
 	}
-	return atomicWrite(manifestPath(dir), append(data, '\n'))
+	return atomicWrite(ManifestPath(dir), append(data, '\n'))
 }
 
 // ReadManifest loads and cross-checks the manifest: the embedded spec must
 // re-parse, and its identity and expansion shape must match what the
 // manifest claims.
 func ReadManifest(dir string) (*Manifest, *Spec, error) {
-	data, err := os.ReadFile(manifestPath(dir))
+	data, err := os.ReadFile(ManifestPath(dir))
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: read manifest: %w", err)
 	}

@@ -77,26 +77,28 @@ func TestProbeCapturesCCAndQueue(t *testing.T) {
 	}
 }
 
-// TestProbeExportDeterministicAcrossWorkers runs the same probed sweep with
-// one and four workers and requires the exported telemetry files to be
-// byte-identical: runs are pure functions of (condition, seed), so worker
-// scheduling must not leak into the artefacts.
+// TestProbeExportDeterministicAcrossWorkers executes the same probed jobs
+// with one and four workers and requires the exported telemetry files to
+// be byte-identical: runs are pure functions of (condition, seed), so
+// worker scheduling must not leak into the artefacts.
 func TestProbeExportDeterministicAcrossWorkers(t *testing.T) {
-	base := SweepConfig{
+	grid := SweepConfig{
 		Systems:    []gamestream.System{gamestream.Stadia},
 		CCAs:       []string{"cubic", "bbr"},
 		Capacities: []units.Rate{units.Mbps(25)},
 		QueueMults: []float64{2},
 		Iterations: 2,
 		Timeline:   metrics.PaperTimeline.Scale(0.05),
-		Probe:      &probe.Config{Interval: 200 * time.Millisecond},
+	}
+	jobs := grid.Jobs()
+	for i := range jobs {
+		jobs[i].Cfg.Probe = &probe.Config{Interval: 200 * time.Millisecond}
 	}
 	dirs := [2]string{t.TempDir(), t.TempDir()}
 	for i, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		cfg.ProbeDir = dirs[i]
-		RunSweep(context.Background(), cfg)
+		if n := Execute(context.Background(), jobs, workers, nil, Sinks{ProbeDir: dirs[i]}, nil); n != len(jobs) {
+			t.Fatalf("%d workers completed %d of %d jobs", workers, n, len(jobs))
+		}
 	}
 
 	files := [2][]string{}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/runcache"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -42,18 +41,10 @@ type SweepConfig struct {
 	// completed run's record (see obs; obs.JSONL is the run log). It is
 	// never persisted by SaveSweep.
 	Progress obs.Progress
-	// Probe, when non-nil, instruments every run (see probe.Config); the
-	// capture metadata rides along on each run's record.
-	Probe *probe.Config
-	// ProbeDir, when non-empty (and Probe is set), receives one set of
-	// probe exports per run, named <cond>__seed<seed>.{cc,queue,drops}.csv
-	// (plus .events.jsonl when the ring is on).
-	ProbeDir string
 	// Cache, when non-nil, serves each run from the content-addressed run
 	// cache when its result is already stored and stores it otherwise, so
-	// a repeated or resumed sweep only executes the missing runs. Probed
-	// sweeps bypass the cache (see RunConfig.Cacheable). It is never
-	// persisted by SaveSweep.
+	// a repeated or resumed sweep only executes the missing runs. It is
+	// never persisted by SaveSweep.
 	Cache *runcache.Cache
 }
 
@@ -121,7 +112,6 @@ func (s SweepConfig) Jobs() []Job {
 							Condition: cond,
 							Timeline:  s.Timeline,
 							Seed:      RunSeed(s.BaseSeed, it, cond),
-							Probe:     s.Probe,
 						}})
 					}
 				}
@@ -312,8 +302,7 @@ func RunSweep(ctx context.Context, cfg SweepConfig) *SweepResult {
 		cacheBefore = cfg.Cache.Stats()
 	}
 	results := make([]*RunResult, len(jobs))
-	sinks := Sinks{Progress: cfg.Progress, ProbeDir: cfg.ProbeDir}
-	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, sinks, func(i int, res *RunResult, _ bool) { results[i] = res })
+	done := Execute(ctx, jobs, cfg.Workers, cfg.Cache, Sinks{Progress: cfg.Progress}, func(i int, res *RunResult, _ bool) { results[i] = res })
 
 	out := &SweepResult{Cfg: cfg, Interrupted: done < len(jobs)}
 	if cfg.Cache != nil {

@@ -189,8 +189,8 @@ func (c *Campaign) ResponseRecoveryTable() *report.Table {
 					tb.AddRow(string(sys), cca,
 						fmt.Sprintf("%.0f", capy.Mbit()),
 						fmt.Sprintf("%.1fx", qm),
-						settleCell(rr.Response, rr.Responded, ""),
-						settleCell(rr.Recovery, rr.Recovered, ""))
+						metrics.FormatSettle(rr.Response, rr.Responded, ""),
+						metrics.FormatSettle(rr.Recovery, rr.Recovered, ""))
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gamestream"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/runcache"
 	"repro/internal/stats"
@@ -33,10 +32,6 @@ type Options struct {
 	// an obs.JSONL to log one record per run (several through
 	// obs.MultiProgress).
 	Progress obs.Progress
-	// Probe, when non-nil, instruments every run of every sweep; ProbeDir,
-	// when also non-empty, receives the per-run CSV/JSONL exports.
-	Probe    *probe.Config
-	ProbeDir string
 	// Cache, when non-nil, is shared by every sweep the campaign runs:
 	// runs whose results are already stored are served from disk, so a
 	// repeated campaign is pure cache replay and an interrupted one
@@ -102,8 +97,6 @@ func (c *Campaign) sweep(cfg experiment.SweepConfig) *experiment.SweepResult {
 	cfg.Timeline = c.Opts.timeline()
 	cfg.AQM = c.Opts.AQM
 	cfg.Progress = c.Opts.Progress
-	cfg.Probe = c.Opts.Probe
-	cfg.ProbeDir = c.Opts.ProbeDir
 	cfg.Cache = c.Opts.Cache
 	sw := experiment.RunSweep(c.ctx, cfg)
 	if sw.Interrupted {
@@ -300,21 +293,10 @@ func (c *Campaign) Figure4Table() *report.Table {
 			fmt.Sprintf("%.1fx", p.QueueMult),
 			fmt.Sprintf("%+.2f", p.Fairness),
 			fmt.Sprintf("%.2f", p.Adaptiveness),
-			settleCell(p.Response, p.Responded, "s"),
-			settleCell(p.Recovery, p.Recovered, "s"))
+			metrics.FormatSettle(p.Response, p.Responded, "s"),
+			metrics.FormatSettle(p.Recovery, p.Recovered, "s"))
 	}
 	return tb
-}
-
-// settleCell renders a response or recovery time in whole seconds. A
-// series that never settled prints its window length as a lower bound
-// (">170"), so it cannot be read as a measured time.
-func settleCell(d time.Duration, settled bool, unit string) string {
-	bound := ""
-	if !settled {
-		bound = ">"
-	}
-	return fmt.Sprintf("%s%.0f%s", bound, d.Seconds(), unit)
 }
 
 // gridCol is one column group of a capacity × queue table: for every

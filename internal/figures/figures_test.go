@@ -149,8 +149,8 @@ func TestUnsettledTimesPrintAsBounds(t *testing.T) {
 		{rr.Response, rr.Responded, "", "1"},
 		{rr.Response, rr.Responded, "s", "1s"},
 	} {
-		if got := settleCell(tc.d, tc.settled, tc.unit); got != tc.want {
-			t.Errorf("settleCell(%v, %v, %q) = %q, want %q", tc.d, tc.settled, tc.unit, got, tc.want)
+		if got := metrics.FormatSettle(tc.d, tc.settled, tc.unit); got != tc.want {
+			t.Errorf("metrics.FormatSettle(%v, %v, %q) = %q, want %q", tc.d, tc.settled, tc.unit, got, tc.want)
 		}
 	}
 	for _, row := range append(shared.ResponseRecoveryTable().Rows, shared.Figure4Table().Rows...) {

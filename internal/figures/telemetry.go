@@ -49,7 +49,7 @@ func fmtTotal(ms *stats.MetricSketch, prec int) string {
 // recorded metric, the per-condition table over the paper's headline
 // metrics, and — only when some condition has them — per-condition
 // impairment totals and flow-population tables. It is shared by gsreport
-// -telemetry/-runlog/-campaign and gscampaign, and works on any snapshot —
+// (for snapshots, run logs and campaign directories) and gscampaign, and works on any snapshot —
 // live, persisted, merged from shards or folded from a run log — because
 // everything it prints comes from the sketches alone.
 func RenderTelemetry(w io.Writer, label string, snap *obs.Snapshot) {

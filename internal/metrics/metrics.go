@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/stats"
@@ -185,6 +186,19 @@ type ResponseRecovery struct {
 	Recovered   bool
 	OriginalMbs float64 // mean original bitrate
 	AdjustedMbs float64 // mean adjusted (contended) bitrate
+}
+
+// FormatSettle renders a response or recovery time in whole seconds,
+// followed by unit. A series that never settled prints its window length
+// as a lower bound (">170"), so it cannot be read as a measured time. It
+// is the one renderer of these times: the paper tables and gssim's run
+// summary both print through it.
+func FormatSettle(d time.Duration, settled bool, unit string) string {
+	bound := ""
+	if !settled {
+		bound = ">"
+	}
+	return fmt.Sprintf("%s%.0f%s", bound, d.Seconds(), unit)
 }
 
 // MeasureResponseRecovery applies the paper's §4.2 procedure to a game

@@ -37,7 +37,7 @@
 //	gsbench -exp figure3 -progress -runlog runs.jsonl &
 //	tail -f runs.jsonl | grep '"cond":"stadia/bbr/B25/q0.5x"'
 //
-// ReadJSONL is the inverse: gsreport replays a finished (or interrupted)
-// campaign's records through a fresh Aggregator, which folds them into
-// the same sketches the live sweep's Aggregator kept.
+// ReadJSONL is the inverse: gsreport, given a run log, replays a finished
+// (or interrupted) campaign's records through a fresh Aggregator, which
+// folds them into the same sketches the live sweep's Aggregator kept.
 package obs

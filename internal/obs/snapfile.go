@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/runcache"
 	"repro/internal/stats"
@@ -16,6 +17,11 @@ import (
 // telemetry schema: SnapshotSchema is a field inside the file (and in the
 // JSON renderings), so each can change without the other.
 const snapMagic = "gssnap-v1\n"
+
+// IsSnapshot reports whether head, the first bytes of a file, opens with
+// the snapshot magic: how a reader tells a snapshot from other artefacts
+// whatever the file is called.
+func IsSnapshot(head []byte) bool { return strings.HasPrefix(string(head), snapMagic) }
 
 // errBadSnapshot is what decodeSnapshot returns for any file it does not
 // accept.

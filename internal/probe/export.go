@@ -29,12 +29,20 @@ func usOrEmpty(d time.Duration, ok bool) string {
 	return fmt.Sprintf("%d", d.Microseconds())
 }
 
+// Header lines of the three CSV exports. A reader recognises an export by
+// its header, whatever the file is called.
+const (
+	CCHeader    = "flow,alg,t_s,cwnd_bytes,ssthresh_bytes,pacing_bps,inflight_bytes,srtt_us,rttvar_us,min_rtt_us,delivery_bps,delivered_bytes,in_recovery,mode,wmax_segs,k_s,btlbw_bps,rtprop_us,inflight_hi_bytes,base_rtt_us"
+	QueueHeader = "queue,t_s,packets,bytes,sojourn_us,cum_drops"
+	DropsHeader = "queue,t_s,flow,id,size"
+)
+
 // WriteCCCSV writes every flow's CC sample series as one flat CSV, flows in
 // attach order. Controller-specific columns are left empty where they do not
 // apply (e.g. btlbw for Cubic).
 func (p *Probe) WriteCCCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "flow,alg,t_s,cwnd_bytes,ssthresh_bytes,pacing_bps,inflight_bytes,srtt_us,rttvar_us,min_rtt_us,delivery_bps,delivered_bytes,in_recovery,mode,wmax_segs,k_s,btlbw_bps,rtprop_us,inflight_hi_bytes,base_rtt_us")
+	fmt.Fprintln(bw, CCHeader)
 	for _, f := range p.flows {
 		for i := 0; i < f.Samples.Len(); i++ {
 			s := f.Samples.At(i)
@@ -76,7 +84,7 @@ func (p *Probe) WriteCCCSV(w io.Writer) error {
 // queue type has no sojourn accounting).
 func (p *Probe) WriteQueueCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "queue,t_s,packets,bytes,sojourn_us,cum_drops")
+	fmt.Fprintln(bw, QueueHeader)
 	for _, qp := range p.queues {
 		for i := 0; i < qp.Samples.Len(); i++ {
 			s := qp.Samples.At(i)
@@ -91,7 +99,7 @@ func (p *Probe) WriteQueueCSV(w io.Writer) error {
 // WriteDropsCSV writes every queue's drop events with sim timestamps.
 func (p *Probe) WriteDropsCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "queue,t_s,flow,id,size")
+	fmt.Fprintln(bw, DropsHeader)
 	for _, qp := range p.queues {
 		for i := 0; i < qp.DropEvents.Len(); i++ {
 			d := qp.DropEvents.At(i)

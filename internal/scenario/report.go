@@ -7,7 +7,8 @@ import (
 )
 
 // SaveReport writes a campaign report as indented JSON, the interchange
-// format gsreport -invariants renders.
+// format gsreport renders; its top-level "invariants" key is how gsreport
+// tells it from other JSON artefacts.
 func SaveReport(path string, rep *CampaignReport) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

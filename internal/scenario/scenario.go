@@ -38,14 +38,16 @@ const (
 	maxHops       = 64
 	maxFlows      = 64
 	maxScheduleBy = 4096 // schedule steps per spec
-	maxIterations = 1000000
 )
 
 // Bounds of the queue and scale keys: each value lies in (0, max]. gssim
-// holds its -queue and -scale flags, which set the same fields, to them.
+// holds its -queue and -scale flags, which set the same fields, to them,
+// and gsbench its -scale flag. MaxIterations bounds the iterations key,
+// [1, MaxIterations], and gsbench's -iters flag.
 const (
-	MaxQueueMult = 1000
-	MaxScale     = 100
+	MaxQueueMult  = 1000
+	MaxScale      = 100
+	MaxIterations = 1000000
 )
 
 // InBounds reports whether v lies in (0, max]; NaN never does.
@@ -264,8 +266,8 @@ func (sp *Spec) setRunKey(key, val string) error {
 		return nil
 	case "iterations":
 		v, err := strconv.Atoi(val)
-		if err != nil || v < 1 || v > maxIterations {
-			return fmt.Errorf("iterations %q outside [1,%d]", val, maxIterations)
+		if err != nil || v < 1 || v > MaxIterations {
+			return fmt.Errorf("iterations %q outside [1,%d]", val, MaxIterations)
 		}
 		sp.Iterations = v
 		return nil

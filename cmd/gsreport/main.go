@@ -6,9 +6,8 @@
 //     completion, with the claim or absence of every unfinished shard, then
 //     the merged campaign's telemetry tables.
 //   - A telemetry snapshot (gsbench -telemetry-out, a campaign's
-//     merged.snap): quantiles-with-CI tables for every paper metric from
-//     the sketches alone — no per-run data needed, however large the
-//     campaign was.
+//     merged.snap): a table of n, mean ± 95% CI, min and max for every
+//     paper metric from the sketches alone — no per-run data needed.
 //   - A run log (JSONL records from gssim, gsbench or gscampaign): folded
 //     into the sketches the live sweep kept and rendered as the same tables
 //     — including interrupted, partial campaigns.

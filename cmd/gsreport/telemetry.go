@@ -51,8 +51,9 @@ func foldRunLog(path string) (*obs.Snapshot, error) {
 }
 
 // reportTelemetry renders a persisted telemetry snapshot (gsbench
-// -telemetry-out, or a campaign's merged.snap): quantiles-with-CI tables for
-// every paper metric, computed from the sketches alone — no runlog needed.
+// -telemetry-out, or a campaign's merged.snap): n, mean ± 95% CI, min and
+// max for every paper metric, computed from the sketches alone — no runlog
+// needed.
 func reportTelemetry(path string) error {
 	snap, err := obs.ReadSnapshot(path)
 	if err != nil {

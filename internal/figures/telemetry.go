@@ -10,14 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// fmtQ renders a sketch quantile, "-" when the metric has no samples.
-func fmtQ(ms *stats.MetricSketch, q float64) string {
-	if ms == nil || ms.N() == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", ms.Quantile(q))
-}
-
 // fmtMeanCI renders mean ± ci95, "-" when the metric has no samples.
 func fmtMeanCI(ms *stats.MetricSketch) string {
 	if ms == nil || ms.N() == 0 {
@@ -45,8 +37,8 @@ func fmtTotal(ms *stats.MetricSketch, prec int) string {
 }
 
 // RenderTelemetry renders a telemetry snapshot as the standard report:
-// a header line, the campaign-wide quantiles-with-CI table over every
-// recorded metric, the per-condition table over the paper's headline
+// a header line, the campaign-wide table (n, mean ± ci95, min, max) over
+// every recorded metric, the per-condition table over the paper's headline
 // metrics, and — only when some condition has them — per-condition
 // impairment totals and flow-population tables. It is shared by gsreport
 // (for snapshots, run logs and campaign directories) and gscampaign, and works on any snapshot —
@@ -73,9 +65,9 @@ func RenderTelemetry(w io.Writer, label string, snap *obs.Snapshot) {
 	}
 	fmt.Fprintln(w)
 
-	// Campaign-wide table: one row per paper metric, quantiles + exact CI.
+	// Campaign-wide table: one row per paper metric, exact CI and extremes.
 	tb := report.NewTable("campaign metrics (across all conditions)",
-		"metric", "n", "mean ± ci95", "p10", "p50", "p90", "min", "max")
+		"metric", "n", "mean ± ci95", "min", "max")
 	names := make([]string, 0, len(snap.Campaign))
 	for name := range snap.Campaign {
 		names = append(names, name)
@@ -87,16 +79,14 @@ func RenderTelemetry(w io.Writer, label string, snap *obs.Snapshot) {
 			continue
 		}
 		tb.AddRow(name, fmt.Sprintf("%d", ms.N()),
-			fmtMeanCI(ms),
-			fmtQ(ms, 0.10), fmtQ(ms, 0.50), fmtQ(ms, 0.90),
-			fmt.Sprintf("%.2f", ms.Min()), fmt.Sprintf("%.2f", ms.Max()))
+			fmtMeanCI(ms), fmt.Sprintf("%.2f", ms.Min()), fmt.Sprintf("%.2f", ms.Max()))
 	}
 	fmt.Fprintln(w, tb)
 
 	// Per-condition table over the paper's headline metrics.
 	ct := report.NewTable("per-condition stream metrics",
-		"condition", "runs", "game Mb/s ± ci", "game p50", "tcp Mb/s ± ci", "fairness ± ci",
-		"rtt ms ± ci", "fps ± ci", "loss % p90")
+		"condition", "runs", "game Mb/s ± ci", "tcp Mb/s ± ci", "fairness ± ci",
+		"rtt ms ± ci", "fps ± ci", "loss % ± ci")
 	it := report.NewTable("per-condition impairments (totals across impaired runs)",
 		"condition", "runs", "loss drops", "flap drops", "flaps", "down s")
 	pt := report.NewTable("per-condition flow populations (means across runs; starved is a total)",
@@ -105,8 +95,8 @@ func RenderTelemetry(w io.Writer, label string, snap *obs.Snapshot) {
 		m := c.Metrics
 		if game := m["game_mbps"]; game != nil {
 			ct.AddRow(c.Cond, fmt.Sprintf("%d", c.Runs),
-				fmtMeanCI(game), fmtQ(game, 0.50), fmtMeanCI(m["tcp_mbps"]), fmtMeanCI(m["fairness"]),
-				fmtMeanCI(m["rtt_ms"]), fmtMeanCI(m["fps"]), fmtQ(m["loss_pct"], 0.90))
+				fmtMeanCI(game), fmtMeanCI(m["tcp_mbps"]), fmtMeanCI(m["fairness"]),
+				fmtMeanCI(m["rtt_ms"]), fmtMeanCI(m["fps"]), fmtMeanCI(m["loss_pct"]))
 		}
 		if drops := m["loss_drops"]; drops != nil {
 			it.AddRow(c.Cond, fmt.Sprintf("%d", drops.N()), fmtTotal(drops, 0),

@@ -14,7 +14,7 @@ import (
 
 // SnapshotSchema tags serialised telemetry snapshots so gsreport can reject
 // files from an incompatible revision.
-const SnapshotSchema = "gs-telemetry-v1"
+const SnapshotSchema = "gs-telemetry-v2"
 
 // PaperMetrics lists the deterministic per-run metrics the Aggregator
 // sketches, in canonical order. These are pure functions of (config, seed) —
@@ -285,7 +285,7 @@ func (c *condAgg) fold(r *Record) {
 		return func(name string, v float64) {
 			ms, ok := group[name]
 			if !ok {
-				ms = stats.NewMetricSketch(0)
+				ms = new(stats.MetricSketch)
 				group[name] = ms
 			}
 			ms.Add(v)
@@ -371,8 +371,8 @@ func (a *Aggregator) Total() int {
 	return a.total
 }
 
-// Snapshot exports the current state. The per-condition sketches are cloned
-// (with any still-parked records folded into the clones in iteration order,
+// Snapshot exports the current state. The per-condition sketches are copied
+// (with any still-parked records folded into the copies in iteration order,
 // so a mid-sweep snapshot misses nothing), and campaign-wide sketches are
 // built by merging condition sketches in sorted-condition order.
 func (a *Aggregator) Snapshot() *Snapshot {
@@ -399,7 +399,8 @@ func (a *Aggregator) Snapshot() *Snapshot {
 	cloneGroup := func(g map[string]*stats.MetricSketch) map[string]*stats.MetricSketch {
 		out := make(map[string]*stats.MetricSketch, len(g))
 		for k, v := range g {
-			out[k] = v.Clone()
+			c := *v
+			out[k] = &c
 		}
 		return out
 	}
@@ -415,7 +416,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 			Engine:  cloneGroup(c.engine),
 		}
 		if len(c.pending) > 0 {
-			// Fold parked records into the clones only — the live reorder
+			// Fold parked records into the copies only — the live reorder
 			// buffer keeps waiting for its gap.
 			tmp := condAgg{metrics: cs.Metrics, engine: cs.Engine}
 			iters := make([]int, 0, len(c.pending))

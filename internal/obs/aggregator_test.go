@@ -129,12 +129,12 @@ func TestAggregatorMatchesDirectFold(t *testing.T) {
 	snap := ag.Snapshot()
 
 	for ci, c := range conds {
-		want := stats.NewMetricSketch(0)
+		want := new(stats.MetricSketch)
 		for i := 0; i < iters; i++ {
 			want.Add(aggRecord(c, i).GameMbps)
 		}
 		got := snap.Conditions[ci].Metrics["game_mbps"]
-		if got.N() != want.N() || got.Mean() != want.Mean() || got.Quantile(0.5) != want.Quantile(0.5) {
+		if *got != *want {
 			t.Errorf("cond %s: aggregated sketch differs from direct fold", c)
 		}
 	}
@@ -370,7 +370,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"gs_runs_total 10", "gs_runs_done 10", "gs_runs_per_sec",
 		"gs_cache_hit_pct 50", "gs_metric_mean{metric=\"game_mbps\"}",
-		"gs_metric_quantile{metric=\"rtt_ms\",q=\"0.50\"}",
+		"gs_metric_ci95{metric=\"rtt_ms\"}",
 		"gs_cond_runs{cond=\"e/cubic/B25/q2.0x\"} 10",
 	} {
 		if !strings.Contains(prom, want) {
@@ -385,8 +385,8 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if snap.Schema != SnapshotSchema || snap.Done != 10 {
 		t.Errorf("snapshot = schema %q done %d", snap.Schema, snap.Done)
 	}
-	if snap.Campaign["game_mbps"].N() != 10 {
-		t.Errorf("snapshot campaign game_mbps N = %d", snap.Campaign["game_mbps"].N())
+	if got, want := snap.Campaign["game_mbps"], ag.Snapshot().Campaign["game_mbps"]; *got != *want {
+		t.Errorf("/snapshot campaign game_mbps = %+v, want %+v", *got, *want)
 	}
 
 	index := get("/")
@@ -415,8 +415,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if got.N() != orig.N() || got.Mean() != orig.Mean() || got.CI95() != orig.CI95() {
 		t.Error("round trip lost campaign moments")
 	}
-	if got.Quantile(0.9) != orig.Quantile(0.9) {
-		t.Error("round trip changed quantiles")
+	if got.Min() != orig.Min() || got.Max() != orig.Max() {
+		t.Error("round trip changed extremes")
 	}
 	if len(back.Conditions) != 1 || back.Conditions[0].Metrics["rtt_ms"].N() != 15 {
 		t.Error("round trip lost condition sketches")

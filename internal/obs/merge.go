@@ -100,7 +100,7 @@ func mergeSketchGroup(dst, src map[string]*stats.MetricSketch) {
 	for _, k := range keys {
 		ms, ok := dst[k]
 		if !ok {
-			ms = stats.NewMetricSketch(0)
+			ms = new(stats.MetricSketch)
 			dst[k] = ms
 		}
 		ms.Merge(src[k])

@@ -16,7 +16,7 @@ import (
 // snapMagic opens every snapshot file. It names the binary layout, not the
 // telemetry schema: SnapshotSchema is a field inside the file (and in the
 // JSON renderings), so each can change without the other.
-const snapMagic = "gssnap-v1\n"
+const snapMagic = "gssnap-v2\n"
 
 // IsSnapshot reports whether head, the first bytes of a file, opens with
 // the snapshot magic: how a reader tells a snapshot from other artefacts
@@ -124,7 +124,7 @@ func appendGroup(b []byte, g map[string]*stats.MetricSketch) []byte {
 		b = wire.AppendString(b, k)
 		ms := g[k]
 		if ms == nil {
-			ms = stats.NewMetricSketch(0)
+			ms = new(stats.MetricSketch)
 		}
 		b = ms.AppendWire(b)
 	}
@@ -199,10 +199,9 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// minSketchSize is the smallest encoded sketch: one-byte n, two floats,
-// then a digest's compression, one-byte count, min, max and one-byte
-// centroid count.
-const minSketchSize = 1 + 2*8 + 8 + 1 + 2*8 + 1
+// minSketchSize is the size of an encoded sketch with a one-byte n: n,
+// then four floats (mean, m2, min, max).
+const minSketchSize = 1 + 4*8
 
 // readGroup reads what appendGroup writes, failing d on a key that does
 // not sort strictly after the one before it. After a failed read it

@@ -46,7 +46,7 @@ func fillSnapshot(t *testing.T, v reflect.Value, next *int64) {
 		}
 		g := map[string]*stats.MetricSketch{}
 		for i, samples := range []int{7, 600} {
-			ms := stats.NewMetricSketch(0)
+			ms := new(stats.MetricSketch)
 			for j := 0; j < samples; j++ {
 				ms.Add(float64(n) + float64(j)/8)
 			}
@@ -159,11 +159,11 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 	body := file[:len(file)-4]
 	afterMagic := len(snapMagic)
 
-	one := stats.NewMetricSketch(0)
+	var one stats.MetricSketch
 	one.Add(1)
 	sketch := one.AppendWire(nil)
-	// A one-sample sketch: n (1 byte), mean, m2, then the digest's
-	// compression at 17 and its count at 25.
+	// A one-sample sketch: n (1 byte), then mean, m2, min at 17 and max at
+	// 25.
 	patched := func(off int, val ...byte) []byte {
 		s := append([]byte(nil), sketch...)
 		copy(s[off:], val)
@@ -186,20 +186,21 @@ func TestDecodeSnapshotRejectsMalformed(t *testing.T) {
 		"empty":          nil,
 		"short":          []byte("gs"),
 		"bad magic":      reseal(append([]byte("gssnap-v0\n"), file[afterMagic:]...)),
-		"json":           []byte(`{"schema":"gs-telemetry-v1"}`),
+		"old layout":     reseal(append([]byte("gssnap-v1\n"), file[afterMagic:]...)),
+		"json":           []byte(`{"schema":"gs-telemetry-v2"}`),
 		"bad crc":        append(append([]byte(nil), body...), file[len(file)-4]^1, 0, 0, 0),
 		"flipped body":   append(append(append([]byte(nil), body[:afterMagic]...), body[afterMagic]^0x40), file[afterMagic+1:]...),
 		"huge count":     reseal(append(huge, 0, 0, 0, 0)),
 		"truncated":      reseal(file[:len(file)-9]),
 		"trailing bytes": reseal(append(append(append([]byte(nil), body...), 0), 0, 0, 0, 0)),
 		// An empty schema string whose length is written in two bytes.
-		"non-minimal varint": reseal(append(append([]byte(snapMagic), 0x80, 0x00), valid[afterMagic+1:]...)),
-		"bool byte 2":        reseal(append(append(append([]byte(nil), valid[:afterMagic+4]...), 2), valid[afterMagic+5:]...)),
-		"unsorted keys":      handSnapshot(group(sketch, "b", "a")),
-		"duplicate keys":     handSnapshot(group(sketch, "a", "a")),
-		"negative n":         handSnapshot(group(patched(0, 0x01), "a")),
-		"zero compression":   handSnapshot(group(patched(17, 0, 0, 0, 0, 0, 0, 0, 0), "a")),
-		"count without data": handSnapshot(group(patched(25, 0x00), "a")),
+		"non-minimal varint":     reseal(append(append([]byte(snapMagic), 0x80, 0x00), valid[afterMagic+1:]...)),
+		"bool byte 2":            reseal(append(append(append([]byte(nil), valid[:afterMagic+4]...), 2), valid[afterMagic+5:]...)),
+		"unsorted keys":          handSnapshot(group(sketch, "b", "a")),
+		"duplicate keys":         handSnapshot(group(sketch, "a", "a")),
+		"negative n":             handSnapshot(group(patched(0, 0x01), "a")),
+		"empty sketch with data": handSnapshot(group(patched(0, 0x00), "a")),
+		"min above max":          handSnapshot(group(patched(17, wire.AppendFloat(nil, 2)...), "a")),
 	}
 	for name, data := range cases {
 		if snap, err := decodeSnapshot(data); err == nil {
@@ -293,7 +294,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				t.Fatalf("merge of a decoded snapshot: %v", err)
 			}
 			for _, ms := range s.Campaign {
-				ms.Quantile(0.5)
+				ms.Min()
+				ms.Max()
 				ms.CI95()
 			}
 		}

@@ -11,12 +11,9 @@ import (
 	"time"
 )
 
-// promQuantiles are the quantile labels exported per campaign metric.
-var promQuantiles = []float64{0.10, 0.50, 0.90}
-
 // WritePrometheus renders a snapshot in the Prometheus text exposition
 // format (version 0.0.4): campaign progress gauges, cache counters,
-// campaign-wide metric means/quantiles, and per-condition run counts and
+// campaign-wide metric means and CI half-widths, and per-condition run counts and
 // means.
 func WritePrometheus(w io.Writer, snap *Snapshot) {
 	gauge := func(name, help string, v float64) {
@@ -44,7 +41,7 @@ func WritePrometheus(w io.Writer, snap *Snapshot) {
 		gauge("gs_cache_hit_pct", "Run-cache hit rate in percent.", c.HitRate())
 	}
 
-	// Campaign-wide metric sketches: mean, CI half-width, and quantiles.
+	// Campaign-wide metric sketches: mean and CI half-width.
 	names := make([]string, 0, len(snap.Campaign))
 	for name := range snap.Campaign {
 		names = append(names, name)
@@ -57,13 +54,6 @@ func WritePrometheus(w io.Writer, snap *Snapshot) {
 	fmt.Fprintf(w, "# HELP gs_metric_ci95 95%% confidence half-width on the campaign mean.\n# TYPE gs_metric_ci95 gauge\n")
 	for _, name := range names {
 		fmt.Fprintf(w, "gs_metric_ci95{metric=%q} %g\n", name, snap.Campaign[name].CI95())
-	}
-	fmt.Fprintf(w, "# HELP gs_metric_quantile Campaign-wide t-digest quantile per paper metric.\n# TYPE gs_metric_quantile gauge\n")
-	for _, name := range names {
-		ms := snap.Campaign[name]
-		for _, q := range promQuantiles {
-			fmt.Fprintf(w, "gs_metric_quantile{metric=%q,q=%q} %g\n", name, fmt.Sprintf("%.2f", q), ms.Quantile(q))
-		}
 	}
 
 	fmt.Fprintf(w, "# HELP gs_cond_runs Completed runs per condition.\n# TYPE gs_cond_runs gauge\n")

@@ -11,14 +11,13 @@
 //
 // # Sketches
 //
-// TDigest is a mergeable, serialisable quantile sketch with bounded
-// centroids, and MetricSketch bundles one with an Accumulator: exact
-// moments plus approximate quantiles for an unbounded sample stream in
-// O(1) memory. Both are deterministic — state is a pure function of the
-// insertion sequence, merges are pure functions of their operands, and
-// queries never mutate — so a campaign that folds runs in a canonical
-// order serialises byte-identically however its workers were scheduled.
-// The obs.Aggregator keeps one MetricSketch per (condition, metric) and is
-// what lets a 10⁵–10⁶-run Monte-Carlo campaign report quantiles with
-// confidence intervals without retaining per-run records.
+// MetricSketch extends an Accumulator with the exact minimum and maximum:
+// five numbers per metric, however many samples fold in. It is
+// deterministic — state is a pure function of the insertion sequence,
+// merges are pure functions of their operands, and queries never mutate —
+// so a campaign that folds runs in a canonical order serialises
+// byte-identically however its workers were scheduled. The obs.Aggregator
+// keeps one MetricSketch per (condition, metric), which is what lets a
+// campaign report every paper table cell as a mean with its 95% CI without
+// retaining per-run records.
 package stats

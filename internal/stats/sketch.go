@@ -3,53 +3,55 @@ package stats
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/wire"
 )
 
-// MetricSketch is the streaming summary of one metric across an unbounded
-// run population: a Welford Accumulator for exact mean/variance/CI and a
-// t-digest for quantiles, both mergeable. It is the unit the campaign
-// telemetry layer keeps per (condition, metric): O(1)-ish memory however
-// many runs fold in.
+// MetricSketch is the streaming summary of one metric across a run
+// population: a Welford Accumulator for the exact mean, variance and CI,
+// plus the exact minimum and maximum, all mergeable in five numbers. It is
+// the unit the campaign telemetry layer keeps per (condition, metric).
 //
-// Like TDigest, a MetricSketch's state is a pure function of its insertion
-// sequence, and Merge is a pure function of its operands; queries and
-// serialisation never mutate.
+// The zero value is an empty sketch, and a struct copy is an independent
+// one. Its state is a pure function of its insertion sequence, and Merge is
+// a pure function of its operands; queries and serialisation never mutate.
 type MetricSketch struct {
-	acc    Accumulator
-	digest *TDigest
+	acc      Accumulator
+	min, max float64 // both 0 while the sketch is empty
 }
 
-// NewMetricSketch returns an empty sketch (0 compression = default δ).
-func NewMetricSketch(compression float64) *MetricSketch {
-	return &MetricSketch{digest: NewTDigest(compression)}
-}
-
-// Add incorporates one sample; NaN samples are ignored.
+// Add incorporates one sample; NaN samples are ignored (a sketch over a
+// metric that is undefined for some runs summarises the defined ones).
 func (m *MetricSketch) Add(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
+	if m.acc.n == 0 || x < m.min {
+		m.min = x
+	}
+	if m.acc.n == 0 || x > m.max {
+		m.max = x
+	}
 	m.acc.Add(x)
-	m.digest.Add(x)
 }
 
-// Merge folds other into m without mutating other.
+// Merge folds other into m without mutating other. An empty operand on
+// either side contributes nothing to the extremes.
 func (m *MetricSketch) Merge(other *MetricSketch) {
-	if other == nil {
+	if other == nil || other.acc.n == 0 {
 		return
+	}
+	if m.acc.n == 0 || other.min < m.min {
+		m.min = other.min
+	}
+	if m.acc.n == 0 || other.max > m.max {
+		m.max = other.max
 	}
 	acc := other.acc
 	m.acc.Merge(&acc)
-	m.digest.Merge(other.digest)
-}
-
-// Clone returns an independent deep copy.
-func (m *MetricSketch) Clone() *MetricSketch {
-	return &MetricSketch{acc: m.acc, digest: m.digest.Clone()}
 }
 
 // N returns the sample count.
@@ -64,69 +66,86 @@ func (m *MetricSketch) StdDev() float64 { return m.acc.StdDev() }
 // CI95 returns the exact 95% confidence half-width on the mean.
 func (m *MetricSketch) CI95() float64 { return m.acc.CI95() }
 
-// Quantile returns the t-digest estimate of the p-quantile.
-func (m *MetricSketch) Quantile(p float64) float64 { return m.digest.Quantile(p) }
+// Min returns the smallest sample seen (NaN when empty).
+func (m *MetricSketch) Min() float64 {
+	if m.acc.n == 0 {
+		return math.NaN()
+	}
+	return m.min
+}
 
-// Min and Max return the exact stream extremes.
-func (m *MetricSketch) Min() float64 { return m.digest.Min() }
-
-// Max returns the largest sample seen.
-func (m *MetricSketch) Max() float64 { return m.digest.Max() }
+// Max returns the largest sample seen (NaN when empty).
+func (m *MetricSketch) Max() float64 {
+	if m.acc.n == 0 {
+		return math.NaN()
+	}
+	return m.max
+}
 
 // Summary renders the exact moment statistics as a Summary.
 func (m *MetricSketch) Summary() Summary {
 	return Summary{N: m.acc.N(), Mean: m.acc.Mean(), StdDev: m.acc.StdDev(), CI95: m.acc.CI95()}
 }
 
+// reachable reports whether the state is one Add and Merge can produce: a
+// non-negative count, every field zero while the count is, and min ≤ max
+// once it is not.
+func (m *MetricSketch) reachable() bool {
+	if m.acc.n == 0 {
+		return m.acc.mean == 0 && m.acc.m2 == 0 && m.min == 0 && m.max == 0
+	}
+	return m.acc.n > 0 && m.min <= m.max
+}
+
+// errUnreachable is what UnmarshalJSON returns for a state reachable fails.
+var errUnreachable = errors.New("stats: sketch: state no sample stream reaches")
+
 // metricSketchJSON is the serialised form. The accumulator's moments are
 // stored raw (n, mean, m2) so a restored sketch keeps merging exactly.
 type metricSketchJSON struct {
-	N      int64    `json:"n"`
-	Mean   float64  `json:"mean"`
-	M2     float64  `json:"m2"`
-	Digest *TDigest `json:"digest"`
+	N    int64   `json:"n"`
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
 }
 
-// MarshalJSON serialises the sketch canonically (see TDigest.MarshalJSON).
+// MarshalJSON serialises the sketch's five numbers.
 func (m *MetricSketch) MarshalJSON() ([]byte, error) {
-	return json.Marshal(metricSketchJSON{
-		N:      m.acc.n,
-		Mean:   m.acc.mean,
-		M2:     m.acc.m2,
-		Digest: m.digest,
-	})
+	return json.Marshal(metricSketchJSON{N: m.acc.n, Mean: m.acc.mean, M2: m.acc.m2, Min: m.min, Max: m.max})
 }
 
-// UnmarshalJSON restores a sketch serialised by MarshalJSON.
+// UnmarshalJSON restores a sketch serialised by MarshalJSON, refusing a
+// state no sample stream reaches.
 func (m *MetricSketch) UnmarshalJSON(data []byte) error {
-	j := metricSketchJSON{Digest: NewTDigest(0)}
+	var j metricSketchJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("stats: sketch: %w", err)
 	}
-	m.acc = Accumulator{n: j.N, mean: j.Mean, m2: j.M2}
-	if j.Digest == nil {
-		j.Digest = NewTDigest(0)
+	got := MetricSketch{acc: Accumulator{n: j.N, mean: j.Mean, m2: j.M2}, min: j.Min, max: j.Max}
+	if !got.reachable() {
+		return errUnreachable
 	}
-	m.digest = j.Digest
+	*m = got
 	return nil
 }
 
 // AppendWire appends the sketch's binary form (see internal/wire) to b:
-// the Welford moments n, mean and m2, then the digest (TDigest.AppendWire).
+// the Welford moments n, mean and m2, then min and max.
 func (m *MetricSketch) AppendWire(b []byte) []byte {
 	b = binary.AppendVarint(b, m.acc.n)
 	b = wire.AppendFloat(b, m.acc.mean)
 	b = wire.AppendFloat(b, m.acc.m2)
-	return m.digest.AppendWire(b)
+	b = wire.AppendFloat(b, m.min)
+	return wire.AppendFloat(b, m.max)
 }
 
-// ReadMetricSketch reads one sketch written by AppendWire off d, refusing a
-// negative sample count.
+// ReadMetricSketch reads one sketch written by AppendWire off d, failing d
+// on a state no sample stream reaches.
 func ReadMetricSketch(d *wire.Decoder) *MetricSketch {
-	m := &MetricSketch{acc: Accumulator{n: d.Varint(), mean: d.Float(), m2: d.Float()}}
-	if m.acc.n < 0 {
+	m := &MetricSketch{acc: Accumulator{n: d.Varint(), mean: d.Float(), m2: d.Float()}, min: d.Float(), max: d.Float()}
+	if !m.reachable() {
 		d.Fail()
 	}
-	m.digest = ReadTDigest(d)
 	return m
 }

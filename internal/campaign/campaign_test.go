@@ -187,62 +187,86 @@ func TestCampaignResumeExecutesOnlyMissing(t *testing.T) {
 	}
 }
 
-// TestResumeIgnoresJSONShardSnapshots: a campaign directory written when
-// snapshots were indented JSON (shard-NNNN.snap.json, merged.snap.json)
-// still resumes. The old files are not done markers, so every shard
-// re-publishes from the run cache, and the merge writes the same
-// merged.det.json.
+// TestResumeIgnoresJSONShardSnapshots: a campaign directory written in an
+// older snapshot layout still resumes — one from when snapshots were
+// indented JSON (shard-NNNN.snap.json, merged.snap.json), and one whose
+// binary shard files open with the gssnap-v1 magic. The old files are not
+// done markers, so every shard re-publishes from the run cache, and the
+// merge writes the same merged.det.json.
 func TestResumeIgnoresJSONShardSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	cache := openCache(t)
-	ref := runTiny(t, dir, cache)
-	refDet, err := os.ReadFile(ref.DetPath)
-	if err != nil {
-		t.Fatal(err)
+	// Each case rewrites a finished directory's snapshots in an old layout.
+	cases := map[string]func(t *testing.T, dir string, ref *Result){
+		"json": func(t *testing.T, dir string, ref *Result) {
+			oldJSON := func(snap *obs.Snapshot, name string) {
+				data, err := json.MarshalIndent(snap, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < ref.Manifest.Shards; i++ {
+				snap, err := obs.ReadSnapshot(SnapPath(dir, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oldJSON(snap, fmt.Sprintf("shard-%04d.snap.json", i))
+				if err := os.Remove(SnapPath(dir, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oldJSON(ref.Snapshot, "merged.snap.json")
+			if err := os.Remove(ref.SnapPath); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"gssnap-v1": func(t *testing.T, dir string, ref *Result) {
+			for i := 0; i < ref.Manifest.Shards; i++ {
+				data, err := os.ReadFile(SnapPath(dir, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				old := append([]byte("gssnap-v1\n"), data[len("gssnap-v2\n"):]...)
+				if err := os.WriteFile(SnapPath(dir, i), old, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if ShardDone(dir, i) {
+					t.Fatalf("shard %d with the v1 magic counts as done", i)
+				}
+			}
+		},
 	}
+	for name, stale := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cache := openCache(t)
+			ref := runTiny(t, dir, cache)
+			refDet, err := os.ReadFile(ref.DetPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale(t, dir, ref)
 
-	// Rewrite the directory in the old layout.
-	oldJSON := func(snap *obs.Snapshot, name string) {
-		data, err := json.MarshalIndent(snap, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < ref.Manifest.Shards; i++ {
-		snap, err := obs.ReadSnapshot(SnapPath(dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldJSON(snap, fmt.Sprintf("shard-%04d.snap.json", i))
-		if err := os.Remove(SnapPath(dir, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oldJSON(ref.Snapshot, "merged.snap.json")
-	if err := os.Remove(ref.SnapPath); err != nil {
-		t.Fatal(err)
-	}
-
-	before := cache.Stats()
-	res, err := Run(context.Background(), nil, Options{Dir: dir, Cache: cache, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsRun != ref.Manifest.Shards {
-		t.Fatalf("resume executed %d shards, want all %d", res.ShardsRun, ref.Manifest.Shards)
-	}
-	if d := cache.Stats().Sub(before); d.Misses != 0 || d.Hits != uint64(ref.Manifest.Total) {
-		t.Fatalf("resume cache activity %+v, want %d hits and no misses", d, ref.Manifest.Total)
-	}
-	det, err := os.ReadFile(res.DetPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(det, refDet) {
-		t.Fatal("merged.det.json differs after resuming a directory of JSON snapshots")
+			before := cache.Stats()
+			res, err := Run(context.Background(), nil, Options{Dir: dir, Cache: cache, Resume: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ShardsRun != ref.Manifest.Shards {
+				t.Fatalf("resume executed %d shards, want all %d", res.ShardsRun, ref.Manifest.Shards)
+			}
+			if d := cache.Stats().Sub(before); d.Misses != 0 || d.Hits != uint64(ref.Manifest.Total) {
+				t.Fatalf("resume cache activity %+v, want %d hits and no misses", d, ref.Manifest.Total)
+			}
+			det, err := os.ReadFile(res.DetPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(det, refDet) {
+				t.Fatal("merged.det.json differs after resuming a directory of old-layout snapshots")
+			}
+		})
 	}
 }
 

@@ -3,10 +3,12 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/runcache"
 )
 
@@ -63,9 +65,10 @@ func RunlogPath(dir string, i int) string {
 }
 
 // SnapPath is shard i's telemetry snapshot (obs.WriteSnapshot's binary
-// layout) — and its done marker. A directory written before snapshots
-// were binary holds shard-NNNN.snap.json files instead: this name ignores
-// them, so a resume re-publishes those shards from the run cache.
+// layout) — and its done marker (see ShardDone). A directory written
+// before snapshots were binary holds shard-NNNN.snap.json files instead:
+// this name ignores them, so a resume re-publishes those shards from the
+// run cache.
 func SnapPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d.snap", i))
 }
@@ -113,10 +116,19 @@ func ReadManifest(dir string) (*Manifest, *Spec, error) {
 	return &m, sp, nil
 }
 
-// ShardDone reports whether shard i has published (its snapshot exists).
+// ShardDone reports whether shard i has published: its snapshot exists and
+// opens with the current layout's magic. A shard file from an older
+// layout is not done, so a resume re-publishes it from the run cache
+// instead of failing to merge it.
 func ShardDone(dir string, i int) bool {
-	_, err := os.Stat(SnapPath(dir, i))
-	return err == nil
+	f, err := os.Open(SnapPath(dir, i))
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	head := make([]byte, 16)
+	n, _ := io.ReadFull(f, head)
+	return obs.IsSnapshot(head[:n])
 }
 
 // Status scans the campaign directory and returns each shard's completion

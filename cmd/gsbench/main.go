@@ -51,7 +51,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment: table1|figure2|figure3|figure4|table3|table4|table5|loss|harm|mix|flowcount|aqmcmp|ablation|responserecovery|qoe|summary|all")
 		iters   = flag.Int("iters", 15, "iterations per condition (paper: 15)")
-		scale   = flag.Float64("scale", 1.0, "timeline compression factor (1.0 = full 9-minute traces)")
+		scale   = flag.Float64("scale", 1.0, "timeline compression factor (1.0 = full 9-minute traces); below 1 a smoke test, not paper evidence: at 0.15, 9 of 54 Figure 3 cells flip sign")
 		workers = flag.Int("workers", experiment.DefaultWorkers(), "parallel runs")
 		aqm     = flag.String("aqm", experiment.AQMDropTail, "bottleneck queue discipline: droptail|codel|fq_codel")
 

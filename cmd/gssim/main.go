@@ -70,7 +70,7 @@ func main() {
 		queue    = flag.Float64("queue", 2, "queue size in multiples of BDP")
 		aqm      = flag.String("aqm", experiment.AQMDropTail, "queue discipline")
 		seed     = flag.Uint64("seed", 1, "run seed")
-		scale    = flag.Float64("scale", 1, "timeline compression (1 = the full 540 s trace)")
+		scale    = flag.Float64("scale", 1, "timeline compression (1 = the full 540 s trace); below 1 a smoke test, not paper evidence: at 0.15, 9 of 54 Figure 3 cells flip sign")
 		workers  = flag.Int("workers", 0, "with -chaos: run parallelism (0 = one worker per CPU)")
 
 		scenarioPath = flag.String("scenario", "", "run a declarative scenario file instead of the flag-built one-link spec (see docs/SCENARIOS.md)")

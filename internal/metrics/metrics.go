@@ -151,6 +151,11 @@ var PaperTimeline = Timeline{
 }
 
 // Scale returns the timeline compressed by factor (for fast test runs).
+// It shortens only the three phases, not the controllers' or TCP's own
+// time constants, so a reduced scale is a smoke test, not paper evidence:
+// at 0.15× the 185 s contention window is 28 s, and 9 of the 54 Figure 3
+// cells flip sign against the full-scale ledger (the scale table in
+// ROADMAP.md, item 2).
 func (t Timeline) Scale(f float64) Timeline {
 	return Timeline{
 		FlowStart: time.Duration(float64(t.FlowStart) * f),

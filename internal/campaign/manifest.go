@@ -126,7 +126,7 @@ func ShardDone(dir string, i int) bool {
 		return false
 	}
 	defer f.Close()
-	head := make([]byte, 16)
+	head := make([]byte, 16) // longer than the snapshot magic
 	n, _ := io.ReadFull(f, head)
 	return obs.IsSnapshot(head[:n])
 }

@@ -204,7 +204,7 @@ func TestAggregatorFlowsMetrics(t *testing.T) {
 	ag.SweepDone(false, time.Second)
 	m := ag.Snapshot().Conditions[0].Metrics
 	if m["jain"].N() != 1 || m["jain"].Mean() != 0.91 {
-		t.Errorf("jain sketch = %+v, want N=1 mean=0.91", m["jain"].Summary())
+		t.Errorf("jain sketch N=%d mean=%g, want N=1 mean=0.91", m["jain"].N(), m["jain"].Mean())
 	}
 	if m["rtt_infl_p50"].N() != 1 {
 		t.Errorf("rtt_infl_p50 N = %d, want 1", m["rtt_infl_p50"].N())

@@ -17,8 +17,7 @@ import (
 
 // fillSnapshot sets every exported field reachable from v to a non-zero
 // value no other field shares: slices get two elements, pointers a filled
-// value, and sketch groups two sketches, the first still holding only
-// buffered samples and the second holding centroids and a buffer.
+// value, and sketch groups two sketches of different sample counts.
 func fillSnapshot(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	*next++

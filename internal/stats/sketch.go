@@ -82,11 +82,6 @@ func (m *MetricSketch) Max() float64 {
 	return m.max
 }
 
-// Summary renders the exact moment statistics as a Summary.
-func (m *MetricSketch) Summary() Summary {
-	return Summary{N: m.acc.N(), Mean: m.acc.Mean(), StdDev: m.acc.StdDev(), CI95: m.acc.CI95()}
-}
-
 // reachable reports whether the state is one Add and Merge can produce: a
 // non-negative count, every field zero while the count is, and min ≤ max
 // once it is not.
@@ -96,9 +91,6 @@ func (m *MetricSketch) reachable() bool {
 	}
 	return m.acc.n > 0 && m.min <= m.max
 }
-
-// errUnreachable is what UnmarshalJSON returns for a state reachable fails.
-var errUnreachable = errors.New("stats: sketch: state no sample stream reaches")
 
 // metricSketchJSON is the serialised form. The accumulator's moments are
 // stored raw (n, mean, m2) so a restored sketch keeps merging exactly.
@@ -124,7 +116,7 @@ func (m *MetricSketch) UnmarshalJSON(data []byte) error {
 	}
 	got := MetricSketch{acc: Accumulator{n: j.N, mean: j.Mean, m2: j.M2}, min: j.Min, max: j.Max}
 	if !got.reachable() {
-		return errUnreachable
+		return errors.New("stats: sketch: state no sample stream reaches")
 	}
 	*m = got
 	return nil

@@ -56,9 +56,11 @@ type Capture struct {
 	// grow mid-run.
 	binHint int
 	// arena and binArena are the remainders of the current FlowTrace and
-	// bin allocation blocks; see newFlowTrace.
+	// bin allocation blocks; binBlock is the flow count of the last bin
+	// block. See newFlowTrace.
 	arena    []FlowTrace
 	binArena []binCount
+	binBlock int
 }
 
 // NewCapture creates a capture with the given bin duration (DefaultBin if
@@ -133,11 +135,15 @@ func (c *Capture) newFlowTrace() *FlowTrace {
 	f := &c.arena[0]
 	c.arena = c.arena[1:]
 	if c.binHint > 0 {
-		// Bin backings come from the same chunking discipline; the
+		// Bin backings come from blocks that double from one flow up to
+		// flowTraceChunk flows: a paper run traces about three flows, so a
+		// full chunk up front would leave most of a megabyte untouched,
+		// while a population still gets one allocation per 32 flows. The
 		// three-index carve pins capacity so a flow outliving the horizon
 		// spills to its own array rather than a neighbour's bins.
 		if len(c.binArena) < c.binHint {
-			c.binArena = make([]binCount, flowTraceChunk*c.binHint)
+			c.binBlock = min(max(2*c.binBlock, 1), flowTraceChunk)
+			c.binArena = make([]binCount, c.binBlock*c.binHint)
 		}
 		f.bins = c.binArena[:0:c.binHint]
 		c.binArena = c.binArena[c.binHint:]

@@ -241,3 +241,44 @@ func BenchmarkBinGrowth(b *testing.B) {
 		})
 	}
 }
+
+// TestBinBlocksGrowWithFlows pins the bin arena's block sizes: blocks
+// double from one flow up to flowTraceChunk flows, so a run tracing three
+// flows holds three flows' bins, and every flow's carve stays its own
+// (filling one flow's bins to capacity leaves its neighbours zero).
+func TestBinBlocksGrowWithFlows(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := NewCapture(eng, 500*time.Millisecond)
+	c.SetHorizon(10 * time.Second)
+	wantBlock := []int{1, 2, 2, 4, 4, 4, 4}
+	for i, want := range wantBlock {
+		c.flow(packet.FlowID(i))
+		if c.binBlock != want {
+			t.Fatalf("flow %d: block of %d flows, want %d", i, c.binBlock, want)
+		}
+	}
+	for i := len(wantBlock); i < 200; i++ {
+		c.flow(packet.FlowID(i))
+	}
+	if c.binBlock != flowTraceChunk {
+		t.Errorf("after 200 flows: block of %d flows, want %d", c.binBlock, flowTraceChunk)
+	}
+	for i := 0; i < 200; i += 2 {
+		f := c.flow(packet.FlowID(i))
+		f.bins = f.bins[:cap(f.bins)]
+		for b := range f.bins {
+			f.bins[b].pkts = 1
+		}
+	}
+	for i := 1; i < 200; i += 2 {
+		f := c.flow(packet.FlowID(i))
+		if cap(f.bins) != c.binHint {
+			t.Fatalf("flow %d: bins cap %d, want %d", i, cap(f.bins), c.binHint)
+		}
+		for _, b := range f.bins[:cap(f.bins)] {
+			if b != (binCount{}) {
+				t.Fatalf("flow %d: a neighbour's bins overlap its own", i)
+			}
+		}
+	}
+}

@@ -37,6 +37,13 @@ type frameSlot struct {
 	nackAt   []sim.Time // last retransmission request per data fragment; 0 = never
 }
 
+// slotArrays is one frame's pair of reassembly arrays, parked on the
+// client's spare list while no frame uses it.
+type slotArrays struct {
+	gotBits []uint64
+	nackAt  []sim.Time
+}
+
 func (fs *frameSlot) has(i int) bool { return fs.gotBits[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (fs *frameSlot) set(i int)      { fs.gotBits[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -71,11 +78,13 @@ type Client struct {
 	bitsCapHW int
 	nackCapHW int
 	// bitsArena/nackArena are carve-forward blocks backing fresh slot
-	// arrays: a whole ring's worth of slots first-touch in a burst at
-	// startup, and chunked carving turns those hundreds of small makes
-	// into a handful of block allocations.
+	// arrays, and spare holds the arrays of resolved frames: finishFrame
+	// parks a slot's arrays there and initSlot takes them back, so the
+	// arrays in existence track the few dozen live frames rather than the
+	// whole ring.
 	bitsArena []uint64
 	nackArena []sim.Time
+	spare     []slotArrays
 
 	ticker *sim.Ticker
 
@@ -119,6 +128,7 @@ func NewClient(host *netem.Host, flow packet.FlowID, peer packet.Addr, profile P
 		peer:     peer,
 		profile:  profile,
 		ring:     make([]frameSlot, clientRingSize),
+		spare:    make([]slotArrays, 0, clientRingSize),
 		ringMask: clientRingSize - 1,
 		maxID:    -1,
 		owdMin:   -1,
@@ -232,16 +242,22 @@ func (c *Client) slotFor(info *FrameInfo) *frameSlot {
 	return fs
 }
 
-// initSlot prepares fs for the frame described by info, reusing the slot's
-// bitset and NACK-timestamp backing arrays. Arrays grow to the client-wide
-// high-watermark, so once the largest frame shape has been seen every slot
-// reaches a stable capacity after at most one more growth and the ring
-// stops touching the allocator.
 // slotArenaChunk is how many high-watermark-sized slot arrays one arena
 // block backs.
 const slotArenaChunk = 64
 
+// initSlot prepares fs for the frame described by info, taking a bitset
+// and NACK-timestamp array pair off the spare list (zeroed here) or
+// carving a fresh one. Arrays grow to the client-wide high-watermark, so
+// once the largest frame shape has been seen every array reaches a stable
+// capacity after at most one more growth and the client stops touching
+// the allocator.
 func (c *Client) initSlot(fs *frameSlot, info *FrameInfo) {
+	if n := len(c.spare); n > 0 {
+		fs.gotBits, fs.nackAt = c.spare[n-1].gotBits, c.spare[n-1].nackAt
+		c.spare[n-1] = slotArrays{}
+		c.spare = c.spare[:n-1]
+	}
 	words := (info.Count + info.Parity + 63) / 64
 	if words > c.bitsCapHW {
 		c.bitsCapHW = roundPow2(words)
@@ -310,8 +326,12 @@ func (c *Client) growRing() {
 	c.ringMask = mask
 }
 
+// finishFrame resolves a frame and parks its slot's arrays on the spare
+// list: a resolved slot's arrays are never read again.
 func (c *Client) finishFrame(id int64, fs *frameSlot, displayed bool, now sim.Time) {
 	fs.resolved = true
+	c.spare = append(c.spare, slotArrays{fs.gotBits, fs.nackAt})
+	fs.gotBits, fs.nackAt = nil, nil
 	if displayed {
 		c.FramesDisplayed++
 	} else {

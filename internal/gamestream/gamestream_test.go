@@ -475,3 +475,30 @@ func TestRetxBufferBoundedOverLongRun(t *testing.T) {
 		t.Errorf("only %d frames sent in 60s — test exercised too little traffic", sn.server.FramesSent)
 	}
 }
+
+// TestClientSlotArraysFollowLiveFrames pins the client's spare list: a
+// resolved frame's slot keeps no reassembly arrays, and the arrays in
+// existence (live slots' plus spares) stay near the live frame count, far
+// below the ring size, while the run is still displaying frames.
+func TestClientSlotArraysFollowLiveFrames(t *testing.T) {
+	sn := newStreamNet(Stadia, units.Mbps(25), 100*units.KB, 8250*time.Microsecond, 5)
+	sn.server.Start()
+	sn.eng.Run(sim.At(20 * time.Second))
+	c := sn.client
+	if c.FramesDisplayed < 1000 {
+		t.Fatalf("only %d frames displayed in 20s", c.FramesDisplayed)
+	}
+	held := len(c.spare)
+	for i := range c.ring {
+		fs := &c.ring[i]
+		switch {
+		case fs.id >= 0 && fs.resolved && (fs.gotBits != nil || fs.nackAt != nil):
+			t.Fatalf("resolved frame %d still holds its arrays", fs.id)
+		case fs.id >= 0 && !fs.resolved:
+			held++
+		}
+	}
+	if held == 0 || held > clientRingSize/4 {
+		t.Errorf("%d array pairs in existence, want between 1 and %d", held, clientRingSize/4)
+	}
+}

@@ -17,7 +17,7 @@ import (
 // (a profile recalibration, a new default, a change to the encodeRun
 // layout): every old entry then misses and is recomputed. See
 // docs/ARCHITECTURE.md, "Run cache: the key contract".
-const cacheSchema = "run-v6"
+const cacheSchema = "run-v7"
 
 // cacheVersion is the module-version component of every cache key: the
 // schema generation plus the main module's version and VCS revision when

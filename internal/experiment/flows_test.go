@@ -146,6 +146,32 @@ func TestPopulationProducesActivity(t *testing.T) {
 	}
 }
 
+// TestPopulationCountsInTCPMbps checks that a populated run's competing
+// bitrate carries the population: the bits in TCPMbps are the bulk
+// competitor's trace plus every slot's delivered bits.
+func TestPopulationCountsInTCPMbps(t *testing.T) {
+	r := popRun(8, 1, 42)
+	sec := r.Bin.Seconds()
+	var tcp, comp, slots float64
+	for _, v := range r.TCPMbps {
+		tcp += v * sec
+	}
+	for _, v := range r.CompetitorTraces[0].Mbps {
+		comp += v * sec
+	}
+	for _, fs := range r.Flows {
+		if fs.Kind != "stream" {
+			slots += fs.MeanMbps * fs.ActiveSec
+		}
+	}
+	if slots <= 0 {
+		t.Fatal("the population delivered nothing")
+	}
+	if got := tcp - comp; math.Abs(got-slots) > 1e-6*slots {
+		t.Errorf("TCPMbps carries %.3f Mbit beyond the bulk flow, the slots delivered %.3f", got, slots)
+	}
+}
+
 // TestPopulationDeterministicSchedule checks the arrival/departure sequence
 // is a pure function of the seed: same seed → identical per-flow stats,
 // different seed → a different schedule.

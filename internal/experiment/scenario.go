@@ -204,7 +204,8 @@ type RunResult struct {
 	TCPLossBins  []float64
 
 	// CompetitorTraces holds per-competitor bitrate series for mixed-
-	// traffic runs (TCPMbps is then their aggregate).
+	// traffic runs (TCPMbps is then their aggregate, plus any population
+	// slots).
 	CompetitorTraces []CompetitorTrace
 
 	// Server/client end-state counters.
@@ -504,8 +505,9 @@ func Run(cfg RunConfig) *RunResult {
 
 	// --- Collect ---
 	nbins := int(cfg.Timeline.TraceEnd / trace.DefaultBin)
-	// TCPMbps aggregates all competitor flows (identical to the single
-	// iperf series in the paper's default configuration).
+	// TCPMbps aggregates all competitor flows, population slots included
+	// (identical to the single iperf series in the paper's default
+	// configuration).
 	tcpAgg := make([]float64, nbins)
 	var compTraces []CompetitorTrace
 	for i, flow := range compFlows {
@@ -514,6 +516,11 @@ func Run(cfg RunConfig) *RunResult {
 			tcpAgg[b] += v
 		}
 		compTraces = append(compTraces, CompetitorTrace{Competitor: comps[i], Mbps: series})
+	}
+	if pop != nil {
+		for _, sl := range pop.slots {
+			capture.AddBitrate(tcpAgg, sl.flow)
+		}
 	}
 
 	res := &RunResult{

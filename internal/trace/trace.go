@@ -212,13 +212,20 @@ func (c *Capture) Flow(id packet.FlowID) *FlowTrace {
 // BitrateSeries returns the flow's delivered on-wire bitrate per bin in
 // Mb/s, with exactly n bins (zero-padded). Requires TapDelivered wiring.
 func (c *Capture) BitrateSeries(id packet.FlowID, n int) []float64 {
+	out := make([]float64, n)
+	c.AddBitrate(out, id)
+	return out
+}
+
+// AddBitrate adds the flow's delivered bitrate per bin in Mb/s to dst,
+// over len(dst) bins: BitrateSeries summed into one series without a
+// slice per flow.
+func (c *Capture) AddBitrate(dst []float64, id packet.FlowID) {
 	f := c.flow(id)
 	sec := c.binDur.Duration().Seconds()
-	out := make([]float64, n)
-	for i := 0; i < n && i < len(f.bins); i++ {
-		out[i] = float64(f.bins[i].dlv) * 8 / sec / 1e6
+	for i := 0; i < len(dst) && i < len(f.bins); i++ {
+		dst[i] += float64(f.bins[i].dlv) * 8 / sec / 1e6
 	}
-	return out
 }
 
 // OfferedSeries returns the flow's offered (pre-queue) bitrate per bin in

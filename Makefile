@@ -90,9 +90,12 @@ docs-check:
 # gscampaign worker processes over a throwaway directory, sweeps up and
 # merges their shards, and gsreport renders the merged telemetry. The
 # second pass resumes the finished campaign (a pure re-merge) and must
-# leave the deterministic artefact byte-identical.
+# leave the deterministic artefact byte-identical. The third runs the
+# spec in-process (-workers 0, each shard's cells on every core) into a
+# fresh directory and cache; its merged telemetry and runlog must match
+# the two-process run's byte for byte.
 campaign-smoke:
-	rm -rf campaign-smoke.dir
+	rm -rf campaign-smoke.dir campaign-smoke.w0
 	printf '%s\n' '[campaign]' 'name = ci-smoke' 'seed = 42' 'iterations = 2' \
 		'scale = 0.05' 'shards = 4' '' '[grid]' 'systems = stadia, luna' \
 		'ccas = cubic, solo' 'capacities = 25mbit' 'queue_mults = 2' \
@@ -101,8 +104,11 @@ campaign-smoke:
 	cp campaign-smoke.dir/merged.det.json campaign-smoke.det1.json
 	$(GO) run ./cmd/gscampaign -dir campaign-smoke.dir -resume > /dev/null
 	cmp campaign-smoke.det1.json campaign-smoke.dir/merged.det.json
+	$(GO) run ./cmd/gscampaign -spec campaign-smoke.campaign -dir campaign-smoke.w0 -workers 0 -quiet > /dev/null
+	cmp campaign-smoke.dir/merged.det.json campaign-smoke.w0/merged.det.json
+	cmp campaign-smoke.dir/merged.runs.jsonl campaign-smoke.w0/merged.runs.jsonl
 	$(GO) run ./cmd/gsreport campaign-smoke.dir
-	rm -rf campaign-smoke.dir campaign-smoke.campaign campaign-smoke.det1.json
+	rm -rf campaign-smoke.dir campaign-smoke.w0 campaign-smoke.campaign campaign-smoke.det1.json
 
 # The EXPERIMENTS.md chaos example at CI size: a seeded campaign through a
 # throwaway cache, rendered as the per-invariant verdict table, then

@@ -4,7 +4,9 @@
 // partitions it into shards, and executes the shards through the shared
 // content-addressed run cache — either entirely in-process or across a
 // fleet of worker processes that claim shards via lease files in the
-// campaign directory.
+// campaign directory. Every worker runs its shard's cells on every core,
+// so the fleet is for crash isolation and multi-host runs; in-process
+// execution already uses the whole machine.
 //
 // The coordinator spawns the workers (this binary re-executing itself with
 // -worker), sweeps up anything they leave behind, and merges the per-shard
@@ -44,7 +46,7 @@ func main() {
 		specPath = flag.String("spec", "", "campaign spec file; omit with -resume/-worker to adopt the directory's campaign")
 		dir      = flag.String("dir", "", "campaign directory: manifest, shard claims/outputs, merged artefacts (required)")
 		cacheDir = flag.String("cache", "", "shared run cache directory (default <dir>/cache); all workers must use the same one")
-		workers  = flag.Int("workers", 0, "worker processes to spawn; 0 executes every shard in-process")
+		workers  = flag.Int("workers", 0, "worker processes to spawn, for crash isolation or multi-host runs; 0 executes every shard in-process (each worker runs its shard's cells on every core)")
 		lease    = flag.Duration("lease", campaign.DefaultLease, "shard claim lease; a crashed worker's shard is re-claimed after this expires")
 		poll     = flag.Duration("poll", campaign.DefaultPoll, "idle wait between shard scans when all unfinished shards are claimed")
 		resume   = flag.Bool("resume", false, "resume an initialised campaign directory, executing only missing shards")

@@ -117,6 +117,58 @@ func TestCampaignEndToEndMatchesSweep(t *testing.T) {
 	}
 }
 
+// TestShardLogFilesRecordsByJobIndex feeds the shard runlog sink its
+// completions out of order, as parallel cells deliver them, and requires
+// the runlog in job order with the wall-clock fields scrubbed.
+func TestShardLogFilesRecordsByJobIndex(t *testing.T) {
+	var l shardLog
+	l.SweepStart(5)
+	for _, i := range []int{3, 0, 4, 2, 1} {
+		l.RunDone(obs.Update{Index: i, Record: &obs.Record{
+			Cond: fmt.Sprintf("cond-%d", i), Iteration: i, Cached: i%2 == 0,
+			Engine: obs.EngineStats{Events: uint64(10 * i), WallSeconds: 1},
+		}})
+	}
+	l.SweepDone(false, 0)
+	if l.err != nil {
+		t.Fatal(l.err)
+	}
+	recs, err := obs.ReadJSONL(bytes.NewReader(l.bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 {
+		t.Fatalf("%d records, want 5", len(recs))
+	}
+	for i, r := range recs {
+		want := canonicalRecord(obs.Record{
+			Cond: fmt.Sprintf("cond-%d", i), Iteration: i,
+			Engine: obs.EngineStats{Events: uint64(10 * i)},
+		})
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("line %d: %+v, want %+v", i, r, want)
+		}
+	}
+}
+
+// TestCampaignRunlogInCellOrder checks the merged runlog end to end: its
+// records follow the campaign's cell order, whatever order each shard's
+// parallel runs completed in.
+func TestCampaignRunlogInCellOrder(t *testing.T) {
+	res := runTiny(t, t.TempDir(), openCache(t))
+	got := readRunlog(t, res.RunlogPath)
+	cells := res.Spec.Cells()
+	if len(got) != len(cells) {
+		t.Fatalf("runlog has %d records, campaign has %d cells", len(got), len(cells))
+	}
+	for i, c := range cells {
+		if r := got[i]; r.Cond != c.Cond.String() || r.Seed != c.Seed || r.Iteration != c.Iter {
+			t.Errorf("record %d is %s seed %d iteration %d, want cell %s seed %d iteration %d",
+				i, r.Cond, r.Seed, r.Iteration, c.Cond, c.Seed, c.Iter)
+		}
+	}
+}
+
 func TestCampaignDetByteIdenticalAcrossRuns(t *testing.T) {
 	// Two executions from scratch — separate directories, separate caches —
 	// must publish byte-identical deterministic telemetry and runlogs.

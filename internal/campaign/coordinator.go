@@ -22,7 +22,9 @@ type Options struct {
 	Cache *runcache.Cache
 	// Workers is the number of worker OS processes to spawn via Spawn; with
 	// zero workers (or a nil Spawn) the coordinator executes every shard
-	// in-process.
+	// in-process. Every worker, in-process or spawned, runs its shard's
+	// cells on every core, so extra processes buy crash isolation and
+	// multi-host runs rather than speed on one machine.
 	Workers int
 	// Spawn builds the command for one worker process (the gscampaign
 	// binary re-executing itself in -worker mode). The coordinator starts

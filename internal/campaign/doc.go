@@ -18,8 +18,9 @@
 //     completely or not at all).
 //   - worker.go is the claim-execute-publish loop one worker process runs:
 //     acquire a shard's lease file, execute its cells through
-//     experiment.RunCached, publish the shard runlog and telemetry
-//     snapshot, release, repeat until no shards remain.
+//     experiment.Execute on every core, publish the shard runlog (in job
+//     order) and telemetry snapshot, release, repeat until no shards
+//     remain.
 //   - coordinator.go initialises (or resumes) the campaign directory,
 //     spawns N worker processes, finishes any remaining shards in-process,
 //     and merges the per-shard snapshots in shard order into the final

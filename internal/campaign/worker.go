@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/experiment"
@@ -20,11 +20,13 @@ const (
 )
 
 // Worker executes campaign shards: it claims a shard's lease file, runs the
-// shard's cells sequentially through the shared run cache, publishes the
+// shard's cells on every core through the shared run cache, publishes the
 // shard's runlog and telemetry snapshot atomically, releases the claim, and
-// moves on until no unfinished shard remains. Several Workers — in-process
-// or in separate OS processes — cooperate safely over one campaign
-// directory; see the package comment for the crash-recovery story.
+// moves on until no unfinished shard remains. A Worker takes one shard at
+// a time; several Workers — in-process or in separate OS processes —
+// cooperate safely over one campaign directory, which is how a campaign
+// gets crash isolation or spreads over hosts. See the package comment for
+// the crash-recovery story.
 type Worker struct {
 	// Dir is the campaign directory; Manifest/Spec its parsed root state.
 	Dir      string
@@ -133,11 +135,14 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 	}
 }
 
-// runShard executes one shard's cells in order and publishes its outputs:
-// first the runlog, then the snapshot (the done marker), both via
-// temp+rename so a crash mid-publish leaves the shard cleanly unfinished.
-// The claim is renewed between runs once half its lease has passed; a
-// failed renewal stops the shard, which then publishes nothing.
+// runShard executes one shard's cells, experiment.DefaultWorkers() at a
+// time, and publishes its outputs: first the runlog, then the snapshot
+// (the done marker), both via temp+rename so a crash mid-publish leaves
+// the shard cleanly unfinished. Both outputs are independent of the order
+// runs complete in: the runlog files each record by its job index and the
+// aggregator folds each condition in iteration order. The claim is renewed
+// between runs once half its lease has passed; a failed renewal stops the
+// shard, which then publishes nothing.
 func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *runcache.Claim, lease time.Duration) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -151,12 +156,19 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 	if w.Cache != nil {
 		before = w.Cache.Stats()
 	}
-	var renewErr error
-	renewAt := time.Now().Add(lease / 2)
-	const workers = 1 // a shard's runs execute in cell order
-	done := experiment.Execute(ctx, jobs, workers, w.Cache, experiment.Sinks{Progress: obs.MultiProgress(agg, &runlog)},
+	var (
+		renewMu  sync.Mutex
+		renewErr error
+		renewAt  = time.Now().Add(lease / 2)
+	)
+	done := experiment.Execute(ctx, jobs, experiment.DefaultWorkers(), w.Cache, experiment.Sinks{Progress: obs.MultiProgress(agg, &runlog)},
 		func(int, *experiment.RunResult, bool) {
-			if claim == nil || !time.Now().After(renewAt) {
+			if claim == nil {
+				return
+			}
+			renewMu.Lock()
+			defer renewMu.Unlock()
+			if renewErr != nil || !time.Now().After(renewAt) {
 				return
 			}
 			if renewErr = claim.Renew(lease); renewErr != nil {
@@ -180,33 +192,49 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 		delta := w.Cache.Stats().Sub(before)
 		snap.Cache = &delta
 	}
-	if err := atomicWrite(RunlogPath(w.Dir, shard), runlog.buf.Bytes()); err != nil {
+	if err := atomicWrite(RunlogPath(w.Dir, shard), runlog.bytes()); err != nil {
 		return err
 	}
 	return obs.WriteSnapshot(SnapPath(w.Dir, shard), snap)
 }
 
-// shardLog is the Progress sink that buffers a shard's runlog: one
-// canonical record per line, in completion order (cell order, with one
-// worker). The first marshal error is kept for runShard to return.
+// shardLog is the Progress sink that collects a shard's runlog: one
+// canonical record per job, filed at the job's index so the runlog lists
+// the shard's cells in order however their runs complete. The first
+// marshal error is kept for runShard to return.
 type shardLog struct {
-	buf bytes.Buffer
-	err error
+	mu    sync.Mutex
+	lines [][]byte
+	err   error
 }
 
-func (l *shardLog) SweepStart(int)                {}
+func (l *shardLog) SweepStart(total int)          { l.lines = make([][]byte, total) }
 func (l *shardLog) SweepDone(bool, time.Duration) {}
 
 func (l *shardLog) RunDone(u obs.Update) {
 	line, err := json.Marshal(canonicalRecord(*u.Record))
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err != nil {
 		if l.err == nil {
 			l.err = fmt.Errorf("campaign: marshal record: %w", err)
 		}
 		return
 	}
-	l.buf.Write(line)
-	l.buf.WriteByte('\n')
+	l.lines[u.Index] = line
+}
+
+// bytes is the runlog file: the records in job order, one per line.
+func (l *shardLog) bytes() []byte {
+	n := 0
+	for _, line := range l.lines {
+		n += len(line) + 1
+	}
+	b := make([]byte, 0, n)
+	for _, line := range l.lines {
+		b = append(append(b, line...), '\n')
+	}
+	return b
 }
 
 // canonicalRecord scrubs the wall-clock execution fields from a record so

@@ -265,7 +265,7 @@ func Execute(ctx context.Context, jobs []Job, workers int, cache *runcache.Cache
 						eta = time.Duration(float64(elapsed) / float64(d) * float64(total-d))
 					}
 					sinks.Progress.RunDone(obs.Update{
-						Done: d, Total: total,
+						Done: d, Total: total, Index: i,
 						Cond: j.Cfg.Condition.String(), Seed: j.Cfg.Seed, Iteration: j.Iter,
 						RunWall: time.Since(runStart), Elapsed: elapsed, ETA: eta,
 						Record: rec,

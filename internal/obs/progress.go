@@ -12,6 +12,10 @@ import (
 type Update struct {
 	// Done and Total count completed runs against the campaign size.
 	Done, Total int
+	// Index is the finished run's position in the sweep's job list: runs
+	// complete in any order across workers, and a sink that must keep job
+	// order (a campaign shard's runlog) files each one by its index.
+	Index int
 	// Cond is the finished run's condition string; Seed and Iteration
 	// identify the run within its cell.
 	Cond      string

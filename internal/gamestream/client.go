@@ -255,7 +255,6 @@ const slotArenaChunk = 64
 func (c *Client) initSlot(fs *frameSlot, info *FrameInfo) {
 	if n := len(c.spare); n > 0 {
 		fs.gotBits, fs.nackAt = c.spare[n-1].gotBits, c.spare[n-1].nackAt
-		c.spare[n-1] = slotArrays{}
 		c.spare = c.spare[:n-1]
 	}
 	words := (info.Count + info.Parity + 63) / 64

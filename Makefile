@@ -61,8 +61,8 @@ fuzz-smoke:
 # Statement coverage >= 80% on the packages where a silent bug corrupts
 # everything downstream: netem is the loss model under every CC validation
 # claim; runcache substitutes stored bytes for executions; obs folds every
-# campaign's metrics into the sketches the live endpoint and gsreport
-# serve; campaign turns a spec into the merged telemetry every
+# campaign's metrics into the sketches that snapshots, health logs and
+# gsreport carry; campaign turns a spec into the merged telemetry every
 # report consumes (-short skips its multi-process integration tests).
 cover-campaign: COVER_FLAGS = -short
 $(COVER_TARGETS): cover-%:
@@ -86,29 +86,33 @@ bench:
 docs-check:
 	$(GO) test -run 'TestDocsLinksResolve|TestDocsFlagsExist|TestDocFlagRefs|TestScenarioFilesParse|TestCampaignFilesParse' -count=1 .
 
-# A sharded campaign end to end at CI size: the coordinator spawns two
-# gscampaign worker processes over a throwaway directory, sweeps up and
-# merges their shards, and gsreport renders the merged telemetry. The
-# second pass resumes the finished campaign (a pure re-merge) and must
-# leave the deterministic artefact byte-identical. The third runs the
-# spec in-process (-workers 0, each shard's cells on every core) into a
-# fresh directory and cache; its merged telemetry and runlog must match
-# the two-process run's byte for byte.
+# A sharded campaign end to end at CI size: two gscampaign processes share
+# a throwaway directory and cache — the second joins with -resume once the
+# first has written manifest.json — split the shards through the claim
+# files, and both merge; gsreport renders the merged telemetry. A further
+# -resume of the finished campaign (a pure re-merge) must leave the
+# deterministic artefact byte-identical, and the spec run by one process
+# into a fresh directory and cache must match the two-process run's merged
+# telemetry and runlog byte for byte.
 campaign-smoke:
-	rm -rf campaign-smoke.dir campaign-smoke.w0
+	rm -rf campaign-smoke.dir campaign-smoke.one
 	printf '%s\n' '[campaign]' 'name = ci-smoke' 'seed = 42' 'iterations = 2' \
 		'scale = 0.05' 'shards = 4' '' '[grid]' 'systems = stadia, luna' \
 		'ccas = cubic, solo' 'capacities = 25mbit' 'queue_mults = 2' \
 		> campaign-smoke.campaign
-	$(GO) run ./cmd/gscampaign -spec campaign-smoke.campaign -dir campaign-smoke.dir -workers 2
+	$(GO) build -o campaign-smoke.bin ./cmd/gscampaign
+	./campaign-smoke.bin -spec campaign-smoke.campaign -dir campaign-smoke.dir > /dev/null & pid=$$!; \
+		for i in $$(seq 1 200); do test -f campaign-smoke.dir/manifest.json && break; sleep 0.05; done; \
+		./campaign-smoke.bin -dir campaign-smoke.dir -resume > /dev/null; second=$$?; \
+		wait $$pid && test $$second -eq 0
 	cp campaign-smoke.dir/merged.det.json campaign-smoke.det1.json
-	$(GO) run ./cmd/gscampaign -dir campaign-smoke.dir -resume > /dev/null
+	./campaign-smoke.bin -dir campaign-smoke.dir -resume > /dev/null
 	cmp campaign-smoke.det1.json campaign-smoke.dir/merged.det.json
-	$(GO) run ./cmd/gscampaign -spec campaign-smoke.campaign -dir campaign-smoke.w0 -workers 0 -quiet > /dev/null
-	cmp campaign-smoke.dir/merged.det.json campaign-smoke.w0/merged.det.json
-	cmp campaign-smoke.dir/merged.runs.jsonl campaign-smoke.w0/merged.runs.jsonl
+	./campaign-smoke.bin -spec campaign-smoke.campaign -dir campaign-smoke.one -quiet > /dev/null
+	cmp campaign-smoke.dir/merged.det.json campaign-smoke.one/merged.det.json
+	cmp campaign-smoke.dir/merged.runs.jsonl campaign-smoke.one/merged.runs.jsonl
 	$(GO) run ./cmd/gsreport campaign-smoke.dir
-	rm -rf campaign-smoke.dir campaign-smoke.w0 campaign-smoke.campaign campaign-smoke.det1.json
+	rm -rf campaign-smoke.dir campaign-smoke.one campaign-smoke.campaign campaign-smoke.det1.json campaign-smoke.bin
 
 # The EXPERIMENTS.md chaos example at CI size: a seeded campaign through a
 # throwaway cache, rendered as the per-invariant verdict table, then

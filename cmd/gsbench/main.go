@@ -59,7 +59,6 @@ func main() {
 
 		progress   = flag.Bool("progress", false, "print live sweep progress to stderr")
 		runlog     = flag.String("runlog", "", "write one JSONL record per completed run to this file (truncates)")
-		telAddr    = flag.String("telemetry-addr", "", "serve live campaign telemetry over HTTP at this address (e.g. :9300): /metrics is Prometheus text, /snapshot JSON")
 		telOut     = flag.String("telemetry-out", "", "write the final telemetry snapshot (metric sketches + health) to this file, for gsreport")
 		telLog     = flag.String("telemetry-log", "", "append the JSONL health timeline (progress, ETA, cache hit rate) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -127,7 +126,7 @@ func main() {
 		defer f.Close()
 		sinks = append(sinks, obs.NewJSONL(f))
 	}
-	if *telAddr != "" || *telOut != "" || *telLog != "" {
+	if *telOut != "" || *telLog != "" {
 		ag := obs.NewAggregator()
 		sinks = append(sinks, ag)
 		if cache != nil {
@@ -141,15 +140,6 @@ func main() {
 			}
 			defer f.Close()
 			ag.Timeline = f
-		}
-		if *telAddr != "" {
-			srv, err := obs.ServeTelemetry(*telAddr, ag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gsbench:", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "gsbench: telemetry at http://%s/ (/metrics, /snapshot)\n", srv.Addr())
 		}
 		if *telOut != "" {
 			out := *telOut

@@ -29,7 +29,7 @@
 //	gsbench -exp figure3 -telemetry-out telemetry.snap
 //	gsreport telemetry.snap
 //
-//	gscampaign -spec paper.campaign -dir camp -workers 4
+//	gscampaign -spec paper.campaign -dir camp
 //	gsreport camp
 //
 //	gssim -cca cubic,bbr -probe -probe-out demo

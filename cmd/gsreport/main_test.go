@@ -282,17 +282,17 @@ queue_mults = 2
 }
 
 // TestCampaignReportListsUnfinishedShards: an unfinished campaign's report
-// names each unfinished shard's claim owner, or says it is missing, and
-// leaves finished shards out.
+// names each unfinished shard's claim owner, says its claim is
+// unreadable, or says it is missing, and leaves finished shards out.
 func TestCampaignReportListsUnfinishedShards(t *testing.T) {
 	dir := t.TempDir()
 	sp, err := campaign.ParseSpec(strings.NewReader(`
 [campaign]
 name = partial
 seed = 7
-iterations = 1
+iterations = 4
 scale = 0.02
-shards = 3
+shards = 4
 
 [grid]
 systems = stadia
@@ -311,7 +311,7 @@ queue_mults = 2
 	if _, err := campaign.Run(context.Background(), sp, campaign.Options{Dir: camp, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{1, 2} {
+	for _, i := range []int{1, 2, 3} {
 		if err := os.Remove(campaign.SnapPath(camp, i)); err != nil {
 			t.Fatal(err)
 		}
@@ -319,12 +319,16 @@ queue_mults = 2
 	if _, ok, err := runcache.AcquireClaim(campaign.ClaimPath(camp, 1), "w7", time.Hour); !ok || err != nil {
 		t.Fatalf("claim shard 1: %v, %v", ok, err)
 	}
+	if err := os.WriteFile(campaign.ClaimPath(camp, 3), []byte(`{"owner":"x","pi`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var rerr error
 	out := stdout(t, func() { rerr = reportCampaign(camp) })
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	for _, want := range []string{"1 done\n", "  shard 0001  claimed by w7\n", "  shard 0002  missing\n", "missing shards: [1 2]"} {
+	for _, want := range []string{"1 done\n", "  shard 0001  claimed by w7\n", "  shard 0002  missing\n",
+		"  shard 0003  unreadable claim\n", "missing shards: [1 2 3]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}

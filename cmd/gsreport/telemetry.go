@@ -65,10 +65,10 @@ func reportTelemetry(path string) error {
 
 // reportCampaign renders a gscampaign directory: shard completion status
 // from the manifest, with one line per unfinished shard naming its claim
-// owner (and how long ago an expired lease ran out) or saying it is
-// missing; then the merged telemetry tables if the campaign has been
-// merged (every table RenderTelemetry prints for a live snapshot). It
-// reads claims without touching them.
+// owner (and how long ago an expired lease ran out), saying its claim
+// file is unreadable, or saying it is missing; then the merged telemetry
+// tables if the campaign has been merged (every table RenderTelemetry
+// prints for a live snapshot). It reads claims without touching them.
 func reportCampaign(dir string) error {
 	m, _, err := campaign.ReadManifest(dir)
 	if err != nil {
@@ -84,7 +84,10 @@ func reportCampaign(dir string) error {
 			}
 			missing = append(missing, i)
 			mark := "missing"
-			if info, ok, err := runcache.ReadClaim(campaign.ClaimPath(dir, i)); err == nil && ok {
+			switch info, ok, err := runcache.ReadClaim(campaign.ClaimPath(dir, i)); {
+			case err != nil:
+				mark = "unreadable claim"
+			case ok:
 				mark = "claimed by " + info.Owner
 				if info.Expired(time.Now()) {
 					mark += fmt.Sprintf(" (lease expired %.0fs ago)", time.Since(time.Unix(0, info.Expires)).Seconds())

@@ -343,6 +343,28 @@ func TestWorkerStealsExpiredClaim(t *testing.T) {
 	}
 }
 
+// TestWorkerStealsTornClaim: a shard whose claim file holds garbage (a
+// torn write from outside) is stolen and published, not an error that
+// stops every resume of the campaign.
+func TestWorkerStealsTornClaim(t *testing.T) {
+	dir := t.TempDir()
+	m, sp, err := Init(dir, parseSpec(t, tinySpecText), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ClaimPath(dir, 1), []byte(`{"owner":"x","pi`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Dir: dir, Manifest: m, Spec: sp, Cache: openCache(t), Owner: "alive", Poll: 10 * time.Millisecond}
+	n, err := w.Run(context.Background())
+	if err != nil {
+		t.Fatalf("worker stopped on a torn claim: %v", err)
+	}
+	if n != m.Shards || !ShardDone(dir, 1) {
+		t.Fatalf("worker ran %d of %d shards; shard 1 done: %v", n, m.Shards, ShardDone(dir, 1))
+	}
+}
+
 func TestInitRejectsMismatchedSpec(t *testing.T) {
 	dir := t.TempDir()
 	sp := parseSpec(t, tinySpecText)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"time"
 
@@ -18,29 +17,17 @@ import (
 type Options struct {
 	// Dir is the campaign directory (created if missing).
 	Dir string
-	// Cache is the shared run cache all workers execute through.
+	// Cache is the run cache every process on the campaign shares.
 	Cache *runcache.Cache
-	// Workers is the number of worker OS processes to spawn via Spawn; with
-	// zero workers (or a nil Spawn) the coordinator executes every shard
-	// in-process. Every worker, in-process or spawned, runs its shard's
-	// cells on every core, so extra processes buy crash isolation and
-	// multi-host runs rather than speed on one machine.
-	Workers int
-	// Spawn builds the command for one worker process (the gscampaign
-	// binary re-executing itself in -worker mode). The coordinator starts
-	// and waits for them; a worker that exits non-zero (or is killed) is
-	// logged, not fatal — the coordinator's in-process pass finishes
-	// whatever the fleet left behind.
-	Spawn func(ctx context.Context, worker int) *exec.Cmd
 	// Resume allows initialising over an existing campaign directory: the
 	// manifest is re-read, the cell list re-expanded, and only missing
 	// shards execute. Without Resume, an already-initialised directory is
 	// an error (refusing to silently append to unknown state).
 	Resume bool
-	// Lease and Poll forward to the in-process worker (see Worker).
+	// Lease and Poll forward to the Worker (see Worker).
 	Lease time.Duration
 	Poll  time.Duration
-	// IgnoreClaims forwards to the in-process worker (test hook).
+	// IgnoreClaims forwards to the Worker (test hook).
 	IgnoreClaims bool
 	// Log, when non-nil, receives coordinator progress lines.
 	Log io.Writer
@@ -51,12 +38,12 @@ type Result struct {
 	Manifest *Manifest
 	Spec     *Spec
 	// Snapshot is the merged campaign telemetry; Det its deterministic
-	// serialisation (byte-identical across worker counts and crashes).
+	// serialisation (byte-identical across process counts and crashes).
 	Snapshot *obs.Snapshot
 	Det      []byte
 	// Paths of the merged artefacts written into the campaign directory.
 	SnapPath, DetPath, RunlogPath string
-	// ShardsRun counts shards executed by this process's in-process pass.
+	// ShardsRun counts the shards this process executed.
 	ShardsRun int
 }
 
@@ -106,9 +93,11 @@ func Init(dir string, sp *Spec, resume bool) (*Manifest, *Spec, error) {
 }
 
 // Run coordinates a campaign end to end: initialise (or resume) the
-// directory, spawn the worker fleet, finish any remaining shards
-// in-process, and merge the per-shard telemetry in shard order. A nil spec
-// resumes the directory's existing campaign.
+// directory, execute every missing shard through an in-process Worker, and
+// merge the per-shard telemetry in shard order. A nil spec resumes the
+// directory's existing campaign. Other processes running Run over the same
+// directory (other `gscampaign -dir D -resume` invocations, on this host
+// or another) split the shards with this one through the claim files.
 func Run(ctx context.Context, sp *Spec, o Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -121,35 +110,9 @@ func Run(ctx context.Context, sp *Spec, o Options) (*Result, error) {
 	logf(o.Log, "campaign %s (%s): %d runs in %d shards, %d shards already done",
 		m.Name, m.ID, m.Total, m.Shards, done)
 
-	// The worker fleet. Child failures are logged, never fatal: shards they
-	// abandoned are re-executed by whoever scans next (including the
-	// in-process pass below), and shards they published stay published.
-	if o.Workers > 0 && o.Spawn != nil {
-		cmds := make([]*exec.Cmd, 0, o.Workers)
-		for i := 0; i < o.Workers; i++ {
-			cmd := o.Spawn(ctx, i)
-			if cmd == nil {
-				continue
-			}
-			if err := cmd.Start(); err != nil {
-				logf(o.Log, "worker %d failed to start: %v", i, err)
-				continue
-			}
-			cmds = append(cmds, cmd)
-		}
-		for i, cmd := range cmds {
-			if err := cmd.Wait(); err != nil {
-				logf(o.Log, "worker %d exited: %v", i, err)
-			}
-		}
-	}
-
-	// In-process pass: with Workers == 0 this is the whole execution;
-	// otherwise it sweeps up anything the fleet left (crashed workers'
-	// shards, or expired leases nobody re-claimed).
 	w := &Worker{
 		Dir: o.Dir, Manifest: m, Spec: sp, Cache: o.Cache,
-		Owner: fmt.Sprintf("coord-%d", os.Getpid()),
+		Owner: defaultOwner(),
 		Lease: o.Lease, Poll: o.Poll, IgnoreClaims: o.IgnoreClaims, Log: o.Log,
 	}
 	ran, err := w.Run(ctx)
@@ -163,6 +126,17 @@ func Run(ctx context.Context, sp *Spec, o Options) (*Result, error) {
 	}
 	res.ShardsRun = ran
 	return res, nil
+}
+
+// defaultOwner names this process in claim files: <hostname>-<pid>. PIDs
+// repeat across hosts and containers that share a campaign directory, and
+// AcquireClaim's steal-race check tells claimants apart by owner alone.
+func defaultOwner() string {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "localhost"
+	}
+	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
 // Merge folds every shard's published outputs into the campaign artefacts:

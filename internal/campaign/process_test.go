@@ -15,12 +15,13 @@ import (
 )
 
 // These tests exercise the campaign machinery the way production does: real
-// gscampaign worker processes sharing a directory and a cache, killed with
-// SIGKILL mid-shard, racing each other on purpose, and recovering from
-// deliberately corrupted cache entries — with the merged outputs required
-// to stay byte-identical through all of it.
+// gscampaign processes sharing a directory and a cache (each extra process
+// is one more `gscampaign -dir D -resume`), killed with SIGKILL mid-shard,
+// racing each other on purpose, and recovering from deliberately
+// corrupted cache entries — with the merged outputs required to stay
+// byte-identical through all of it.
 
-// procSpecText is sized so a 4-worker fleet is busy for long enough that a
+// procSpecText is sized so four processes are busy for long enough that a
 // kill at ~100 ms lands mid-shard: 24 runs in 6 shards of 4.
 const procSpecText = `
 [campaign]
@@ -103,11 +104,13 @@ func runBin(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
-// startWorker launches one gscampaign -worker process over dir/cacheDir.
-func startWorker(t *testing.T, ctx context.Context, bin, dir, cacheDir, owner string, ignoreClaims bool) (*exec.Cmd, *bytes.Buffer) {
+// startWorker launches one `gscampaign -dir D -resume` process over
+// dir/cacheDir, with a short lease and poll so a killed peer's shard is
+// stolen within a second. Its combined output collects in the buffer.
+func startWorker(t *testing.T, ctx context.Context, bin, dir, cacheDir string, ignoreClaims bool) (*exec.Cmd, *bytes.Buffer) {
 	t.Helper()
-	args := []string{"-worker", "-dir", dir, "-cache", cacheDir,
-		"-owner", owner, "-lease", "1s", "-poll", "50ms", "-quiet"}
+	args := []string{"-dir", dir, "-cache", cacheDir, "-resume",
+		"-lease", "1s", "-poll", "50ms", "-quiet"}
 	if ignoreClaims {
 		args = append(args, "-ignore-claims")
 	}
@@ -116,7 +119,7 @@ func startWorker(t *testing.T, ctx context.Context, bin, dir, cacheDir, owner st
 	cmd.Stdout = &out
 	cmd.Stderr = &out
 	if err := cmd.Start(); err != nil {
-		t.Fatalf("start worker %s: %v", owner, err)
+		t.Fatalf("start gscampaign -resume: %v", err)
 	}
 	return cmd, &out
 }
@@ -139,11 +142,11 @@ func readFileT(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestProcessCrashResumeByteIdentical is the headline crash story: a
-// 4-worker fleet loses one worker to SIGKILL mid-shard, the survivors steal
-// its expired lease and finish, -resume merges — and the merged
-// deterministic telemetry and runlog are byte-identical to an uninterrupted
-// single-process run of the same spec.
+// TestProcessCrashResumeByteIdentical is the headline crash story: four
+// `gscampaign -resume` processes share a campaign, one dies to SIGKILL
+// mid-shard, the survivors steal its expired lease, finish and merge — and
+// the merged deterministic telemetry and runlog are byte-identical to an
+// uninterrupted single-process run of the same spec.
 func TestProcessCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process tests skipped in -short mode")
@@ -157,50 +160,36 @@ func TestProcessCrashResumeByteIdentical(t *testing.T) {
 	refDet := readFileT(t, MergedDetPath(refDir))
 	refLog := readFileT(t, MergedRunlogPath(refDir))
 
-	// The crashing fleet: initialise the directory, start 4 workers, and
-	// SIGKILL one while its first shard is still executing.
+	// Initialise the directory, start four processes on it, and SIGKILL one
+	// while its first shard is still executing.
 	dir := filepath.Join(t.TempDir(), "crash")
 	cacheDir := filepath.Join(dir, "cache")
-	sp := parseSpec(t, procSpecText)
-	if _, _, err := Init(dir, sp, false); err != nil {
+	if _, _, err := Init(dir, parseSpec(t, procSpecText), false); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	type worker struct {
-		cmd *exec.Cmd
-		out *bytes.Buffer
-	}
-	var fleet []worker
+	var cmds []*exec.Cmd
+	var outs []*bytes.Buffer
 	for i := 0; i < 4; i++ {
-		cmd, out := startWorker(t, ctx, bin, dir, cacheDir, fmt.Sprintf("w%d", i), false)
-		fleet = append(fleet, worker{cmd, out})
+		cmd, out := startWorker(t, ctx, bin, dir, cacheDir, false)
+		cmds, outs = append(cmds, cmd), append(outs, out)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if err := fleet[0].cmd.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatalf("SIGKILL worker 0: %v", err)
+	if err := cmds[0].Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatalf("SIGKILL process 0: %v", err)
 	}
-	if err := fleet[0].cmd.Wait(); err == nil {
-		t.Fatal("worker 0 exited cleanly before the kill; campaign too fast to test crashes")
+	if err := cmds[0].Wait(); err == nil {
+		t.Fatal("process 0 exited cleanly before the kill; campaign too fast to test crashes")
 	}
 	for i := 1; i < 4; i++ {
-		if err := fleet[i].cmd.Wait(); err != nil {
-			t.Fatalf("worker %d: %v\n%s", i, err, fleet[i].out)
+		if err := cmds[i].Wait(); err != nil {
+			t.Fatalf("process %d: %v\n%s", i, err, outs[i])
 		}
 	}
 
 	// The survivors finished every shard, including whatever the dead
-	// worker had claimed (its lease expired and was stolen).
-	m, _, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, done := Status(dir, m); done != m.Shards {
-		t.Fatalf("fleet left %d of %d shards unfinished", m.Shards-(done), m.Shards)
-	}
-
-	// Resume merges; nothing re-executes.
-	runBin(t, bin, "-dir", dir, "-cache", cacheDir, "-resume", "-quiet")
+	// process had claimed (its lease expired and was stolen), and merged.
 	if got := readFileT(t, MergedDetPath(dir)); !bytes.Equal(got, refDet) {
 		t.Error("crashed campaign deterministic telemetry differs from uninterrupted run")
 	}
@@ -209,8 +198,74 @@ func TestProcessCrashResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestProcessCacheContention races two -ignore-claims workers over every
-// shard of one campaign: both execute everything, their atomic Puts and
+// TestProcessCoordinatorsShareCampaign: a second coordinator started with
+// -resume once the first has written the manifest splits the shards with
+// it through the claim files — each executes at least one — and both merge
+// artefacts byte-identical to a single-process run's.
+func TestProcessCoordinatorsShareCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process tests skipped in -short mode")
+	}
+	bin := gscampaignBin(t)
+	// Six iterations make each shard long enough that the second process
+	// starts well before the first could finish alone.
+	text := strings.Replace(procSpecText, "iterations = 2", "iterations = 6", 1)
+	spec := writeSpecFile(t, text)
+
+	refDir := filepath.Join(t.TempDir(), "ref")
+	runBin(t, bin, "-spec", spec, "-dir", refDir, "-quiet")
+	refDet := readFileT(t, MergedDetPath(refDir))
+	refLog := readFileT(t, MergedRunlogPath(refDir))
+
+	dir := filepath.Join(t.TempDir(), "coop")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var outA bytes.Buffer
+	cmdA := exec.CommandContext(ctx, bin, "-spec", spec, "-dir", dir,
+		"-lease", "1s", "-poll", "50ms", "-quiet")
+	cmdA.Stdout, cmdA.Stderr = &outA, &outA
+	if err := cmdA.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(ManifestPath(dir)); err == nil {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("first coordinator never wrote its manifest")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cmdB, outB := startWorker(t, ctx, bin, dir, filepath.Join(dir, "cache"), false)
+	if err := cmdA.Wait(); err != nil {
+		t.Fatalf("first coordinator: %v\n%s", err, &outA)
+	}
+	if err := cmdB.Wait(); err != nil {
+		t.Fatalf("second coordinator: %v\n%s", err, outB)
+	}
+	for name, out := range map[string]string{"first": outA.String(), "second": outB.String()} {
+		var ran, of int
+		i := strings.Index(out, "shards executed by this process:")
+		if i < 0 {
+			t.Fatalf("%s coordinator printed no shard count:\n%s", name, out)
+		}
+		if _, err := fmt.Sscanf(out[i:], "shards executed by this process: %d of %d", &ran, &of); err != nil {
+			t.Fatal(err)
+		}
+		if ran < 1 {
+			t.Errorf("%s coordinator executed %d of %d shards; want at least one", name, ran, of)
+		}
+	}
+	if got := readFileT(t, MergedDetPath(dir)); !bytes.Equal(got, refDet) {
+		t.Error("two-coordinator deterministic telemetry differs from a single-process run")
+	}
+	if got := readFileT(t, MergedRunlogPath(dir)); !bytes.Equal(got, refLog) {
+		t.Error("two-coordinator merged runlog differs from a single-process run")
+	}
+}
+
+// TestProcessCacheContention races two -ignore-claims coordinators over
+// every shard of one campaign: both execute everything, their atomic Puts and
 // publishes may interleave arbitrarily, and the result must still be a
 // complete, mergeable campaign whose cache holds exactly one intact entry
 // per run. A renamed replay through the same cache then proves every entry
@@ -224,7 +279,7 @@ func TestProcessCacheContention(t *testing.T) {
 	base := t.TempDir()
 	cacheDir := filepath.Join(base, "cache")
 
-	// Race two unclaimed workers over the campaign.
+	// Race two coordinators that ignore claims over the campaign.
 	dir1 := filepath.Join(base, "race")
 	sp := parseSpec(t, raceSpecText)
 	if _, _, err := Init(dir1, sp, false); err != nil {
@@ -232,13 +287,13 @@ func TestProcessCacheContention(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cmdA, outA := startWorker(t, ctx, bin, dir1, cacheDir, "race-a", true)
-	cmdB, outB := startWorker(t, ctx, bin, dir1, cacheDir, "race-b", true)
+	cmdA, outA := startWorker(t, ctx, bin, dir1, cacheDir, true)
+	cmdB, outB := startWorker(t, ctx, bin, dir1, cacheDir, true)
 	if err := cmdA.Wait(); err != nil {
-		t.Fatalf("worker a: %v\n%s", err, outA)
+		t.Fatalf("coordinator a: %v\n%s", err, outA)
 	}
 	if err := cmdB.Wait(); err != nil {
-		t.Fatalf("worker b: %v\n%s", err, outB)
+		t.Fatalf("coordinator b: %v\n%s", err, outB)
 	}
 	runBin(t, bin, "-dir", dir1, "-cache", cacheDir, "-resume", "-quiet")
 	det1 := readFileT(t, MergedDetPath(dir1))

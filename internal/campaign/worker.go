@@ -23,7 +23,7 @@ const (
 // shard's cells on every core through the shared run cache, publishes the
 // shard's runlog and telemetry snapshot atomically, releases the claim, and
 // moves on until no unfinished shard remains. A Worker takes one shard at
-// a time; several Workers — in-process or in separate OS processes —
+// a time; Workers in separate processes (each `gscampaign -dir D -resume`)
 // cooperate safely over one campaign directory, which is how a campaign
 // gets crash isolation or spreads over hosts. See the package comment for
 // the crash-recovery story.
@@ -73,8 +73,8 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 	}
 	cells := w.Spec.Cells()
 	n := w.Spec.ShardCount()
-	// Start the scan at a per-owner offset so a fleet of workers spreads
-	// over the shards instead of stampeding shard 0.
+	// Start the scan at a per-owner offset so processes sharing the
+	// directory spread over the shards instead of stampeding shard 0.
 	offset := 0
 	for _, c := range w.Owner {
 		offset = (offset*31 + int(c)) % max(n, 1)

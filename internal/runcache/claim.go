@@ -14,6 +14,7 @@ package runcache
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,10 +86,14 @@ func writeClaimTemp(path string, info ClaimInfo) (string, error) {
 	return tmp.Name(), nil
 }
 
-// ReadClaim reads the claim file at path. ok is false when no claim exists;
-// an unreadable or torn claim file is reported as an error (callers treat
-// it as held — it will be stolen once its mtime-independent lease encoding
-// is readable again or the file is removed).
+// errTornClaim marks a claim file that exists but does not parse. Claims
+// are only ever moved into place whole, so such a file was damaged from
+// outside (a torn disk write, a stray editor); it protects nothing.
+var errTornClaim = errors.New("unparseable claim")
+
+// ReadClaim reads the claim file at path. ok is false when no claim exists.
+// An unreadable or unparseable claim file is reported as an error;
+// AcquireClaim treats an unparseable one as expired and steals it.
 func ReadClaim(path string) (info ClaimInfo, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -98,7 +103,7 @@ func ReadClaim(path string) (info ClaimInfo, ok bool, err error) {
 		return ClaimInfo{}, false, fmt.Errorf("runcache: claim: %w", err)
 	}
 	if err := json.Unmarshal(data, &info); err != nil {
-		return ClaimInfo{}, false, fmt.Errorf("runcache: claim %s: %w", path, err)
+		return ClaimInfo{}, false, fmt.Errorf("runcache: claim %s: %w: %w", path, errTornClaim, err)
 	}
 	return info, true, nil
 }
@@ -107,9 +112,9 @@ func ReadClaim(path string) (info ClaimInfo, ok bool, err error) {
 // lease. It succeeds when no claim exists (a fully written temp file is
 // hard-linked into place, so exactly one of several simultaneous creators
 // wins and no reader ever sees a partial claim) or when the existing
-// claim's lease has expired (stolen via rename, then re-read to confirm the
-// steal was not itself raced). ok is false when the claim is validly held
-// by someone else.
+// claim's lease has expired or its file does not parse (stolen via
+// rename, then re-read to confirm the steal was not itself raced). ok is
+// false when the claim is validly held by someone else.
 func AcquireClaim(path, owner string, ttl time.Duration) (claim *Claim, ok bool, err error) {
 	info := ClaimInfo{Owner: owner, PID: os.Getpid(), Expires: time.Now().Add(ttl).UnixNano()}
 	tmp, err := writeClaimTemp(path, info)
@@ -126,13 +131,18 @@ func AcquireClaim(path, owner string, ttl time.Duration) (claim *Claim, ok bool,
 		return nil, false, fmt.Errorf("runcache: claim: %w", err)
 	}
 
-	// The claim exists. Steal it only if its lease has expired.
+	// The claim exists. Steal it only if its lease has expired or it
+	// cannot be parsed: correctness never depends on a claim, so the
+	// worst a wrong steal costs is a recompute, while honouring a torn
+	// claim would stall its unit for good.
 	existing, found, err := ReadClaim(path)
-	if err != nil {
+	switch {
+	case errors.Is(err, errTornClaim):
+		// Stolen below, like an expired lease.
+	case err != nil:
 		os.Remove(tmp)
 		return nil, false, err
-	}
-	if found && !existing.Expired(time.Now()) {
+	case found && !existing.Expired(time.Now()):
 		os.Remove(tmp)
 		return nil, false, nil
 	}

@@ -164,17 +164,37 @@ func TestClaimNeverReadTorn(t *testing.T) {
 	readersDone.Wait()
 }
 
-func TestClaimTornFileIsAnError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard-0003.claim")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+// TestClaimTornFileIsStolen: a claim file that does not parse still reads
+// as an error, but AcquireClaim treats it as expired and steals it, so a
+// damaged claim cannot stall its unit for good. A read error that is not a
+// parse error (here the claim path is a directory) still stops the caller.
+func TestClaimTornFileIsStolen(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0003.claim")
+	if err := os.WriteFile(path, []byte(`{"owner":"x","pi`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadClaim(path); err == nil {
 		t.Fatal("torn claim file read without error")
 	}
-	// Acquire must surface the error, not silently steal.
-	if _, ok, err := AcquireClaim(path, "w", time.Minute); err == nil || ok {
-		t.Fatalf("acquire over torn claim: ok=%v err=%v; want error", ok, err)
+	c, ok, err := AcquireClaim(path, "w", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("acquire over torn claim: ok=%v err=%v; want stolen", ok, err)
+	}
+	info, found, err := ReadClaim(path)
+	if err != nil || !found || info.Owner != "w" {
+		t.Fatalf("after steal: info=%+v found=%v err=%v; want owner w", info, found, err)
+	}
+	if err := c.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	unreadable := filepath.Join(dir, "shard-0004.claim")
+	if err := os.Mkdir(unreadable, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := AcquireClaim(unreadable, "w", time.Minute); err == nil || ok {
+		t.Fatalf("acquire over an unreadable claim: ok=%v err=%v; want error", ok, err)
 	}
 }
 

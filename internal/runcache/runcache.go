@@ -127,7 +127,7 @@ func (s Stats) HitRate() float64 {
 }
 
 // MarshalJSON serialises the counters plus the derived lookup count and hit
-// rate, so telemetry consumers (the /snapshot endpoint, health timelines)
+// rate, so telemetry consumers (snapshots, health timelines)
 // get the headline figure without recomputing it. Decoding the result back
 // into a Stats works with the default decoder — the derived keys have no
 // matching field and are ignored.

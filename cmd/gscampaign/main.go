@@ -50,7 +50,6 @@ func main() {
 		lease    = flag.Duration("lease", campaign.DefaultLease, "shard claim lease; a crashed process's shard is re-claimed after this expires")
 		poll     = flag.Duration("poll", campaign.DefaultPoll, "idle wait between shard scans when all unfinished shards are claimed")
 		resume   = flag.Bool("resume", false, "adopt an initialised campaign directory, executing only missing shards (also how extra processes or hosts join a campaign)")
-		ignore   = flag.Bool("ignore-claims", false, "skip claim files so this process races others on every shard (cache-contention testing)")
 		quiet    = flag.Bool("quiet", false, "suppress per-shard progress lines")
 	)
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gscampaign:", err)
 		os.Exit(1)
 	}
-	if err := run(*specPath, *dir, *cacheDir, *lease, *poll, *resume, *ignore, *quiet); err != nil {
+	if err := run(*specPath, *dir, *cacheDir, *lease, *poll, *resume, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "gscampaign:", err)
 		os.Exit(1)
 	}
@@ -82,7 +81,7 @@ func checkDurations(lease, poll time.Duration) error {
 	return nil
 }
 
-func run(specPath, dir, cacheDir string, lease, poll time.Duration, resume, ignore, quiet bool) error {
+func run(specPath, dir, cacheDir string, lease, poll time.Duration, resume, quiet bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -104,7 +103,7 @@ func run(specPath, dir, cacheDir string, lease, poll time.Duration, resume, igno
 	log := os.Stderr
 	o := campaign.Options{
 		Dir: dir, Cache: cache,
-		Resume: resume, Lease: lease, Poll: poll, IgnoreClaims: ignore,
+		Resume: resume, Lease: lease, Poll: poll,
 	}
 	if !quiet {
 		o.Log = log

@@ -113,6 +113,9 @@ func main() {
 			fatal(err)
 		}
 	}
+	if err := checkProbe(*probeInterval, *events); err != nil {
+		fatal(err)
+	}
 	var sp *scenario.Spec
 	switch mode {
 	case "scenario":
@@ -420,6 +423,19 @@ func checkBounds(capacity, queue, scale float64) error {
 	}
 	if !scenario.InBounds(scale, scenario.MaxScale) {
 		return fmt.Errorf("-scale %g outside (0,%d]", scale, scenario.MaxScale)
+	}
+	return nil
+}
+
+// checkProbe rejects a negative -probe-interval or -events, naming the
+// flag: the probe would otherwise sample at its default interval and log
+// no events, and say nothing.
+func checkProbe(interval time.Duration, events int) error {
+	if interval < 0 {
+		return fmt.Errorf("-probe-interval %v must not be negative", interval)
+	}
+	if events < 0 {
+		return fmt.Errorf("-events %d must not be negative", events)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -117,6 +118,27 @@ func TestCheckBounds(t *testing.T) {
 		err := checkBounds(tc.capacity, tc.queue, tc.scale)
 		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
 			t.Errorf("checkBounds(%g, %g, %g) = %v, want %q", tc.capacity, tc.queue, tc.scale, err, tc.want)
+		}
+	}
+}
+
+// TestCheckProbe checks a negative -probe-interval or -events is rejected
+// by flag before any run: the probe used to sample every 100 ms and log no
+// events instead, exiting 0.
+func TestCheckProbe(t *testing.T) {
+	for _, tc := range []struct {
+		interval time.Duration
+		events   int
+		want     string
+	}{
+		{100 * time.Millisecond, 0, ""},
+		{0, 4096, ""},
+		{-5 * time.Millisecond, 0, "-probe-interval -5ms must not be negative"},
+		{time.Second, -3, "-events -3 must not be negative"},
+	} {
+		err := checkProbe(tc.interval, tc.events)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("checkProbe(%v, %d) = %v, want %q", tc.interval, tc.events, err, tc.want)
 		}
 	}
 }

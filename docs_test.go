@@ -74,9 +74,12 @@ func TestDocsLinksResolve(t *testing.T) {
 // one of the four commands is still defined by that command: each `-flag`
 // following gssim, gsbench, gscampaign or gsreport in the reference docs
 // (README, EXPERIMENTS, DESIGN, docs/*), the verify skill notes, the
-// Makefile, the CI workflow or a `//` comment in cmd/*/main.go must match
-// a flag.*("name", …) call in cmd/<command>/*.go. gsreport defines no
-// flags (it takes paths), so any documented `gsreport -x` is an error. The
+// Makefile, the CI workflow, a `//` comment in cmd/*/main.go or a `#`
+// comment in a shipped .scn or .campaign spec must match a
+// flag.*("name", …) call in cmd/<command>/*.go, and the flag a
+// "| `-flag` |" table row documents must be some command's. gsreport
+// defines no flags (it takes paths), so any documented `gsreport -x` is
+// an error. The
 // change log and roadmap are left out: they name flags that no longer, or
 // do not yet, exist. This is the `make docs-check` gate against stale flag
 // references after pruning.
@@ -113,11 +116,18 @@ func TestDocsFlagsExist(t *testing.T) {
 	files = append(files, "README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile",
 		filepath.Join(".github", "workflows", "ci.yml"),
 		filepath.Join(".claude", "skills", "verify", "SKILL.md"))
-	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
-	if err != nil {
-		t.Fatal(err)
+	for _, pat := range []string{
+		filepath.Join("cmd", "*", "main.go"),
+		filepath.Join("scenarios", "*.scn"),
+		filepath.Join("scenarios", "*.campaign"),
+		filepath.Join("bench", "*.campaign"),
+	} {
+		more, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, more...)
 	}
-	files = append(files, mains...)
 
 	checked := 0
 	for _, f := range files {
@@ -125,8 +135,11 @@ func TestDocsFlagsExist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.HasSuffix(f, ".go") {
-			data = goComments(data)
+		switch filepath.Ext(f) {
+		case ".go":
+			data = lineComments(data, "//")
+		case ".scn", ".campaign":
+			data = lineComments(data, "#")
 		}
 		text := regexp.MustCompile(`\\\n[ \t]*`).ReplaceAllString(string(data), " ")
 		for _, line := range strings.Split(text, "\n") {
@@ -134,6 +147,15 @@ func TestDocsFlagsExist(t *testing.T) {
 				checked++
 				if !defined[ref.bin][ref.flag] {
 					t.Errorf("%s: %s -%s is not a flag of cmd/%s", f, ref.bin, ref.flag, ref.bin)
+				}
+			}
+			// A flag table row names no command; its flag must be one of
+			// some command's.
+			if row, ok := strings.CutPrefix(line, "| `-"); ok {
+				name := docFlagRe.FindStringSubmatch("-" + row)[1]
+				checked++
+				if !definedAnywhere(defined, name) {
+					t.Errorf("%s: flag table row -%s is not a flag of any command", f, name)
 				}
 			}
 		}
@@ -208,12 +230,23 @@ func TestDocFlagRefs(t *testing.T) {
 	}
 }
 
-// goComments keeps the text of a Go file's `//` comment lines, one per
-// line, so usage examples in package docs are checked and code is not.
-func goComments(src []byte) []byte {
+// definedAnywhere reports whether any command defines the flag name.
+func definedAnywhere(defined map[string]map[string]bool, name string) bool {
+	for _, flags := range defined {
+		if flags[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// lineComments keeps the text of a file's full-line comments (those
+// starting with prefix), one per line, so usage examples in Go package
+// docs and spec-file headers are checked and code or keys are not.
+func lineComments(src []byte, prefix string) []byte {
 	var out []string
 	for _, line := range strings.Split(string(src), "\n") {
-		if c, ok := strings.CutPrefix(strings.TrimSpace(line), "//"); ok {
+		if c, ok := strings.CutPrefix(strings.TrimSpace(line), prefix); ok {
 			out = append(out, c)
 		}
 	}

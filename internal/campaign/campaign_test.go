@@ -211,9 +211,14 @@ func TestCampaignResumeExecutesOnlyMissing(t *testing.T) {
 	w := &Worker{Dir: dir, Manifest: m, Spec: sp2, Cache: cache, Owner: "w0"}
 	cells := sp2.Cells()
 	start, end := sp2.ShardRange(0)
-	if err := w.runShard(context.Background(), 0, cells[start:end], nil, DefaultLease); err != nil {
+	claim, ok, err := runcache.AcquireClaim(ClaimPath(dir, 0), w.Owner, DefaultLease)
+	if err != nil || !ok {
+		t.Fatalf("acquire claim: ok=%v err=%v", ok, err)
+	}
+	if err := w.runShard(context.Background(), 0, cells[start:end], claim, DefaultLease); err != nil {
 		t.Fatal(err)
 	}
+	_ = claim.Release()
 	if !ShardDone(dir, 0) || ShardDone(dir, 1) {
 		t.Fatal("setup: want exactly shard 0 done")
 	}

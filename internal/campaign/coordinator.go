@@ -27,8 +27,6 @@ type Options struct {
 	// Lease and Poll forward to the Worker (see Worker).
 	Lease time.Duration
 	Poll  time.Duration
-	// IgnoreClaims forwards to the Worker (test hook).
-	IgnoreClaims bool
 	// Log, when non-nil, receives coordinator progress lines.
 	Log io.Writer
 }
@@ -113,7 +111,7 @@ func Run(ctx context.Context, sp *Spec, o Options) (*Result, error) {
 	w := &Worker{
 		Dir: o.Dir, Manifest: m, Spec: sp, Cache: o.Cache,
 		Owner: defaultOwner(),
-		Lease: o.Lease, Poll: o.Poll, IgnoreClaims: o.IgnoreClaims, Log: o.Log,
+		Lease: o.Lease, Poll: o.Poll, Log: o.Log,
 	}
 	ran, err := w.Run(ctx)
 	if err != nil {

@@ -107,15 +107,11 @@ func runBin(t *testing.T, bin string, args ...string) string {
 // startWorker launches one `gscampaign -dir D -resume` process over
 // dir/cacheDir, with a short lease and poll so a killed peer's shard is
 // stolen within a second. Its combined output collects in the buffer.
-func startWorker(t *testing.T, ctx context.Context, bin, dir, cacheDir string, ignoreClaims bool) (*exec.Cmd, *bytes.Buffer) {
+func startWorker(t *testing.T, ctx context.Context, bin, dir, cacheDir string) (*exec.Cmd, *bytes.Buffer) {
 	t.Helper()
-	args := []string{"-dir", dir, "-cache", cacheDir, "-resume",
-		"-lease", "1s", "-poll", "50ms", "-quiet"}
-	if ignoreClaims {
-		args = append(args, "-ignore-claims")
-	}
 	var out bytes.Buffer
-	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd := exec.CommandContext(ctx, bin, "-dir", dir, "-cache", cacheDir, "-resume",
+		"-lease", "1s", "-poll", "50ms", "-quiet")
 	cmd.Stdout = &out
 	cmd.Stderr = &out
 	if err := cmd.Start(); err != nil {
@@ -172,7 +168,7 @@ func TestProcessCrashResumeByteIdentical(t *testing.T) {
 	var cmds []*exec.Cmd
 	var outs []*bytes.Buffer
 	for i := 0; i < 4; i++ {
-		cmd, out := startWorker(t, ctx, bin, dir, cacheDir, false)
+		cmd, out := startWorker(t, ctx, bin, dir, cacheDir)
 		cmds, outs = append(cmds, cmd), append(outs, out)
 	}
 	time.Sleep(100 * time.Millisecond)
@@ -236,7 +232,7 @@ func TestProcessCoordinatorsShareCampaign(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cmdB, outB := startWorker(t, ctx, bin, dir, filepath.Join(dir, "cache"), false)
+	cmdB, outB := startWorker(t, ctx, bin, dir, filepath.Join(dir, "cache"))
 	if err := cmdA.Wait(); err != nil {
 		t.Fatalf("first coordinator: %v\n%s", err, &outA)
 	}
@@ -264,11 +260,11 @@ func TestProcessCoordinatorsShareCampaign(t *testing.T) {
 	}
 }
 
-// TestProcessCacheContention races two -ignore-claims coordinators over
-// every shard of one campaign: both execute everything, their atomic Puts and
-// publishes may interleave arbitrarily, and the result must still be a
-// complete, mergeable campaign whose cache holds exactly one intact entry
-// per run. A renamed replay through the same cache then proves every entry
+// TestProcessCacheContention races two coordinators on two directories of
+// the same campaign that share one -cache: no claim separates them, so both
+// execute every run and their atomic Puts of the same keys may interleave
+// arbitrarily. Both must still merge identical telemetry, and the cache
+// must hold exactly one intact entry per run. A renamed replay through the same cache then proves every entry
 // is readable (100% hit rate), and a deliberately truncated blob proves the
 // integrity check fires and the run is recomputed across processes.
 func TestProcessCacheContention(t *testing.T) {
@@ -279,24 +275,29 @@ func TestProcessCacheContention(t *testing.T) {
 	base := t.TempDir()
 	cacheDir := filepath.Join(base, "cache")
 
-	// Race two coordinators that ignore claims over the campaign.
-	dir1 := filepath.Join(base, "race")
+	// Race two coordinators, one per directory, over the shared cache.
+	dir1 := filepath.Join(base, "race-a")
+	dirB := filepath.Join(base, "race-b")
 	sp := parseSpec(t, raceSpecText)
-	if _, _, err := Init(dir1, sp, false); err != nil {
-		t.Fatal(err)
+	for _, d := range []string{dir1, dirB} {
+		if _, _, err := Init(d, sp, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cmdA, outA := startWorker(t, ctx, bin, dir1, cacheDir, true)
-	cmdB, outB := startWorker(t, ctx, bin, dir1, cacheDir, true)
+	cmdA, outA := startWorker(t, ctx, bin, dir1, cacheDir)
+	cmdB, outB := startWorker(t, ctx, bin, dirB, cacheDir)
 	if err := cmdA.Wait(); err != nil {
 		t.Fatalf("coordinator a: %v\n%s", err, outA)
 	}
 	if err := cmdB.Wait(); err != nil {
 		t.Fatalf("coordinator b: %v\n%s", err, outB)
 	}
-	runBin(t, bin, "-dir", dir1, "-cache", cacheDir, "-resume", "-quiet")
 	det1 := readFileT(t, MergedDetPath(dir1))
+	if detB := readFileT(t, MergedDetPath(dirB)); !bytes.Equal(detB, det1) {
+		t.Error("the two racing coordinators merged different deterministic telemetry")
+	}
 
 	// Exactly one blob per distinct run, despite the duplicated Puts.
 	blobs, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.blob"))

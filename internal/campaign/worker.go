@@ -42,10 +42,6 @@ type Worker struct {
 	// shard is claimed by someone else.
 	Lease time.Duration
 	Poll  time.Duration
-	// IgnoreClaims skips claim acquisition entirely, so this worker races
-	// everyone on every shard — a test hook for exercising the cache and
-	// publish paths under deliberate cross-process contention.
-	IgnoreClaims bool
 	// Log, when non-nil, receives one line per shard event.
 	Log io.Writer
 }
@@ -90,30 +86,24 @@ func (w *Worker) Run(ctx context.Context) (executed int, err error) {
 				continue
 			}
 			missing++
-			var claim *runcache.Claim
-			if !w.IgnoreClaims {
-				c, ok, err := runcache.AcquireClaim(ClaimPath(w.Dir, i), w.Owner, lease)
-				if err != nil {
-					return executed, err
-				}
-				if !ok {
-					continue // validly held by a live worker
-				}
-				claim = c
-				// The previous holder may have published between our scan
-				// and the steal; re-check before re-executing.
-				if ShardDone(w.Dir, i) {
-					_ = claim.Release()
-					missing--
-					continue
-				}
+			claim, ok, err := runcache.AcquireClaim(ClaimPath(w.Dir, i), w.Owner, lease)
+			if err != nil {
+				return executed, err
+			}
+			if !ok {
+				continue // validly held by a live worker
+			}
+			// The previous holder may have published between our scan and
+			// the steal; re-check before re-executing.
+			if ShardDone(w.Dir, i) {
+				_ = claim.Release()
+				missing--
+				continue
 			}
 			start, end := w.Spec.ShardRange(i)
 			w.logf("worker %s: shard %d (%d cells)", w.Owner, i, end-start)
-			err := w.runShard(ctx, i, cells[start:end], claim, lease)
-			if claim != nil {
-				_ = claim.Release()
-			}
+			err = w.runShard(ctx, i, cells[start:end], claim, lease)
+			_ = claim.Release()
 			if err != nil {
 				return executed, err
 			}
@@ -163,9 +153,6 @@ func (w *Worker) runShard(ctx context.Context, shard int, cells []Cell, claim *r
 	)
 	done := experiment.Execute(ctx, jobs, experiment.DefaultWorkers(), w.Cache, experiment.Sinks{Progress: obs.MultiProgress(agg, &runlog)},
 		func(int, *experiment.RunResult, bool) {
-			if claim == nil {
-				return
-			}
 			renewMu.Lock()
 			defer renewMu.Unlock()
 			if renewErr != nil || !time.Now().After(renewAt) {

@@ -18,53 +18,27 @@ import (
 	"repro/internal/units"
 )
 
-// DefaultLadder is a typical video bitrate ladder (Mb/s).
-var DefaultLadder = []units.Rate{
+// ladder is the available bitrate ladder: a typical video ladder,
+// ascending.
+var ladder = []units.Rate{
 	units.Kbps(600), units.Mbps(1.5), units.Mbps(3), units.Mbps(5),
 	units.Mbps(8), units.Mbps(12), units.Mbps(16),
 }
 
-// Config parameterises a session.
-type Config struct {
-	// CCA is the TCP congestion control for the transfer connection.
-	CCA string
-	// SegmentDur is the media duration per segment (typ. 4 s).
-	SegmentDur time.Duration
-	// Ladder is the available bitrate ladder, ascending.
-	Ladder []units.Rate
-	// MaxBuffer is the playback buffer level at which the client pauses
-	// requesting (typ. 20-30 s).
-	MaxBuffer time.Duration
-	// SafetyFactor scales the throughput estimate when picking a rung
-	// (typ. 0.8).
-	SafetyFactor float64
-}
-
-// Defaults fills zero fields.
-func (c Config) Defaults() Config {
-	if c.CCA == "" {
-		c.CCA = tcp.AlgCubic
-	}
-	if c.SegmentDur == 0 {
-		c.SegmentDur = 4 * time.Second
-	}
-	if len(c.Ladder) == 0 {
-		c.Ladder = DefaultLadder
-	}
-	if c.MaxBuffer == 0 {
-		c.MaxBuffer = 24 * time.Second
-	}
-	if c.SafetyFactor == 0 {
-		c.SafetyFactor = 0.8
-	}
-	return c
-}
+const (
+	// segmentDur is the media duration per segment.
+	segmentDur = 4 * time.Second
+	// maxBuffer is the playback buffer level at which the client pauses
+	// requesting (players use 20-30 s).
+	maxBuffer = 24 * time.Second
+	// safetyFactor scales the throughput estimate when picking a rung.
+	safetyFactor = 0.8
+)
 
 // Session is one adaptive-video session: the server side owns the TCP
 // sender, the client side owns the receiver, rate adaptation runs at the
 // client as segments complete.
 type Session struct {
-	cfg Config
 	eng *sim.Engine
 
 	Sender   *tcp.Sender
@@ -88,15 +62,11 @@ type Session struct {
 }
 
 // New creates a session between serverHost and clientHost on the given
-// flow. Call Start to begin fetching.
-func New(serverHost, clientHost *netem.Host, flow packet.FlowID, cfg Config) *Session {
-	cfg = cfg.Defaults()
-	s := &Session{
-		cfg:     cfg,
-		eng:     serverHost.Engine(),
-		quality: 0,
-	}
-	s.Sender = tcp.NewSender(serverHost, flow, clientHost.Addr, tcp.New(cfg.CCA))
+// flow, transferring over TCP congestion control cca. Call Start to begin
+// fetching.
+func New(serverHost, clientHost *netem.Host, flow packet.FlowID, cca string) *Session {
+	s := &Session{eng: serverHost.Engine()}
+	s.Sender = tcp.NewSender(serverHost, flow, clientHost.Addr, tcp.New(cca))
 	s.Sender.SetLimit(1) // bounded source: segments arrive via Enqueue
 	s.Receiver = tcp.NewReceiver(clientHost, flow, serverHost.Addr)
 	s.Receiver.OnDeliver = s.onBytes
@@ -160,8 +130,8 @@ func (s *Session) requestSegment() {
 	}
 	s.segStart = s.eng.Now()
 	s.segReceived = 0
-	rate := s.cfg.Ladder[s.quality]
-	s.segBytes = int64(rate.BytesIn(s.cfg.SegmentDur))
+	rate := ladder[s.quality]
+	s.segBytes = int64(rate.BytesIn(segmentDur))
 	s.Sender.Enqueue(s.segBytes)
 }
 
@@ -184,7 +154,7 @@ func (s *Session) onBytes(n int64) {
 	if s.buffer == 0 && s.SegmentsFetched > 0 {
 		s.Stalls++
 	}
-	s.buffer += s.cfg.SegmentDur
+	s.buffer += segmentDur
 	s.SegmentsFetched++
 	s.QualitySum += int64(s.quality)
 	s.segBytes = 0
@@ -192,12 +162,12 @@ func (s *Session) onBytes(n int64) {
 	s.scheduleNext()
 }
 
-// pickQuality selects the highest rung below SafetyFactor x throughput,
+// pickQuality selects the highest rung below safetyFactor x throughput,
 // stepping at most one rung up at a time (standard conservative ABR).
 func (s *Session) pickQuality() {
-	est := s.throughput.Scale(s.cfg.SafetyFactor)
+	est := s.throughput.Scale(safetyFactor)
 	best := 0
-	for i, r := range s.cfg.Ladder {
+	for i, r := range ladder {
 		if r <= est {
 			best = i
 		}
@@ -217,10 +187,10 @@ func (s *Session) scheduleNext() {
 		return
 	}
 	s.drainBuffer()
-	if s.buffer+s.cfg.SegmentDur <= s.cfg.MaxBuffer {
+	if s.buffer+segmentDur <= maxBuffer {
 		s.requestSegment()
 		return
 	}
-	wait := s.buffer + s.cfg.SegmentDur - s.cfg.MaxBuffer
+	wait := s.buffer + segmentDur - maxBuffer
 	s.eng.Schedule(wait, s.scheduleNext)
 }

@@ -26,12 +26,12 @@ func dashNet(rate units.Rate, seed uint64) (*sim.Engine, *netem.Host, *netem.Hos
 
 func TestClimbsLadderOnFastLink(t *testing.T) {
 	eng, srv, cli := dashNet(units.Mbps(50), 1)
-	s := New(srv, cli, 1, Config{})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	eng.Run(sim.At(120 * time.Second))
 	// A 50 Mb/s link carries the top rung (16 Mb/s) with room to spare.
-	if s.Quality() != len(DefaultLadder)-1 {
-		t.Errorf("quality = %d, want top rung %d", s.Quality(), len(DefaultLadder)-1)
+	if s.Quality() != len(ladder)-1 {
+		t.Errorf("quality = %d, want top rung %d", s.Quality(), len(ladder)-1)
 	}
 	if s.Stalls != 0 {
 		t.Errorf("stalled %d times on an overprovisioned link", s.Stalls)
@@ -43,11 +43,11 @@ func TestClimbsLadderOnFastLink(t *testing.T) {
 
 func TestSettlesBelowCapacity(t *testing.T) {
 	eng, srv, cli := dashNet(units.Mbps(6), 2)
-	s := New(srv, cli, 1, Config{})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	eng.Run(sim.At(180 * time.Second))
 	// Steady state: the chosen rung's bitrate must fit within capacity.
-	rate := DefaultLadder[s.Quality()]
+	rate := ladder[s.Quality()]
 	if rate > units.Mbps(6) {
 		t.Errorf("chose %v on a 6 Mb/s link", rate)
 	}
@@ -59,7 +59,7 @@ func TestSettlesBelowCapacity(t *testing.T) {
 
 func TestBufferBounded(t *testing.T) {
 	eng, srv, cli := dashNet(units.Mbps(50), 3)
-	s := New(srv, cli, 1, Config{MaxBuffer: 12 * time.Second})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	maxBuf := time.Duration(0)
 	probe := sim.NewTicker(eng, time.Second, func() {
@@ -69,8 +69,8 @@ func TestBufferBounded(t *testing.T) {
 	})
 	probe.Start(false)
 	eng.Run(sim.At(120 * time.Second))
-	if maxBuf > 17*time.Second {
-		t.Errorf("buffer reached %v, want bounded near 12s+1 segment", maxBuf)
+	if maxBuf > maxBuffer+segmentDur+time.Second {
+		t.Errorf("buffer reached %v, want bounded near %v+1 segment", maxBuf, maxBuffer)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestOnOffTrafficPattern(t *testing.T) {
 	// Once the buffer is full, the connection must go idle between
 	// segment fetches (the ABR on-off pattern).
 	eng, srv, cli := dashNet(units.Mbps(50), 4)
-	s := New(srv, cli, 1, Config{MaxBuffer: 8 * time.Second})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	eng.Run(sim.At(60 * time.Second))
 	sent := s.Sender.Stats.BytesSent
@@ -92,7 +92,7 @@ func TestOnOffTrafficPattern(t *testing.T) {
 
 func TestStopHaltsFetching(t *testing.T) {
 	eng, srv, cli := dashNet(units.Mbps(20), 5)
-	s := New(srv, cli, 1, Config{})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	eng.Run(sim.At(30 * time.Second))
 	s.Stop()
@@ -105,18 +105,25 @@ func TestStopHaltsFetching(t *testing.T) {
 
 func TestMeanQuality(t *testing.T) {
 	eng, srv, cli := dashNet(units.Mbps(50), 6)
-	s := New(srv, cli, 1, Config{})
+	s := New(srv, cli, 1, "cubic")
 	s.Start()
 	eng.Run(sim.At(90 * time.Second))
 	mq := s.MeanQuality()
-	if mq <= 0 || mq > float64(len(DefaultLadder)-1) {
+	if mq <= 0 || mq > float64(len(ladder)-1) {
 		t.Errorf("mean quality = %v out of range", mq)
 	}
 }
 
+// TestDefaults pins the session's fixed parameters at the usual player
+// values and checks New runs the transfer over the CCA it is given.
 func TestDefaults(t *testing.T) {
-	c := Config{}.Defaults()
-	if c.CCA != "cubic" || c.SegmentDur != 4*time.Second || c.SafetyFactor != 0.8 {
-		t.Errorf("defaults = %+v", c)
+	if segmentDur != 4*time.Second || maxBuffer != 24*time.Second || safetyFactor != 0.8 {
+		t.Errorf("segment %v, buffer %v, safety %v; want 4s, 24s, 0.8", segmentDur, maxBuffer, safetyFactor)
+	}
+	_, srv, cli := dashNet(units.Mbps(20), 7)
+	for i, cca := range []string{"cubic", "bbr"} {
+		if got := New(srv, cli, packet.FlowID(i+1), cca).Sender.CC().Name(); got != cca {
+			t.Errorf("CCA = %q, want %q", got, cca)
+		}
 	}
 }

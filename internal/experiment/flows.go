@@ -23,7 +23,8 @@ import (
 
 // Flow identifier bases for population slots and extra game streams. They
 // sit far above the legacy competitor IDs (flowIperf + 10·i), so existing
-// mixed-traffic runs keep their exact flow numbering.
+// mixed-traffic runs keep their exact flow numbering. Extra streams take
+// 600..999, which caps Streams at maxPopulationStreams.
 const (
 	popFlowBase    packet.FlowID = 1000
 	streamFlowBase packet.FlowID = 600
@@ -82,8 +83,9 @@ func (p FlowPopulation) Enabled() bool { return p.Flows > 0 || p.Streams > 0 }
 
 // Bounds every front end holds a population to.
 const (
-	maxPopulationFlows = 100000         // Flows and Streams
-	maxPopulationMean  = 24 * time.Hour // MeanOn and MeanOff
+	maxPopulationFlows   = 100000                            // Flows
+	maxPopulationStreams = int(popFlowBase - streamFlowBase) // Streams
+	maxPopulationMean    = 24 * time.Hour                    // MeanOn and MeanOff
 )
 
 // Validate reports the first field outside its bounds, naming it by its
@@ -91,11 +93,11 @@ const (
 // checked: any value up to 1 selects the default tail index.
 func (p FlowPopulation) Validate() error {
 	for _, c := range []struct {
-		key string
-		n   int
-	}{{"flows", p.Flows}, {"streams", p.Streams}} {
-		if c.n < 0 || c.n > maxPopulationFlows {
-			return fmt.Errorf("%s %d outside [0,%d]", c.key, c.n, maxPopulationFlows)
+		key    string
+		n, max int
+	}{{"flows", p.Flows, maxPopulationFlows}, {"streams", p.Streams, maxPopulationStreams}} {
+		if c.n < 0 || c.n > c.max {
+			return fmt.Errorf("%s %d outside [0,%d]", c.key, c.n, c.max)
 		}
 	}
 	for _, c := range []struct {
@@ -440,7 +442,7 @@ func buildPopulation(eng *sim.Engine, cfg RunConfig, hosts popHosts, prb *probe.
 				prb.AttachSender(fmt.Sprintf("pop-iperf-%s-%d", m.CCA, i), sl.bulk.Sender)
 			}
 		case CompDash:
-			sl.sess = dash.New(hosts.iperfServer, hosts.iperfClient, sl.flow, dash.Config{CCA: m.CCA})
+			sl.sess = dash.New(hosts.iperfServer, hosts.iperfClient, sl.flow, m.CCA)
 		case CompVideoCall:
 			vp := gamestream.VideoCallProfile()
 			sl.vsrv = gamestream.NewServer(hosts.iperfServer, sl.flow, addrIperfClient, vp, rng.Fork())

@@ -438,7 +438,7 @@ func Run(cfg RunConfig) *RunResult {
 				prb.AttachSender(fmt.Sprintf("iperf-%s-%d", comp.CCA, i), f.Sender)
 			}
 		case CompDash:
-			sess := dash.New(iperfServerHost, iperfClientHost, flow, dash.Config{CCA: comp.CCA})
+			sess := dash.New(iperfServerHost, iperfClientHost, flow, comp.CCA)
 			eng.ScheduleAt(startAt, sess.Start)
 			eng.ScheduleAt(stopAt, sess.Stop)
 			if prb != nil {

@@ -321,11 +321,7 @@ func (s *Server) sweepRetx(now sim.Time) {
 // drainFragQ emits queued fragments at the pacing rate.
 func (s *Server) drainFragQ() {
 	now := s.eng.Now()
-	gain := s.profile.BurstPace
-	if gain <= 0 {
-		gain = paceGain
-	}
-	paceRate := maxRate(s.encRate.Scale(gain), units.Mbps(4))
+	paceRate := maxRate(s.encRate.Scale(paceGain), units.Mbps(4))
 	for s.fragHead < len(s.fragQ) {
 		if now < s.paceNext {
 			s.paceTimer.Reset(s.paceNext.Sub(now))

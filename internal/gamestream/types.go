@@ -222,10 +222,6 @@ type Profile struct {
 	// PlayoutDelay is how long after a frame's first transmission the
 	// client will still display it; later frames are dropped.
 	PlayoutDelay time.Duration
-	// BurstPace is the fragment pacing rate as a multiple of the encoder
-	// bitrate (default 1.5 — smooth sender). Large values approximate
-	// line-rate frame bursts, the "network turbulence" traffic shape.
-	BurstPace float64
 	// NewController builds this profile's rate controller.
 	NewController func() Controller
 }

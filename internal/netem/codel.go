@@ -25,10 +25,6 @@ type CoDel struct {
 	limit    units.ByteSize
 	target   time.Duration
 	interval time.Duration
-	// ECN enables RFC 3168 marking: ECN-capable packets that CoDel would
-	// drop at dequeue are CE-marked and delivered instead. Queue-overflow
-	// drops still drop.
-	ECN bool
 
 	q          fifo
 	onDrop     func(*packet.Packet)
@@ -38,10 +34,8 @@ type CoDel struct {
 	lastCount  int
 	firstAbove sim.Time
 
-	// Drops counts packets dropped since creation; Marks counts ECN
-	// CE-marks delivered in place of drops.
+	// Drops counts packets dropped since creation.
 	Drops int
-	Marks int
 }
 
 // NewCoDel returns a CoDel queue with RFC-default target and interval and
@@ -87,17 +81,6 @@ func (c *CoDel) controlLaw(t sim.Time) sim.Time {
 	return t.Add(time.Duration(float64(c.interval) / math.Sqrt(float64(c.count))))
 }
 
-// mark CE-marks an ECN-capable packet in place of a drop; returns false if
-// the packet is not ECN-capable (so the caller must drop it).
-func (c *CoDel) mark(p *packet.Packet) bool {
-	if !c.ECN || !p.ECT {
-		return false
-	}
-	p.CE = true
-	c.Marks++
-	return true
-}
-
 // Dequeue implements Queue, applying the CoDel state machine.
 func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 	q, ok := c.q.pop()
@@ -112,11 +95,6 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 			return q.p
 		}
 		for now >= c.dropNext && c.dropping {
-			if c.mark(q.p) {
-				c.count++
-				c.dropNext = c.controlLaw(c.dropNext)
-				return q.p
-			}
 			c.drop(q.p)
 			c.count++
 			nq, ok := c.q.pop()
@@ -134,13 +112,6 @@ func (c *CoDel) Dequeue(now sim.Time) *packet.Packet {
 		return q.p
 	}
 	if okToDrop && (now.Sub(c.dropNext) < c.interval || now.Sub(c.firstAbove) >= c.interval) {
-		if c.mark(q.p) {
-			c.dropping = true
-			c.count = 1
-			c.lastCount = 1
-			c.dropNext = c.controlLaw(now)
-			return q.p
-		}
 		c.drop(q.p)
 		nq, ok := c.q.pop()
 		c.dropping = true

@@ -54,18 +54,13 @@ func (l *Link) Handle(p *packet.Packet) {
 }
 
 // Delay forwards packets after a fixed delay, preserving order — the
-// equivalent of `netem delay <d>`. With jitter configured it matches
-// `netem delay <d> <jitter>`: per-packet delays vary uniformly in
-// [d-jitter, d+jitter] but delivery order is still preserved (like netem
-// with a rate-limited child qdisc, reordering is suppressed). Like netem's
-// send-time-ordered queue, delayed packets wait in one sim.Lane.
+// equivalent of `netem delay <d>`. Like netem's send-time-ordered queue,
+// delayed packets wait in one sim.Lane.
 type Delay struct {
-	eng    *sim.Engine
-	d      time.Duration
-	next   packet.Handler
-	jitter time.Duration
-	rng    *sim.RNG
-	// lastOut enforces in-order delivery under jitter and delay changes.
+	eng  *sim.Engine
+	d    time.Duration
+	next packet.Handler
+	// lastOut keeps delivery in order when SetDelay shortens the delay.
 	lastOut  sim.Time
 	inFlight sim.Lane
 	Stats    Stats
@@ -78,24 +73,11 @@ func NewDelay(eng *sim.Engine, d time.Duration, next packet.Handler) *Delay {
 	return de
 }
 
-// SetJitter enables uniform ± jitter around the base delay, drawn from rng.
-func (d *Delay) SetJitter(jitter time.Duration, rng *sim.RNG) {
-	d.jitter = jitter
-	d.rng = rng
-}
-
 // Handle implements packet.Handler.
 func (d *Delay) Handle(p *packet.Packet) {
 	d.Stats.Packets++
 	d.Stats.Bytes += units.ByteSize(p.Size)
-	delay := d.d
-	if d.jitter > 0 && d.rng != nil {
-		delay += time.Duration((2*d.rng.Float64() - 1) * float64(d.jitter))
-		if delay < 0 {
-			delay = 0
-		}
-	}
-	out := d.eng.Now().Add(delay)
+	out := d.eng.Now().Add(d.d)
 	if out < d.lastOut {
 		out = d.lastOut // preserve order
 	}
@@ -333,11 +315,10 @@ type Host struct {
 	// flows is a dense dispatch table indexed by FlowID: per-packet
 	// dispatch is a bounds check plus a slice load, O(1) in the flow
 	// population size. IDs at or above maxDenseFlow spill into flowsHi.
-	flows    []packet.Handler
-	flowsHi  map[packet.FlowID]packet.Handler
-	fallback packet.Handler
-	nextID   *uint64 // shared packet ID counter
-	pool     *packet.Pool
+	flows   []packet.Handler
+	flowsHi map[packet.FlowID]packet.Handler
+	nextID  *uint64 // shared packet ID counter
+	pool    *packet.Pool
 }
 
 // NewHost returns a host with address addr sending into out. ids is the
@@ -394,12 +375,10 @@ func (h *Host) Bind(flow packet.FlowID, handler packet.Handler) {
 	h.flowsHi[flow] = handler
 }
 
-// BindFallback registers a handler for packets whose flow has no binding.
-func (h *Host) BindFallback(handler packet.Handler) { h.fallback = handler }
-
-// Handle implements packet.Handler, dispatching to the bound flow handler.
-// The host is the end of a packet's life: once the handler returns, the
-// packet is released to the pool (when one is attached).
+// Handle implements packet.Handler, dispatching to the bound flow handler;
+// a packet whose flow has no binding is discarded. The host is the end of a
+// packet's life: once the handler returns, the packet is released to the
+// pool (when one is attached).
 func (h *Host) Handle(p *packet.Packet) {
 	var hd packet.Handler
 	if f := p.Flow; f >= 0 && int(f) < len(h.flows) {
@@ -409,8 +388,6 @@ func (h *Host) Handle(p *packet.Packet) {
 	}
 	if hd != nil {
 		hd.Handle(p)
-	} else if h.fallback != nil {
-		h.fallback.Handle(p)
 	}
 	h.pool.Put(p)
 }

@@ -310,8 +310,6 @@ func TestHostBindAndSend(t *testing.T) {
 	h := NewHost(eng, 7, sink, &ids)
 	got := 0
 	h.Bind(3, packet.HandlerFunc(func(p *packet.Packet) { got++ }))
-	fallback := 0
-	h.BindFallback(packet.HandlerFunc(func(p *packet.Packet) { fallback++ }))
 
 	h.Send(mkpkt(100, 3))
 	if len(sink.pkts) != 1 {
@@ -322,9 +320,9 @@ func TestHostBindAndSend(t *testing.T) {
 		t.Errorf("sent packet not stamped: src=%v id=%d", sent.Src, sent.ID)
 	}
 	h.Handle(mkpkt(100, 3))
-	h.Handle(mkpkt(100, 9))
-	if got != 1 || fallback != 1 {
-		t.Errorf("dispatch: bound=%d fallback=%d, want 1/1", got, fallback)
+	h.Handle(mkpkt(100, 9)) // unbound flow: discarded
+	if got != 1 {
+		t.Errorf("dispatch: bound handler saw %d packets, want 1", got)
 	}
 }
 
@@ -444,40 +442,5 @@ func TestShaperBurstClampedToMTU(t *testing.T) {
 	eng.Run(sim.End)
 	if len(sink.pkts) != 1 {
 		t.Error("full-size packet never passed a tiny-burst shaper")
-	}
-}
-
-func TestDelayJitterPreservesOrder(t *testing.T) {
-	eng := sim.NewEngine(5)
-	sink := &collector{eng: eng}
-	d := NewDelay(eng, 10*time.Millisecond, sink)
-	d.SetJitter(5*time.Millisecond, eng.Rand().Fork())
-	for i := 0; i < 500; i++ {
-		p := mkpkt(100, 1)
-		p.Seq = int64(i)
-		eng.Schedule(time.Duration(i)*200*time.Microsecond, func() { d.Handle(p) })
-	}
-	eng.Run(sim.End)
-	if len(sink.pkts) != 500 {
-		t.Fatalf("delivered %d", len(sink.pkts))
-	}
-	varied := false
-	for i, p := range sink.pkts {
-		if p.Seq != int64(i) {
-			t.Fatalf("reordering at %d", i)
-		}
-		lat := sink.times[i].Sub(sim.At(time.Duration(i) * 200 * time.Microsecond))
-		if lat < 5*time.Millisecond || lat > 15*time.Millisecond+time.Millisecond {
-			// order-preservation can push latency slightly above d+jitter
-			if lat > 25*time.Millisecond {
-				t.Fatalf("latency %v way out of jitter range", lat)
-			}
-		}
-		if lat != 10*time.Millisecond {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Error("jitter produced identical delays")
 	}
 }

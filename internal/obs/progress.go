@@ -53,9 +53,6 @@ type Printer struct {
 	// arriving sooner are folded into the counters silently. NewPrinter
 	// sets 1 second.
 	Every time.Duration
-	// Verbose makes SweepDone print the full per-condition wall-time
-	// breakdown instead of only the three slowest conditions.
-	Verbose bool
 
 	w        io.Writer
 	mu       sync.Mutex
@@ -95,7 +92,7 @@ func (p *Printer) RunDone(u Update) {
 }
 
 // SweepDone prints the closing summary and the per-condition wall-time
-// breakdown (the slowest three conditions, or all of them when Verbose).
+// breakdown (the slowest three conditions).
 func (p *Printer) SweepDone(interrupted bool, elapsed time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -114,11 +111,7 @@ func (p *Printer) SweepDone(interrupted bool, elapsed time.Duration) {
 		byWall = append(byWall, cw{c, w})
 	}
 	sort.Slice(byWall, func(i, j int) bool { return byWall[i].wall > byWall[j].wall })
-	n := 3
-	if p.Verbose || len(byWall) < n {
-		n = len(byWall)
-	}
-	for _, e := range byWall[:n] {
+	for _, e := range byWall[:min(3, len(byWall))] {
 		fmt.Fprintf(p.w, "sweep:   %-28s %s\n", e.cond, round(e.wall))
 	}
 }

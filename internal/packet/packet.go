@@ -84,11 +84,6 @@ type Packet struct {
 	// timestamp option / RTCP-style echo).
 	EchoTS sim.Time
 
-	// ECT marks the packet ECN-capable; CE is set by an AQM that would
-	// otherwise have dropped it (RFC 3168 semantics).
-	ECT bool
-	CE  bool
-
 	// Retx marks a retransmitted copy (TCP retransmission or game-stream
 	// NACK repair), so receivers can exclude repairs from sequence-gap
 	// loss accounting without consulting App.

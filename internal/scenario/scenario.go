@@ -34,9 +34,11 @@ import (
 // anything past them is hostile or corrupt input and is rejected rather
 // than amplified into memory or CPU (the fuzz harness leans on this).
 const (
-	maxLinks      = 64
-	maxHops       = 64
-	maxFlows      = 64
+	maxLinks = 64
+	maxHops  = 64
+	// maxFlows keeps every [flow]'s ID (2 + 10·i) below the 600 base of
+	// the population's extra game streams, so no two flows share an ID.
+	maxFlows      = 60
 	maxScheduleBy = 4096 // schedule steps per spec
 )
 
@@ -55,17 +57,18 @@ func InBounds(v, max float64) bool { return v > 0 && v <= max }
 
 // Link is one named hop of the topology: a shaped, delayed segment. The
 // bottleneck hop (minimum rate along the path) contributes the queue
-// sizing and AQM discipline; every hop contributes its propagation delay.
+// sizing and AQM discipline, and is the only hop that may set them; every
+// hop contributes its propagation delay.
 type Link struct {
 	Name  string
 	Rate  units.Rate
 	Delay time.Duration
 	// QueueMult sizes the hop's queue in BDP multiples (of the whole
 	// path's base RTT, following the paper's `queue = N × BDP` setup).
-	// Zero means unset; only the bottleneck hop's value is used.
+	// Zero means unset (2×); only the bottleneck hop may set it.
 	QueueMult float64
 	// AQM is the hop's queue discipline; empty means drop-tail. Only the
-	// bottleneck hop's value is used.
+	// bottleneck hop may set it.
 	AQM string
 }
 
@@ -484,6 +487,21 @@ func (sp *Spec) validate() error {
 		l := &sp.Links[i]
 		if l.Rate <= 0 && seen[l.Name] {
 			return fmt.Errorf("link %q has no rate", l.Name)
+		}
+	}
+	// Only the bottleneck's queue runs (RunConfig reads no other), so a
+	// queue or aqm key anywhere else would be silently dropped.
+	bn := sp.bottleneck()
+	for i := range sp.Links {
+		l := &sp.Links[i]
+		if l == bn {
+			continue
+		}
+		if l.QueueMult != 0 {
+			return fmt.Errorf("link %q sets queue, but only the bottleneck hop %q has a queue", l.Name, bn.Name)
+		}
+		if l.AQM != "" {
+			return fmt.Errorf("link %q sets aqm, but only the bottleneck hop %q has a queue", l.Name, bn.Name)
 		}
 	}
 	// Flow windows must agree: the experiment timeline has one global

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -262,6 +263,12 @@ func TestParseRejectsHostileSpecs(t *testing.T) {
 		{"negative mean_off", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 4\nmean_off = -1s", "mean_off -1s outside"},
 		{"huge iterations", "[run]\niterations = 99999999", "outside"},
 		{"bad schedule", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[schedule]\nstep = 10s warp=9", "step"},
+		// Extra game streams take flow IDs 600..999 and [flow] i takes 2+10·i.
+		{"streams past the stream IDs", "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nstreams = 401", "streams 401 outside [0,400]"},
+		{"flows past the stream IDs", flowsSpec(61), "more than 60 flows"},
+		// Only the bottleneck has a queue; RunConfig would drop these keys.
+		{"queue off the bottleneck", "[game]\nsystem = stadia\n[link access]\nrate = 1000mbit\nqueue = 7\n[link bn]\nrate = 25mbit\n[path]\nhops = access, bn", `link "access" sets queue`},
+		{"aqm off the bottleneck", "[game]\nsystem = stadia\n[link access]\nrate = 1000mbit\naqm = codel\n[link bn]\nrate = 25mbit\nqueue = 2\n[path]\nhops = access, bn", `link "access" sets aqm`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -276,6 +283,29 @@ func TestParseRejectsHostileSpecs(t *testing.T) {
 	}
 }
 
+// flowsSpec is a one-link spec with n [flow] sections.
+func flowsSpec(n int) string {
+	var b strings.Builder
+	b.WriteString("[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "[flow f%d]\ncca = cubic\n", i)
+	}
+	return b.String()
+}
+
+// TestFlowIDBoundsAccepted: [flow] i runs on flow 2+10·i and extra game
+// streams on 600+j, below the population's 1000+i; the caps that keep the
+// IDs distinct (TestParseRejectsHostileSpecs) still admit their maxima.
+func TestFlowIDBoundsAccepted(t *testing.T) {
+	if _, err := Parse(strings.NewReader(flowsSpec(60))); err != nil {
+		t.Fatalf("60 flows rejected: %v", err)
+	}
+	pop := "[game]\nsystem = stadia\n[link l]\nrate = 25mbit\n[population]\nflows = 1\nstreams = 400\n"
+	if _, err := Parse(strings.NewReader(pop)); err != nil {
+		t.Fatalf("streams = 400 rejected: %v", err)
+	}
+}
+
 func TestMultiLinkBottleneckSelection(t *testing.T) {
 	sp := parseSpec(t, `
 [game]
@@ -283,7 +313,6 @@ system = geforce
 [link fast]
 rate  = 1000mbit
 delay = 1ms
-queue = 7
 [link slow]
 rate  = 15mbit
 delay = 5ms

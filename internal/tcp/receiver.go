@@ -37,8 +37,7 @@ type Receiver struct {
 	ooo     []span
 	oooBuf  [8]span // inline backing for ooo; spills to the heap past 8 holes
 	lastTS  sim.Time
-	pending int  // full-size segments since last ACK
-	ceSeen  bool // CE mark arrived since the last ACK
+	pending int // full-size segments since last ACK
 
 	delAck sim.Timer
 	// metaPool supplies ackMeta records. It points at ownPool by default;
@@ -106,7 +105,6 @@ func (r *Receiver) ResetAt(seq int64) {
 	r.rcvNxt = seq
 	r.ooo = r.ooo[:0]
 	r.pending = 0
-	r.ceSeen = false
 	r.delAck.Stop()
 }
 
@@ -116,9 +114,6 @@ func (r *Receiver) Handle(p *packet.Packet) {
 		return
 	}
 	r.lastTS = p.SentAt
-	if p.CE {
-		r.ceSeen = true
-	}
 	seq, end := p.Seq, p.Seq+int64(p.Payload)
 
 	switch {
@@ -211,18 +206,16 @@ func (r *Receiver) insertOOO(s span) {
 func (r *Receiver) sendAck() {
 	r.pending = 0
 	r.delAck.Stop()
-	// A plain cumulative ACK (no SACK ranges, no ECN echo) carries no
-	// option block at all: the sender treats a missing meta exactly like an
-	// empty one, and the steady-state ACK stream allocates nothing.
+	// A plain cumulative ACK (no SACK ranges) carries no option block at
+	// all: the sender treats a missing meta exactly like an empty one, and
+	// the steady-state ACK stream allocates nothing.
 	var meta *ackMeta
-	if r.ceSeen || len(r.ooo) > 0 {
+	if len(r.ooo) > 0 {
 		meta = r.metaPool.get()
-		meta.ece = r.ceSeen
 		for i := 0; i < len(r.ooo) && i < maxSackBlocks; i++ {
 			meta.sack = append(meta.sack, [2]int64{r.ooo[i].start, r.ooo[i].end})
 		}
 	}
-	r.ceSeen = false
 	p := r.host.NewPacket()
 	p.Flow = r.flow
 	p.Kind = packet.KindAck

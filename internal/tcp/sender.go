@@ -36,11 +36,9 @@ type seg struct {
 	lost          bool
 }
 
-// ackMeta is the TCP option block attached to ACK packets (SACK ranges and
-// the ECN echo flag).
+// ackMeta is the TCP option block attached to ACK packets (SACK ranges).
 type ackMeta struct {
 	sack [][2]int64 // [start, end) byte ranges above the cumulative ACK
-	ece  bool       // congestion experienced since the last ACK
 
 	// sackBuf is the inline backing store for sack on pooled records: SACK
 	// is capped at maxSackBlocks ranges per ACK, so the whole option block
@@ -83,7 +81,6 @@ func (pl *ackMetaPool) get() *ackMeta {
 
 func (pl *ackMetaPool) put(m *ackMeta) {
 	m.sack = m.sack[:0]
-	m.ece = false
 	pl.free = append(pl.free, m)
 }
 
@@ -95,7 +92,6 @@ type Stats struct {
 	RTOs         int
 	LossEvents   int
 	AckedPackets int
-	ECNResponses int
 }
 
 // Sender is a TCP data sender: an unbounded (or byte-limited) source, a
@@ -138,11 +134,6 @@ type Sender struct {
 
 	inRecovery  bool
 	recoveryEnd int64
-
-	// ECN state: when enabled, data is sent ECN-capable and ECE echoes
-	// trigger a once-per-RTT congestion response without retransmission.
-	ecn          bool
-	ecnNextReact sim.Time
 
 	roundTrips         int64
 	nextRoundDelivered int64
@@ -202,11 +193,6 @@ func (s *Sender) Init(host *netem.Host, flow packet.FlowID, dst packet.Addr, cc 
 	cc.Init(s.mss)
 	host.Bind(flow, s)
 }
-
-// EnableECN marks outgoing data ECN-capable (RFC 3168). ECE echoes from
-// the receiver then cut the congestion window like a loss event, but
-// without retransmissions — pair with an ECN-enabled CoDel bottleneck.
-func (s *Sender) EnableECN() { s.ecn = true }
 
 // SetLimit bounds the total payload bytes this sender will transmit.
 func (s *Sender) SetLimit(n int64) { s.limit = n }
@@ -287,7 +273,6 @@ func (s *Sender) Reset(cc CongestionControl) {
 	s.backoff = 0
 	s.inRecovery = false
 	s.recoveryEnd = 0
-	s.ecnNextReact = 0
 	s.rackTime = 0
 	s.paceNext = 0
 	s.lastRate = 0
@@ -582,7 +567,6 @@ func (s *Sender) transmit(sg *seg) {
 	p.Seq = sg.seq
 	p.Payload = int(sg.len)
 	p.Size = int(sg.len) + packet.EthIPOverhead + packet.TCPHeader + 12 // TS option
-	p.ECT = s.ecn
 	p.Retx = sg.retx
 	s.Stats.BytesSent += sg.len
 	s.host.Send(p)
@@ -610,17 +594,6 @@ func (s *Sender) Handle(p *packet.Packet) {
 	}
 	now := s.eng.Now()
 	s.Stats.AckedPackets++
-
-	// ECN congestion response: at most once per SRTT.
-	if meta, ok := p.App.(*ackMeta); ok && meta.ece && s.ecn && now >= s.ecnNextReact {
-		hold := s.srtt
-		if hold < 10*time.Millisecond {
-			hold = 10 * time.Millisecond
-		}
-		s.ecnNextReact = now.Add(hold)
-		s.Stats.ECNResponses++
-		s.cc.OnLoss(now, s.pipeBytes)
-	}
 
 	var newlyDelivered int64
 	// sample is a copy of the most recently sent delivered segment's state;
